@@ -39,10 +39,9 @@ print("step  vertex  kind    size  cap  kept")
 records = []
 for eg, rec in encoding_history(inst, st):
     records.append(rec)
-    cap = 2 if rec.step == 1 else rec.prev_size + rec.degree
     print(
         f"{rec.step:4d}  {rec.vertex:6d}  {rec.kind:5s}  "
-        f"{rec.pre_extraction:4d}  {cap:3d}  {rec.final_size:4d}"
+        f"{rec.pre_extraction:4d}  {rec.bound:3d}  {rec.final_size:4d}"
     )
 print("size monitor:", "clean" if check_size_bound(records) is None else "violated")
 print()

@@ -3,19 +3,18 @@
 Decide whether one proper list coloring can be turned into another by
 recoloring a single vertex at a time, with every intermediate coloring
 proper.  The package bundles an exhaustive oracle for small instances, a
-linear sweep for caterpillar trees, a compiler from shortest-path rerouting
+sweep for caterpillar trees whose per-step cost follows the encoding size
+(quadratic in n on 3-colour paths), a compiler from shortest-path rerouting
 that yields bipartite, threshold-extensible hard instances, and the file
 formats, generators, and CLI that tie them together.
 """
 
 from .caterpillar_dp import (
     SizeRecord,
-    SpineStepScratch,
     check_size_bound,
     encoding_history,
     init_encoding,
     solve,
-    spine_step_scratch,
     step_leaf,
     step_spine,
 )

@@ -41,16 +41,10 @@ class SizeRecord:
     prev_size: int
     final_size: int
 
-
-@dataclass(frozen=True)
-class SpineStepScratch:
-    """Underlying e-node sets built during one spine step.
-
-    ``members[x]`` is (col, frozenset of previous e-node ids) for the new
-    e-node x, before the ini component is extracted.
-    """
-
-    members: tuple[tuple[int, frozenset[int]], ...]
+    @property
+    def bound(self) -> int:
+        """Ceiling on ``pre_extraction``: 2 at init, prev_size + degree after."""
+        return 2 if self.step == 1 else self.prev_size + self.degree
 
 
 def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
@@ -142,12 +136,6 @@ def _spine_parts(
                         stack.append(w)
             parts.append((c, frozenset(comp)))
     return parts
-
-
-def spine_step_scratch(
-    prev: EncodingGraph, spine_list: Sequence[int]
-) -> SpineStepScratch:
-    return SpineStepScratch(tuple(_spine_parts(prev, sorted(set(spine_list)))))
 
 
 def _step_spine_full(
@@ -256,8 +244,7 @@ def encoding_history(
 def check_size_bound(history: Sequence[SizeRecord]) -> Optional[int]:
     """First step index where the growth bound fails, or None if all hold."""
     for rec in history:
-        bound = 2 if rec.step == 1 else rec.prev_size + rec.degree
-        if rec.pre_extraction > bound:
+        if rec.pre_extraction > rec.bound:
             return rec.step
     return None
 

@@ -19,12 +19,7 @@ from .errors import LcrError, ParseError, StateSpaceTooLarge
 from .experiments import run_experiments
 from .generators import gen_caterpillar, gen_layered_spr
 from .graph import check_path_decomposition
-from .instance import (
-    induced_instance,
-    is_proper_list_coloring,
-    is_valid_sequence,
-    normalize,
-)
+from .instance import is_proper_list_coloring, is_valid_sequence, normalize
 from .reduction import compile_spr, emit_path_decomposition, to_threshold
 
 EXIT_OK = 0
@@ -67,11 +62,9 @@ def _cmd_solve(args) -> int:
         if report.algorithm != "caterpillar":
             print("# trace available only for the caterpillar algorithm")
         else:
-            trimmed, _ = normalize(inst)
-            for comp_idx, comp in enumerate(trimmed.graph.connected_components()):
-                sub, _ = induced_instance(trimmed, comp)
+            for comp_idx, comp in enumerate(report.components):
                 print(f"component {comp_idx}")
-                for eg, rec in encoding_history(sub):
+                for eg, rec in encoding_history(comp.instance, comp.structure):
                     print(f"step {rec.step} vertex {rec.vertex} {rec.kind}")
                     for i, col in enumerate(eg.cols):
                         ini = 1 if eg.ini == i else 0

@@ -14,8 +14,8 @@ from typing import Optional
 
 from . import caterpillar_dp, oracle
 from .caterpillar_dp import SizeRecord
-from .errors import ImproperEndpoints, NotCaterpillar, NotConnected
-from .graph import recognize_caterpillar
+from .errors import ImproperEndpoints, NotCaterpillar
+from .graph import CaterpillarStructure, recognize_caterpillar
 from .instance import (
     LcrInstance,
     NormalizationTrace,
@@ -37,6 +37,8 @@ class ComponentReport:
     oracle_nodes: Optional[int] = None
     oracle_edges: Optional[int] = None
     size_history: list[SizeRecord] = field(default_factory=list)
+    instance: Optional[LcrInstance] = None  # the sub-instance that was swept
+    structure: Optional[CaterpillarStructure] = None
 
     @property
     def enode_peak(self) -> Optional[int]:
@@ -58,13 +60,6 @@ class SolveReport:
         return [rec for comp in self.components for rec in comp.size_history]
 
 
-def _is_caterpillar(sub: LcrInstance) -> bool:
-    try:
-        return recognize_caterpillar(sub.graph) is not None
-    except NotConnected:
-        return False
-
-
 def solve_driver(
     inst: LcrInstance,
     algo: str = "auto",
@@ -76,7 +71,8 @@ def solve_driver(
     ``auto`` runs the caterpillar sweep when every component of the trimmed
     graph is a caterpillar and the oracle otherwise.  Witness extraction is
     oracle-only, so ``want_witness`` overrides the sweep unless the caller
-    insisted on it, in which case a witness request is an error.
+    insisted on it, in which case a witness request is an error.  Each
+    component is recognized at most once; the sweep reuses that structure.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -99,37 +95,36 @@ def solve_driver(
     comps = trimmed.graph.connected_components()
     sub_insts = [induced_instance(trimmed, comp) for comp in comps]
 
-    if algo == "caterpillar":
-        missing = [
-            comps[i] for i, (sub, _) in enumerate(sub_insts)
-            if not _is_caterpillar(sub)
-        ]
-        if missing:
-            raise NotCaterpillar(
-                f"component {missing[0]} of the trimmed graph is not a caterpillar"
-            )
-        chosen = "caterpillar"
-    elif algo == "bruteforce":
-        chosen = "bruteforce"
-    else:
-        use_dp = all(_is_caterpillar(sub) for sub, _ in sub_insts)
-        if want_witness:
-            use_dp = False
-        chosen = "caterpillar" if use_dp else "bruteforce"
+    # components are connected, so recognition answers None or a structure
+    sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
+    structures: list[CaterpillarStructure] = []
+    if sweep:
+        for comp, (sub, _) in zip(comps, sub_insts):
+            structure = recognize_caterpillar(sub.graph)
+            if structure is None:
+                if algo == "caterpillar":
+                    raise NotCaterpillar(
+                        f"component {comp} of the trimmed graph is not a caterpillar"
+                    )
+                sweep = False
+                break
+            structures.append(structure)
+    chosen = "caterpillar" if sweep else "bruteforce"
 
     answer = True
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
-    for comp, (sub, id_map) in zip(comps, sub_insts):
+    for i, (comp, (sub, id_map)) in enumerate(zip(comps, sub_insts)):
         if chosen == "caterpillar":
             history = []
             eg = None
-            for eg, rec in caterpillar_dp.encoding_history(sub):
+            for eg, rec in caterpillar_dp.encoding_history(sub, structures[i]):
                 history.append(rec)
             comp_answer = eg.tar is not None
             reports.append(
                 ComponentReport(
-                    tuple(comp), "caterpillar", comp_answer, size_history=history
+                    tuple(comp), "caterpillar", comp_answer, size_history=history,
+                    instance=sub, structure=structures[i],
                 )
             )
         else:
@@ -140,6 +135,7 @@ def solve_driver(
                 ComponentReport(
                     tuple(comp), "bruteforce", comp_answer,
                     oracle_nodes=rg.num_nodes, oracle_edges=rg.num_edges,
+                    instance=sub,
                 )
             )
             if comp_answer and witness_steps is not None:

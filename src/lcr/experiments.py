@@ -81,10 +81,7 @@ class _Row:
 
 
 def _slacks(history):
-    slacks = []
-    for rec in history:
-        bound = 2 if rec.step == 1 else rec.prev_size + rec.degree
-        slacks.append(bound - rec.pre_extraction)
+    slacks = [rec.bound - rec.pre_extraction for rec in history]
     return (min(slacks), max(slacks)) if slacks else ("", "")
 
 

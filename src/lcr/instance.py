@@ -8,7 +8,7 @@ stay a proper list coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -79,9 +79,15 @@ class SingletonRemoval:
 
 @dataclass(frozen=True)
 class RichListRemoval:
-    """Vertex with at least degree+2 list colors was deleted; lists unchanged."""
+    """Vertex with at least degree+2 list colors was deleted; lists unchanged.
+
+    ``colors`` is the vertex's list and ``neighbors`` its live neighbors at
+    removal time, which is all that lifting needs to dodge around it.
+    """
 
     vertex: int
+    colors: tuple[int, ...]
+    neighbors: tuple[int, ...]
 
 
 Removal = Union[SingletonRemoval, RichListRemoval]
@@ -144,8 +150,10 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
         rich = [v for v in alive if len(lists[v]) >= len(adj[v]) + 2]
         if rich:
             v = min(rich)
+            removals.append(
+                RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
+            )
             remove_vertex(v)
-            removals.append(RichListRemoval(v))
             changed = True
 
     if not removals:
@@ -163,37 +171,18 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     return trimmed, NormalizationTrace(tuple(removals), id_map)
 
 
-@dataclass
-class _TrimState:
-    """Vertex set and lists right before one recorded removal."""
-
-    alive: set[int]
-    lists: dict[int, frozenset[int]]
-
-
-def _replay_states(original: LcrInstance, trace: NormalizationTrace) -> list[_TrimState]:
-    """States[j] is the instance (original ids) after the first j removals."""
-    alive = set(range(original.graph.n))
-    lists = {v: original.lists[v] for v in alive}
-    states = [_TrimState(set(alive), dict(lists))]
+def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrInstance:
+    """Rebuild the normalized instance from the original and the trace."""
+    stripped: dict[int, set[int]] = {}
     for rem in trace.removals:
         if isinstance(rem, SingletonRemoval):
             for u in rem.affected:
-                lists[u] = lists[u] - {rem.color}
-        alive.discard(rem.vertex)
-        del lists[rem.vertex]
-        states.append(_TrimState(set(alive), dict(lists)))
-    return states
-
-
-def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrInstance:
-    """Rebuild the normalized instance by replaying the trace."""
-    final = _replay_states(original, trace)[-1]
-    kept = sorted(final.alive)
+                stripped.setdefault(u, set()).add(rem.color)
+    kept = sorted(trace.id_map)
     sub, _ = original.graph.induced_subgraph(kept)
     return LcrInstance(
         sub,
-        tuple(final.lists[v] for v in kept),
+        tuple(original.lists[v] - stripped.get(v, frozenset()) for v in kept),
         tuple(original.f0[v] for v in kept),
         tuple(original.fr[v] for v in kept),
     )
@@ -212,37 +201,46 @@ def lift_sequence(
     color of its list at removal time that avoids that color and all current
     neighbor colors; such a color exists because the list exceeded the degree
     by two.  A final step per rich-list vertex moves it to its fr color.
+
+    Each rich vertex must see the moves of the rich vertices removed after
+    it, so one pass reinserts them all: a step at level i still passes rich
+    vertices i-1 down to 0 (in removal order), and the first of them that
+    sits on the step's color dodges ahead of it.
     """
-    states = _replay_states(original, trace)
-    trimmed = trimmed_instance(original, trace)
-    if not is_valid_sequence(trimmed, seq):
+    if not is_valid_sequence(trimmed_instance(original, trace), seq):
         raise InvalidSequence("sequence is not valid on the normalized instance")
 
+    rich = [rem for rem in trace.removals if isinstance(rem, RichListRemoval)]
+    watchers: dict[int, list[int]] = {}  # vertex -> rich levels it neighbors
+    for i in range(len(rich) - 1, -1, -1):
+        for u in rich[i].neighbors:
+            watchers.setdefault(u, []).append(i)
+    cur = list(original.f0)
+    lifted: list[Step] = []
+
+    def emit(u: int, c: int, level: int) -> None:
+        pending = [(u, c, level)]
+        while pending:
+            u, c, level = pending.pop()
+            for i in watchers.get(u, ()):
+                rem = rich[i]
+                if i < level and cur[rem.vertex] == c:
+                    blocked = {c} | {cur[x] for x in rem.neighbors}
+                    c_star = next(col for col in rem.colors if col not in blocked)
+                    pending.append((u, c, i))
+                    pending.append((rem.vertex, c_star, i))
+                    break
+            else:
+                lifted.append((u, c))
+                cur[u] = c
+
     new_to_old = {new: old for old, new in trace.id_map.items()}
-    lifted = [(new_to_old[v], c) for v, c in seq]
-
-    for j in range(len(trace.removals), 0, -1):
-        rem = trace.removals[j - 1]
-        if isinstance(rem, SingletonRemoval):
-            continue
-        before = states[j - 1]
-        v = rem.vertex
-        nbrs = [u for u in original.graph.neighbors(v) if u in before.alive]
-        pool = sorted(before.lists[v])
-        cur = {u: original.f0[u] for u in before.alive}
-        out: list[Step] = []
-        for u, c in lifted:
-            if u in nbrs and cur[v] == c:
-                blocked = {c} | {cur[x] for x in nbrs}
-                c_star = next(col for col in pool if col not in blocked)
-                out.append((v, c_star))
-                cur[v] = c_star
-            out.append((u, c))
-            cur[u] = c
+    for v, c in seq:
+        emit(new_to_old[v], c, len(rich))
+    for i in range(len(rich) - 1, -1, -1):
+        v = rich[i].vertex
         if cur[v] != original.fr[v]:
-            out.append((v, original.fr[v]))
-        lifted = out
-
+            emit(v, original.fr[v], i)
     return lifted
 
 

@@ -19,11 +19,10 @@ from lcr.caterpillar_dp import (
     encoding_history,
     init_encoding,
     solve,
-    spine_step_scratch,
     step_leaf,
     step_spine,
 )
-from lcr.errors import NotCaterpillar, NotNormalized
+from lcr.errors import IniLost, NotCaterpillar, NotNormalized
 from lcr.graph import recognize_caterpillar
 from lcr.instance import induced_instance
 
@@ -121,23 +120,31 @@ def test_spine_with_fresh_colors_splits_one_node_into_a_free_edge():
 
 
 def test_spine_color_missing_from_prev_collects_everything():
+    # members: col 1 keeps old e-node {1}, col 2 keeps {0}, col 9 keeps {0, 1};
+    # the edges say col 9 meets both others, which share nothing
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    scratch = spine_step_scratch(prev, [1, 2, 9])
-    assert scratch.members == (
-        (1, frozenset({1})),
-        (2, frozenset({0})),
-        (9, frozenset({0, 1})),
-    )
     eg = step_spine(prev, [1, 2, 9], 9, 9)
     assert eg == EncodingGraph(
         cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
     )
+    # the marks say which new e-node holds old ini 0 and old tar 1
+    eg = step_spine(prev, [1, 2, 9], 2, 1)
+    assert eg == EncodingGraph(
+        cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0, step_index=2
+    )
 
 
-def test_spine_scratch_records_component_members():
+def test_spine_step_records_component_members():
+    # members: col 1 keeps old e-node {1}, col 3 keeps {0, 1}
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    scratch = spine_step_scratch(prev, [1, 3])
-    assert scratch.members == ((1, frozenset({1})), (3, frozenset({0, 1})))
+    assert step_spine(prev, [1, 3], 3, 3) == EncodingGraph(
+        cols=(1, 3), edges=((0, 1),), ini=1, tar=1, step_index=2
+    )
+    assert step_spine(prev, [1, 3], 3, 1) == EncodingGraph(
+        cols=(1, 3), edges=((0, 1),), ini=1, tar=0, step_index=2
+    )
+    with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
+        step_spine(prev, [1, 3], 1, 1)
 
 
 def test_spine_endpoint_colors_must_come_from_the_list():

@@ -66,6 +66,54 @@ def test_solve_trace_dumps_each_step(tmp_path, capsys):
     )
 
 
+def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
+    # vertex 4 is forced (a singleton removal that strips color 1 from
+    # vertex 3) and vertex 5 is rich; two caterpillar components remain
+    inst = make_instance(
+        Graph(9, [(0, 1), (0, 5), (2, 3), (3, 4), (3, 6), (6, 7), (3, 8)]),
+        [{1, 2}, {2, 3}, {3, 4}, {1, 2, 3, 4}, {1}, {1, 2, 3, 4},
+         {2, 3, 4}, {3, 4}, {2, 4}],
+        (1, 2, 3, 2, 1, 3, 3, 4, 4),
+        (2, 3, 4, 3, 1, 4, 4, 3, 2),
+    )
+    assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "NO\n"
+        "component 0\n"
+        "step 1 vertex 0 init\n"
+        "enode 0 col 1 ini 1 tar 0\n"
+        "enode 1 col 2 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "step 2 vertex 1 spine\n"
+        "enode 0 col 2 ini 1 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "component 1\n"
+        "step 1 vertex 0 init\n"
+        "enode 0 col 3 ini 1 tar 0\n"
+        "enode 1 col 4 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "step 2 vertex 1 spine\n"
+        "enode 0 col 2 ini 1 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "enode 2 col 4 ini 0 tar 0\n"
+        "eedge 0 1\n"
+        "eedge 0 2\n"
+        "step 3 vertex 4 leaf\n"
+        "enode 0 col 2 ini 1 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "step 4 vertex 2 spine\n"
+        "enode 0 col 2 ini 0 tar 0\n"
+        "enode 1 col 3 ini 1 tar 0\n"
+        "enode 2 col 4 ini 0 tar 1\n"
+        "eedge 0 2\n"
+        "eedge 1 2\n"
+        "step 5 vertex 3 spine\n"
+        "enode 0 col 4 ini 1 tar 0\n"
+    )
+
+
 def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
     inst = mixed_edge()
     path = write_lcr(tmp_path, inst)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import lcr.caterpillar_dp
+import lcr.driver
 from lcr import Graph, is_valid_sequence, make_instance
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
@@ -18,6 +20,20 @@ def two_component_instance():
         (1, 2, 1, 2),
         (2, 1, 2, 3),
     )
+
+
+def test_auto_recognizes_each_component_once(monkeypatch):
+    calls = []
+    for module in (lcr.driver, lcr.caterpillar_dp):
+        def counting(g, original=module.recognize_caterpillar):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(module, "recognize_caterpillar", counting)
+    report = solve_driver(two_component_instance(), "auto")
+    assert report.algorithm == "caterpillar"
+    assert len(report.components) == 2
+    assert calls == [2, 2]
 
 
 def test_caterpillar_and_oracle_agree_through_the_driver():

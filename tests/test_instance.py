@@ -96,7 +96,7 @@ def test_rich_list_removal_keeps_neighbor_lists():
         (4, 0, 1, 2),
     )
     trimmed, trace = normalize(inst)
-    assert trace.removals[0] == RichListRemoval(0)
+    assert trace.removals[0] == RichListRemoval(0, (0, 1, 2, 3, 4, 5), (1, 2, 3))
     assert all(isinstance(r, RichListRemoval) for r in trace.removals)
     assert trimmed.graph.n == 0
 
@@ -127,7 +127,10 @@ def test_normalize_renumbers_survivors():
         (2, 3, 4, 2),
     )
     trimmed, trace = normalize(inst)
-    assert trace.removals == (SingletonRemoval(1, 3, (2,)), RichListRemoval(0))
+    assert trace.removals == (
+        SingletonRemoval(1, 3, (2,)),
+        RichListRemoval(0, (1, 2), ()),
+    )
     assert trace.id_map == {2: 0, 3: 1}
     assert trimmed.graph.n == 2 and trimmed.graph.m == 1
     assert trimmed.lists == (frozenset({2, 4}), frozenset({2, 4}))
@@ -217,6 +220,52 @@ def test_lifted_witnesses_stay_valid():
         lifted = lift_sequence(trace, inst, seq)
         assert is_valid_sequence(inst, lifted)
         checked += 1
+    assert checked >= 100
+
+
+def chain_then_rich_path(rng: random.Random) -> LcrInstance:
+    """Path: a forcing chain, then 4-colour lists, then a short 2-3-colour tail.
+
+    Vertex 0 has a one-colour list and each later chain vertex a two-colour
+    list that loses one colour to its predecessor, so the chain goes as
+    singletons; the 4-colour stretch then goes as rich vertices one by one,
+    and whatever survives of the tail is left for the oracle.
+    """
+    n = rng.randint(8, 60)
+    chain = rng.randint(1, 8)
+    tail = rng.randint(0, 5)
+    forced = [rng.randrange(6)]
+    for _ in range(chain):
+        forced.append(rng.choice([c for c in range(6) if c != forced[-1]]))
+    lists = [{forced[0]}] + [{forced[i - 1], forced[i]} for i in range(1, chain + 1)]
+    for v in range(chain + 1, n):
+        size = 4 if v < n - tail else rng.randint(2, 3)
+        lists.append(set(rng.sample(range(6), size)))
+
+    def coloring() -> list[int]:
+        f = list(forced)
+        for v in range(chain + 1, n):
+            f.append(rng.choice(sorted(lists[v] - {f[-1]})))
+        return f
+
+    return make_instance(path_graph(n), lists, coloring(), coloring())
+
+
+def test_lifted_witnesses_stay_valid_behind_a_forcing_chain():
+    rng = random.Random(4242)
+    kinds = set()
+    checked = 0
+    for _ in range(150):
+        inst = chain_then_rich_path(rng)
+        trimmed, trace = normalize(inst)
+        kinds.update(type(rem) for rem in trace.removals)
+        seq = reachable(build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr)
+        if seq is None:
+            continue
+        lifted = lift_sequence(trace, inst, seq)
+        assert is_valid_sequence(inst, lifted)
+        checked += 1
+    assert kinds == {SingletonRemoval, RichListRemoval}
     assert checked >= 100
 
 
