@@ -2,10 +2,12 @@
 How far the sweep scales
 ========================
 
-The caterpillar solver touches each vertex once and its encoding never
-outgrows a constant plus twice the edge count, so instances with a hundred
-thousand vertices are routine.  This script times the sweep on a doubling
-ladder of sizes and reports the largest encoding seen at each.
+The caterpillar solver touches each vertex once, and each step costs time
+that follows the encoding size.  On these leaf-heavy caterpillars the
+encoding stays at a handful of e-nodes, so the sweep grows about linearly:
+at n = 100,000 it took about 3 s on a 2-core Xeon VM, with another 2 s to
+generate the instance.  This script times the sweep on a doubling ladder of
+sizes and reports the largest encoding seen at each.
 """
 
 import resource

@@ -23,10 +23,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .encoding import EncodingGraph
 from .errors import IniLost, NotCaterpillar, NotConnected, NotNormalized
 from .graph import CaterpillarStructure, recognize_caterpillar
 from .instance import LcrInstance
+
+
+@dataclass(frozen=True)
+class EncodingGraph:
+    """Labeled e-node graph summarizing one reconfiguration component.
+
+    It stands for the component of the current start coloring in the
+    reconfiguration graph of a prefix, contracted so that colorings agree on
+    the active spine vertex and are mutually reachable without recoloring
+    it.  Each e-node carries the shared spine color ``col``; ``ini`` and
+    ``tar`` name the e-nodes whose classes contain the start and target
+    restrictions.
+    """
+
+    cols: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    ini: Optional[int]
+    tar: Optional[int]
+    step_index: int = -1
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def adjacency(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in self.cols]
+        for x, y in self.edges:
+            adj[x].append(y)
+            adj[y].append(x)
+        return adj
 
 
 @dataclass(frozen=True)
@@ -80,23 +108,6 @@ def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
     )
 
 
-def init_encoding(
-    inst: LcrInstance, structure: Optional[CaterpillarStructure] = None
-) -> EncodingGraph:
-    """Encoding graph for the one-vertex prefix: a K2 on the two list colors."""
-    structure = structure or _recognize(inst)
-    v1 = structure.ordering[0]
-    colors = sorted(inst.lists[v1])
-    if len(colors) != 2:
-        raise NotNormalized(
-            f"start vertex {v1} has {len(colors)} colors, expected 2"
-        )
-    cols = tuple(colors)
-    ini = cols.index(inst.f0[v1])
-    tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
-    return EncodingGraph(cols, ((0, 1),), ini, tar, 1)
-
-
 def step_leaf(prev: EncodingGraph, leaf_list: Sequence[int]) -> EncodingGraph:
     """Extend the prefix by a leaf of the current spine vertex.
 
@@ -117,44 +128,59 @@ def step_leaf(prev: EncodingGraph, leaf_list: Sequence[int]) -> EncodingGraph:
 def _spine_parts(
     prev: EncodingGraph, colors: Sequence[int]
 ) -> list[tuple[int, frozenset[int]]]:
-    """New (col, previous e-node set) pairs: one per surviving component."""
+    """New (col, previous e-node set) pairs: one per surviving component.
+
+    For each color, components of the e-nodes avoiding it are found by one
+    scan of the e-node ids in order, so they come out by smallest member.
+    """
     adj = prev.adjacency()
     parts: list[tuple[int, frozenset[int]]] = []
     for c in colors:
-        unvisited = {x for x in range(len(prev.cols)) if prev.cols[x] != c}
-        while unvisited:
-            start = min(unvisited)
-            comp = {start}
-            unvisited.discard(start)
+        seen = [col == c for col in prev.cols]
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
             stack = [start]
             while stack:
                 u = stack.pop()
                 for w in adj[u]:
-                    if w in unvisited:
-                        unvisited.discard(w)
-                        comp.add(w)
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
                         stack.append(w)
             parts.append((c, frozenset(comp)))
     return parts
 
 
-def _step_spine_full(
+def step_spine(
     prev: EncodingGraph,
     spine_list: Sequence[int],
     f0_color: int,
     fr_color: int,
 ) -> tuple[EncodingGraph, int]:
+    """Extend the prefix by the next spine vertex.
+
+    The new vertex's color c restricts the old prefix to e-nodes avoiding c;
+    each leftover component can be held fixed while the new vertex sits on c,
+    so it becomes one new e-node.  Two new e-nodes sharing an old e-node are
+    adjacent (recolor the new vertex while the rest stays put).  The ini and
+    tar marks land on the new e-nodes that extend the old ones with the
+    matching endpoint color.  Returns the new encoding graph and its e-node
+    count before component extraction.
+    """
     colors = sorted(set(spine_list))
     if f0_color not in colors or fr_color not in colors:
         raise ValueError("endpoint colors must come from the spine list")
     parts = _spine_parts(prev, colors)
 
-    membership: dict[int, list[int]] = {x: [] for x in range(len(prev.cols))}
+    membership: list[list[int]] = [[] for _ in prev.cols]
     for i, (_, members) in enumerate(parts):
         for x in members:
             membership[x].append(i)
     edges = set()
-    for owners in membership.values():
+    for owners in membership:
         for a in range(len(owners)):
             for b in range(a + 1, len(owners)):
                 edges.add((owners[a], owners[b]))
@@ -169,24 +195,6 @@ def _step_spine_full(
         [c for c, _ in parts], sorted(edges), ini, tar, prev.step_index + 1
     )
     return result, len(parts)
-
-
-def step_spine(
-    prev: EncodingGraph,
-    spine_list: Sequence[int],
-    f0_color: int,
-    fr_color: int,
-) -> EncodingGraph:
-    """Extend the prefix by the next spine vertex.
-
-    The new vertex's color c restricts the old prefix to e-nodes avoiding c;
-    each leftover component can be held fixed while the new vertex sits on c,
-    so it becomes one new e-node.  Two new e-nodes sharing an old e-node are
-    adjacent (recolor the new vertex while the rest stays put).  The ini and
-    tar marks land on the new e-nodes that extend the old ones with the
-    matching endpoint color.
-    """
-    return _step_spine_full(prev, spine_list, f0_color, fr_color)[0]
 
 
 def _recognize(inst: LcrInstance) -> CaterpillarStructure:
@@ -217,23 +225,32 @@ def _check_normalized(inst: LcrInstance) -> None:
 def encoding_history(
     inst: LcrInstance, structure: Optional[CaterpillarStructure] = None
 ) -> Iterator[tuple[EncodingGraph, SizeRecord]]:
-    """Run the sweep, yielding each step's encoding graph and size record."""
+    """Run the sweep, yielding each step's encoding graph and size record.
+
+    This is the one entry to the sweep; the instance is reconfigurable
+    exactly when the last encoding graph keeps its tar mark.  The caller is
+    expected to have handled normalization, the f0 = fr shortcut, empty
+    graphs, and component splitting; the sweep demands a connected
+    caterpillar with list sizes in [2, degree+1] (a lone vertex with a
+    2-color list is the one allowed degenerate case).  The first step is a
+    K2 on the start vertex's two colors: that vertex ends the spine, so it
+    has degree at most 1 and the normalization check pins its list to 2.
+    """
     structure = structure or _recognize(inst)
     _check_normalized(inst)
     v1 = structure.ordering[0]
-    eg = init_encoding(inst, structure)
+    cols = tuple(sorted(inst.lists[v1]))
+    tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
+    eg = EncodingGraph(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
     yield eg, SizeRecord(1, v1, "init", inst.graph.degree(v1), len(eg), 0, len(eg))
     spine_set = set(structure.spine)
     for i, v in enumerate(structure.ordering[1:], start=2):
         prev_size = len(eg)
         if v in spine_set:
-            eg, pre = _step_spine_full(
-                eg, sorted(inst.lists[v]), inst.f0[v], inst.fr[v]
-            )
+            eg, pre = step_spine(eg, inst.lists[v], inst.f0[v], inst.fr[v])
             kind = "spine"
         else:
-            colors = sorted(inst.lists[v])
-            eg = step_leaf(eg, colors)
+            eg = step_leaf(eg, inst.lists[v])
             pre = prev_size
             kind = "leaf"
         yield eg, SizeRecord(
@@ -247,19 +264,3 @@ def check_size_bound(history: Sequence[SizeRecord]) -> Optional[int]:
         if rec.pre_extraction > rec.bound:
             return rec.step
     return None
-
-
-def solve(
-    inst: LcrInstance, structure: Optional[CaterpillarStructure] = None
-) -> bool:
-    """Decide reconfigurability of a normalized caterpillar instance.
-
-    The caller is expected to have handled normalization, the f0 = fr
-    shortcut, empty graphs, and component splitting; this routine demands a
-    connected caterpillar with list sizes in [2, degree+1] (a lone vertex
-    with a 2-color list is the one allowed degenerate case).
-    """
-    eg = None
-    for eg, _ in encoding_history(inst, structure):
-        pass
-    return eg.tar is not None

@@ -2,8 +2,8 @@
 
 Order of business: check the endpoints, shortcut f0 = fr, normalize, split
 the trimmed graph into components, then run the caterpillar sweep or the
-exhaustive oracle per component.  Witnesses only come from the oracle and
-are lifted back through the normalization trace.
+exhaustive oracle on each component in turn.  Witnesses only come from the
+oracle and are lifted back through the normalization trace.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import ImproperEndpoints, NotCaterpillar
 from .graph import CaterpillarStructure, recognize_caterpillar
 from .instance import (
     LcrInstance,
-    NormalizationTrace,
     Step,
     induced_instance,
     is_proper_list_coloring,
@@ -50,7 +49,7 @@ class ComponentReport:
 @dataclass
 class SolveReport:
     answer: bool
-    algorithm: str  # "trivial" | "caterpillar" | "bruteforce"
+    algorithm: str  # "trivial" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
     seconds: float
@@ -68,11 +67,13 @@ def solve_driver(
 ) -> SolveReport:
     """Decide the instance; optionally return a recoloring witness.
 
-    ``auto`` runs the caterpillar sweep when every component of the trimmed
-    graph is a caterpillar and the oracle otherwise.  Witness extraction is
-    oracle-only, so ``want_witness`` overrides the sweep unless the caller
-    insisted on it, in which case a witness request is an error.  Each
-    component is recognized at most once; the sweep reuses that structure.
+    ``auto`` runs the caterpillar sweep on each component of the trimmed
+    graph that is a caterpillar and the oracle on the others; the report's
+    algorithm is ``"mixed"`` when the components went different ways.
+    Witness extraction is oracle-only, so ``want_witness`` overrides the
+    sweep unless the caller insisted on it, in which case a witness request
+    is an error.  Each component is recognized at most once; the sweep
+    reuses that structure.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -92,56 +93,44 @@ def solve_driver(
         )
 
     trimmed, trace = normalize(inst)
-    comps = trimmed.graph.connected_components()
-    sub_insts = [induced_instance(trimmed, comp) for comp in comps]
-
-    # components are connected, so recognition answers None or a structure
+    # a witness request sends auto to the oracle without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
-    structures: list[CaterpillarStructure] = []
-    if sweep:
-        for comp, (sub, _) in zip(comps, sub_insts):
-            structure = recognize_caterpillar(sub.graph)
-            if structure is None:
-                if algo == "caterpillar":
-                    raise NotCaterpillar(
-                        f"component {comp} of the trimmed graph is not a caterpillar"
-                    )
-                sweep = False
-                break
-            structures.append(structure)
-    chosen = "caterpillar" if sweep else "bruteforce"
-
     answer = True
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
-    for i, (comp, (sub, id_map)) in enumerate(zip(comps, sub_insts)):
-        if chosen == "caterpillar":
+    for comp in trimmed.graph.connected_components():
+        sub, id_map = induced_instance(trimmed, comp)
+        # components are connected, so recognition answers None or a structure
+        structure = recognize_caterpillar(sub.graph) if sweep else None
+        if structure is None and algo == "caterpillar":
+            raise NotCaterpillar(
+                f"component {comp} of the trimmed graph is not a caterpillar"
+            )
+        if structure is not None:
             history = []
-            eg = None
-            for eg, rec in caterpillar_dp.encoding_history(sub, structures[i]):
+            for eg, rec in caterpillar_dp.encoding_history(sub, structure):
                 history.append(rec)
-            comp_answer = eg.tar is not None
-            reports.append(
-                ComponentReport(
-                    tuple(comp), "caterpillar", comp_answer, size_history=history,
-                    instance=sub, structure=structures[i],
-                )
+            report = ComponentReport(
+                tuple(comp), "caterpillar", eg.tar is not None,
+                size_history=history, instance=sub, structure=structure,
             )
         else:
             rg = oracle.build(sub.graph, sub.lists, state_cap)
             steps = oracle.reachable(rg, sub.f0, sub.fr)
-            comp_answer = steps is not None
-            reports.append(
-                ComponentReport(
-                    tuple(comp), "bruteforce", comp_answer,
-                    oracle_nodes=rg.num_nodes, oracle_edges=rg.num_edges,
-                    instance=sub,
-                )
+            report = ComponentReport(
+                tuple(comp), "bruteforce", steps is not None,
+                oracle_nodes=rg.num_nodes, oracle_edges=rg.num_edges,
+                instance=sub,
             )
-            if comp_answer and witness_steps is not None:
+            if steps is not None and witness_steps is not None:
                 back = {new: old for old, new in id_map.items()}
                 witness_steps.extend((back[v], c) for v, c in steps)
-        answer = answer and comp_answer
+        reports.append(report)
+        answer = answer and report.answer
+    # with no component left, the algorithm names the one that was asked for
+    used = {r.algorithm for r in reports}
+    used = used or {"caterpillar" if sweep else "bruteforce"}
+    chosen = used.pop() if len(used) == 1 else "mixed"
 
     witness: Optional[list[Step]] = None
     if want_witness and answer:

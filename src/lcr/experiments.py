@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
 
 from . import oracle, rerouting
 from .driver import solve_driver
@@ -64,28 +63,12 @@ def parse_config(text: str) -> dict[str, str]:
     return config
 
 
-@dataclass
-class _Row:
-    instance: int
-    kind: str
-    seed: int
-    n: int
-    m: int
-    algo: str
-    answer: bool
-    oracle_nodes: object
-    enode_peak: object
-    slack_min: object
-    slack_max: object
-    wall_s: float
-
-
 def _slacks(history):
     slacks = [rec.bound - rec.pre_extraction for rec in history]
     return (min(slacks), max(slacks)) if slacks else ("", "")
 
 
-def _run_caterpillar(config, instance_id, seed, rng_params) -> list[_Row]:
+def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
     spine = rng_params.randint(int(config["spine_min"]), int(config["spine_max"]))
     inst = gen_caterpillar(
         spine,
@@ -103,15 +86,17 @@ def _run_caterpillar(config, instance_id, seed, rng_params) -> list[_Row]:
         nodes = sum(c.oracle_nodes or 0 for c in report.components) or ""
         peaks = [c.enode_peak for c in report.components if c.enode_peak is not None]
         smin, smax = _slacks(report.size_history)
-        rows.append(_Row(
-            instance_id, "caterpillar", seed, inst.graph.n, inst.graph.m,
-            algo, report.answer, nodes, max(peaks) if peaks else "",
-            smin, smax, wall,
-        ))
+        rows.append({
+            "instance": instance_id, "kind": "caterpillar", "seed": seed,
+            "n": inst.graph.n, "m": inst.graph.m, "algo": algo,
+            "answer": "YES" if report.answer else "NO",
+            "oracle_nodes": nodes, "enode_peak": max(peaks) if peaks else "",
+            "slack_min": smin, "slack_max": smax, "wall_s": f"{wall:.6f}",
+        })
     return rows
 
 
-def _run_layered(config, instance_id, seed, rng_params) -> list[_Row]:
+def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
     depth = rng_params.randint(int(config["depth_min"]), int(config["depth_max"]))
     density = rng_params.uniform(
         float(config["density_min"]), float(config["density_max"])
@@ -136,10 +121,12 @@ def _run_layered(config, instance_id, seed, rng_params) -> list[_Row]:
         else:
             raise ParseError(f"unknown layered algorithm: {algo}")
         wall = time.perf_counter() - start
-        rows.append(_Row(
-            instance_id, "layered", seed, n, m, algo, answer,
-            nodes, "", "", "", wall,
-        ))
+        # the encoding columns stay empty: DictWriter fills them with ""
+        rows.append({
+            "instance": instance_id, "kind": "layered", "seed": seed,
+            "n": n, "m": m, "algo": algo, "answer": "YES" if answer else "NO",
+            "oracle_nodes": nodes, "wall_s": f"{wall:.6f}",
+        })
     return rows
 
 
@@ -164,21 +151,7 @@ def run_experiments(config_text: str) -> str:
             rows = _run_caterpillar(config, i, seed, rng_params)
         else:
             rows = _run_layered(config, i, seed, rng_params)
-        agree = len({r.answer for r in rows}) <= 1
+        agree = "yes" if len({r["answer"] for r in rows}) <= 1 else "no"
         for r in rows:
-            writer.writerow({
-                "instance": r.instance,
-                "kind": r.kind,
-                "seed": r.seed,
-                "n": r.n,
-                "m": r.m,
-                "algo": r.algo,
-                "answer": "YES" if r.answer else "NO",
-                "oracle_nodes": r.oracle_nodes,
-                "enode_peak": r.enode_peak,
-                "slack_min": r.slack_min,
-                "slack_max": r.slack_max,
-                "agree": "yes" if agree else "no",
-                "wall_s": f"{r.wall_s:.6f}",
-            })
+            writer.writerow({**r, "agree": agree})
     return buf.getvalue()

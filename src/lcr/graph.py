@@ -141,9 +141,6 @@ class CaterpillarStructure:
     ordering: tuple[int, ...]
     spine_of_prefix: tuple[int, ...]
 
-    def is_spine(self, v: int) -> bool:
-        return v not in self.leaves
-
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Edges implied by the decomposition; must equal the input graph's."""
         edges = set()

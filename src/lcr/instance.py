@@ -9,16 +9,10 @@ stay a proper list coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import (
-    InfeasibleList,
-    InvalidSequence,
-    NotCaterpillar,
-    OutOfRange,
-    PartialColoring,
-)
-from .graph import CaterpillarStructure, Graph, recognize_caterpillar
+from .errors import InfeasibleList, InvalidSequence, PartialColoring
+from .graph import Graph
 
 Coloring = tuple[int, ...]
 Step = tuple[int, int]
@@ -262,24 +256,6 @@ def is_valid_sequence(inst: LcrInstance, seq: Sequence[Step]) -> bool:
             return False
         cur[v] = c
     return tuple(cur) == inst.fr
-
-
-def restrict(
-    inst: LcrInstance,
-    f: Sequence[int],
-    prefix_size: int,
-    structure: Optional[CaterpillarStructure] = None,
-) -> dict[int, int]:
-    """Restriction of f to the first prefix_size vertices of the solver ordering."""
-    if structure is None:
-        structure = recognize_caterpillar(inst.graph)
-        if structure is None:
-            raise NotCaterpillar("restriction needs a caterpillar ordering")
-    if not 1 <= prefix_size <= inst.graph.n:
-        raise OutOfRange(f"prefix size {prefix_size} outside 1..{inst.graph.n}")
-    if len(f) != inst.graph.n:
-        raise PartialColoring("restriction needs a total coloring")
-    return {v: f[v] for v in structure.ordering[:prefix_size]}
 
 
 def induced_instance(

@@ -11,9 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .encoding import EncodingGraph
 from .errors import StateSpaceTooLarge, UnknownNode
 from .graph import Graph
 from .instance import Coloring, LcrInstance, Step
@@ -174,68 +173,6 @@ def component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
-
-
-def contract_encoding(
-    rg: ReconfigurationGraph,
-    component: Iterable[int],
-    spine_vertex: int,
-    f0: Sequence[int],
-    fr: Sequence[int],
-    step_index: int = -1,
-) -> EncodingGraph:
-    """Contract one component into its e-node graph for a chosen vertex.
-
-    Two colorings of the component share an e-node when they agree on
-    spine_vertex and a path between them never recolors it; the e-node edges
-    come from the component edges that do recolor spine_vertex.  Built
-    directly from the definition, independent of the incremental solver, so
-    it can serve as that solver's oracle.  E-node ids follow (col, smallest
-    member node id).
-    """
-    comp = sorted(component)
-    in_comp = set(comp)
-    parent = {u: u for u in comp}
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for u in comp:
-        cu = rg.nodes[u][spine_vertex]
-        for w in rg.adj[u]:
-            if w > u and w in in_comp and rg.nodes[w][spine_vertex] == cu:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[rw] = ru
-
-    classes: dict[int, list[int]] = {}
-    for u in comp:
-        classes.setdefault(find(u), []).append(u)
-    roots = sorted(
-        classes, key=lambda r: (rg.nodes[r][spine_vertex], min(classes[r]))
-    )
-    enode_of = {}
-    for i, r in enumerate(roots):
-        for u in classes[r]:
-            enode_of[u] = i
-    cols = tuple(rg.nodes[r][spine_vertex] for r in roots)
-
-    edges = set()
-    for u in comp:
-        eu = enode_of[u]
-        for w in rg.adj[u]:
-            if w > u and w in in_comp and enode_of[w] != eu:
-                ew = enode_of[w]
-                edges.add((eu, ew) if eu < ew else (ew, eu))
-
-    f0_id = rg.index.get(tuple(f0))
-    fr_id = rg.index.get(tuple(fr))
-    ini = enode_of.get(f0_id) if f0_id is not None else None
-    tar = enode_of.get(fr_id) if fr_id is not None else None
-    return EncodingGraph(cols, tuple(sorted(edges)), ini, tar, step_index)
 
 
 def oracle_decide(inst: LcrInstance, cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -13,12 +13,20 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from lcr import Graph, LcrInstance
+from lcr.caterpillar_dp import encoding_history
 from lcr.errors import GenerationFailed
 from lcr.generators import gen_caterpillar, gen_layered_spr
+from lcr.graph import Graph
+from lcr.instance import LcrInstance
 from lcr.oracle import state_space_size
 from lcr.reduction import ReducedInstance, compile_spr
 from lcr.rerouting import SprInstance
+
+
+def sweep_answer(inst: LcrInstance) -> bool:
+    """The caterpillar sweep's answer: the last encoding keeps its tar mark."""
+    *_, (eg, _) = encoding_history(inst)
+    return eg.tar is not None
 
 
 def path_graph(n: int) -> Graph:

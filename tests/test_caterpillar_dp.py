@@ -2,31 +2,25 @@ from __future__ import annotations
 
 import pytest
 
-from lcr import (
-    EncodingGraph,
-    Graph,
-    build,
-    component_of,
-    contract_encoding,
-    label_preserving_isomorphic,
-    make_instance,
-    oracle_decide,
-    validate_encoding,
-)
+from lcr import Graph, build, component_of, make_instance, oracle_decide
 from lcr.caterpillar_dp import (
+    EncodingGraph,
     SizeRecord,
     check_size_bound,
     encoding_history,
-    init_encoding,
-    solve,
     step_leaf,
     step_spine,
 )
 from lcr.errors import IniLost, NotCaterpillar, NotNormalized
 from lcr.graph import recognize_caterpillar
 from lcr.instance import induced_instance
+from lcr.reference import (
+    contract_encoding,
+    label_preserving_isomorphic,
+    validate_encoding,
+)
 
-from .helpers import caterpillar_corpus, cycle_graph
+from .helpers import caterpillar_corpus, cycle_graph, sweep_answer
 
 
 def branchy_caterpillar():
@@ -43,29 +37,33 @@ def branchy_caterpillar():
 # -- initialization ----------------------------------------------------------------
 
 
+def first_step(inst):
+    return next(encoding_history(inst))[0]
+
+
 def test_init_is_a_k2_with_endpoint_marks():
     inst = make_instance(Graph(1), [{1, 2}], (1,), (2,))
-    assert init_encoding(inst) == EncodingGraph(
+    assert first_step(inst) == EncodingGraph(
         cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1
     )
 
 
 def test_init_with_equal_endpoints_marks_one_node_twice():
     inst = make_instance(Graph(1), [{1, 2}], (1,), (1,))
-    eg = init_encoding(inst)
+    eg = first_step(inst)
     assert eg.ini == 0 and eg.tar == 0
 
 
 def test_init_uses_color_ids_verbatim():
     inst = make_instance(Graph(1), [{5, 9}], (9,), (5,))
-    eg = init_encoding(inst)
+    eg = first_step(inst)
     assert eg.cols == (5, 9) and eg.ini == 1 and eg.tar == 0
 
 
 def test_init_requires_a_two_color_list():
     inst = make_instance(Graph(1), [{1, 2, 3}], (1,), (2,))
     with pytest.raises(NotNormalized):
-        init_encoding(inst)
+        first_step(inst)
 
 
 # -- leaf steps -------------------------------------------------------------------
@@ -107,15 +105,17 @@ def test_leaf_list_must_hold_two_colors():
 
 def test_spine_over_a_frozen_pair_keeps_only_the_start_side():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    assert step_spine(prev, [1, 2], 2, 1) == EncodingGraph(
-        cols=(2,), edges=(), ini=0, tar=None, step_index=2
+    # two new e-nodes before extraction, one after
+    assert step_spine(prev, [1, 2], 2, 1) == (
+        EncodingGraph(cols=(2,), edges=(), ini=0, tar=None, step_index=2), 2
     )
 
 
 def test_spine_with_fresh_colors_splits_one_node_into_a_free_edge():
     prev = EncodingGraph(cols=(1,), edges=(), ini=0, tar=0, step_index=1)
-    assert step_spine(prev, [2, 3], 2, 3) == EncodingGraph(
-        cols=(2, 3), edges=((0, 1),), ini=0, tar=1, step_index=2
+    assert step_spine(prev, [2, 3], 2, 3) == (
+        EncodingGraph(cols=(2, 3), edges=((0, 1),), ini=0, tar=1, step_index=2),
+        2,
     )
 
 
@@ -123,12 +123,13 @@ def test_spine_color_missing_from_prev_collects_everything():
     # members: col 1 keeps old e-node {1}, col 2 keeps {0}, col 9 keeps {0, 1};
     # the edges say col 9 meets both others, which share nothing
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    eg = step_spine(prev, [1, 2, 9], 9, 9)
+    eg, pre = step_spine(prev, [1, 2, 9], 9, 9)
     assert eg == EncodingGraph(
         cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
     )
+    assert pre == 3
     # the marks say which new e-node holds old ini 0 and old tar 1
-    eg = step_spine(prev, [1, 2, 9], 2, 1)
+    eg, _ = step_spine(prev, [1, 2, 9], 2, 1)
     assert eg == EncodingGraph(
         cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0, step_index=2
     )
@@ -137,10 +138,10 @@ def test_spine_color_missing_from_prev_collects_everything():
 def test_spine_step_records_component_members():
     # members: col 1 keeps old e-node {1}, col 3 keeps {0, 1}
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    assert step_spine(prev, [1, 3], 3, 3) == EncodingGraph(
+    assert step_spine(prev, [1, 3], 3, 3)[0] == EncodingGraph(
         cols=(1, 3), edges=((0, 1),), ini=1, tar=1, step_index=2
     )
-    assert step_spine(prev, [1, 3], 3, 1) == EncodingGraph(
+    assert step_spine(prev, [1, 3], 3, 1)[0] == EncodingGraph(
         cols=(1, 3), edges=((0, 1),), ini=1, tar=0, step_index=2
     )
     with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
@@ -199,17 +200,17 @@ def test_size_bound_flags_the_offending_step():
 
 
 def test_solve_single_vertex_swap():
-    assert solve(make_instance(Graph(1), [{1, 2}], (1,), (2,))) is True
+    assert sweep_answer(make_instance(Graph(1), [{1, 2}], (1,), (2,))) is True
 
 
 def test_solve_frozen_edge():
     inst = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {1, 2}], (1, 2), (2, 1))
-    assert solve(inst) is False
+    assert sweep_answer(inst) is False
 
 
 def test_solve_mixed_edge():
     inst = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (2, 3))
-    assert solve(inst) is True
+    assert sweep_answer(inst) is True
 
 
 def test_solve_rejects_non_caterpillars():
@@ -217,29 +218,29 @@ def test_solve_rejects_non_caterpillars():
         cycle_graph(4), [{1, 2, 3}] * 4, (1, 2, 1, 2), (2, 1, 2, 1)
     )
     with pytest.raises(NotCaterpillar):
-        solve(inst)
+        sweep_answer(inst)
 
 
 def test_solve_rejects_disconnected_graphs():
     inst = make_instance(Graph(2), [{1, 2}, {1, 2}], (1, 1), (2, 2))
     with pytest.raises(NotCaterpillar):
-        solve(inst)
+        sweep_answer(inst)
 
 
 def test_solve_rejects_unnormalized_lists():
     small = make_instance(Graph(2, [(0, 1)]), [{1}, {1, 2}], (1, 2), (1, 2))
     with pytest.raises(NotNormalized):
-        solve(small)
+        sweep_answer(small)
     rich = make_instance(
         Graph(2, [(0, 1)]), [{1, 2, 3}, {1, 2}], (1, 2), (3, 2)
     )
     with pytest.raises(NotNormalized):
-        solve(rich)
+        sweep_answer(rich)
 
 
 def test_solve_agrees_with_the_oracle_on_random_caterpillars():
     for inst in caterpillar_corpus(60, base_seed=2101, max_n=11):
-        assert solve(inst) == oracle_decide(inst)
+        assert sweep_answer(inst) == oracle_decide(inst)
 
 
 def test_every_prefix_matches_the_contracted_oracle_component():

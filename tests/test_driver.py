@@ -36,6 +36,21 @@ def test_auto_recognizes_each_component_once(monkeypatch):
     assert calls == [2, 2]
 
 
+def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
+    # an 8-vertex path (2916 colorings) is past the cap of 100 and must be
+    # swept; the 3-colour triangle (27 colorings) goes to the oracle
+    inst = make_instance(
+        Graph(11, [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]),
+        [{1, 2}] + [{1, 2, 3}] * 6 + [{1, 2}] + [{1, 2, 3}] * 3,
+        (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3),
+        (1, 3, 1, 3, 1, 3, 1, 2, 1, 2, 3),
+    )
+    report = solve_driver(inst, "auto", state_cap=100)
+    assert report.answer == solve_driver(inst, "bruteforce").answer
+    assert report.algorithm == "mixed"
+    assert [c.algorithm for c in report.components] == ["caterpillar", "bruteforce"]
+
+
 def test_caterpillar_and_oracle_agree_through_the_driver():
     for inst in caterpillar_corpus(40, base_seed=7101, max_n=10):
         swept = solve_driver(inst, algo="auto")

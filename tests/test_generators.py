@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from lcr import is_proper_list_coloring
 from lcr.errors import GenerationFailed
 from lcr.fileio import format_lcr, format_spr
 from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
 from lcr.graph import recognize_caterpillar
+from lcr.instance import is_proper_list_coloring
 from lcr.reduction import compile_spr
 from lcr.rerouting import is_s_path
 

@@ -6,7 +6,6 @@ import pytest
 
 from lcr import (
     Graph,
-    PathDecomposition,
     check_path_decomposition,
     is_bipartite,
     is_partial_two_tree,
@@ -14,6 +13,7 @@ from lcr import (
 )
 from lcr.errors import NotConnected
 from lcr.generators import gen_caterpillar
+from lcr.graph import PathDecomposition
 
 from .helpers import (
     all_labeled_trees,

@@ -6,15 +6,12 @@ import pytest
 
 from lcr import (
     Graph,
-    LcrInstance,
     RichListRemoval,
     SingletonRemoval,
-    is_proper_list_coloring,
     is_valid_sequence,
     lift_sequence,
     make_instance,
     normalize,
-    restrict,
 )
 from lcr.errors import (
     InfeasibleList,
@@ -23,8 +20,14 @@ from lcr.errors import (
     PartialColoring,
 )
 from lcr.generators import gen_random_instance
-from lcr.instance import induced_instance, trimmed_instance
+from lcr.instance import (
+    LcrInstance,
+    induced_instance,
+    is_proper_list_coloring,
+    trimmed_instance,
+)
 from lcr.oracle import build, oracle_decide, reachable
+from lcr.reference import restrict
 
 from .helpers import path_graph, star_graph
 

@@ -6,14 +6,13 @@ from lcr import (
     Graph,
     build,
     component_of,
-    contract_encoding,
-    enumerate_colorings,
     is_valid_sequence,
     make_instance,
     oracle_decide,
     reachable,
 )
-from lcr.encoding import validate_encoding
+from lcr.oracle import enumerate_colorings
+from lcr.reference import contract_encoding, validate_encoding
 from lcr.errors import StateSpaceTooLarge, UnknownNode
 from lcr.oracle import state_space_size
 

@@ -2,14 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from lcr import (
-    Graph,
-    is_proper_list_coloring,
-    is_valid_sequence,
-    oracle_decide,
-)
+from lcr import Graph, is_valid_sequence, oracle_decide
 from lcr.errors import DegenerateDistance, ImproperColoring, InvalidRerouting
 from lcr.graph import check_path_decomposition, is_bipartite, is_partial_two_tree
+from lcr.instance import is_proper_list_coloring
 from lcr.oracle import enumerate_colorings
 from lcr.reduction import (
     ForbiddenVertex,
