@@ -2,9 +2,10 @@
 
 The config is line oriented ``key=value`` (``#`` comments).  Each generated
 instance is solved once per requested algorithm and contributes one CSV row
-per run; the ``agree`` column says whether all answers for that instance
-matched.  Reruns with the same config are identical except for the wall-time
-column.
+per run; the ``agree`` column says whether all decided answers for that
+instance matched.  A run whose oracle would pass ``state_cap`` is written
+with ``answer=REFUSED`` and left out of ``agree``; the other runs go on.
+Reruns with the same config are identical except for the wall-time column.
 
 Caterpillar configs compare the incremental sweep against the exhaustive
 oracle; layered configs compare direct rerouting search against the oracle
@@ -19,7 +20,7 @@ import time
 
 from . import oracle, rerouting
 from .driver import solve_driver
-from .errors import ParseError
+from .errors import ParseError, StateSpaceTooLarge
 from .generators import gen_caterpillar, gen_layered_spr
 from .reduction import compile_spr
 
@@ -63,6 +64,14 @@ def parse_config(text: str) -> dict[str, str]:
     return config
 
 
+REFUSED = "REFUSED"
+
+
+def _answer(answer) -> str:
+    """CSV answer for True, False, or None when the oracle refused."""
+    return REFUSED if answer is None else "YES" if answer else "NO"
+
+
 def _slacks(history):
     slacks = [rec.bound - rec.pre_extraction for rec in history]
     return (min(slacks), max(slacks)) if slacks else ("", "")
@@ -81,18 +90,27 @@ def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
     rows = []
     for algo in algos:
         start = time.perf_counter()
-        report = solve_driver(inst, algo=algo, state_cap=int(config["state_cap"]))
+        try:
+            report = solve_driver(inst, algo=algo, state_cap=int(config["state_cap"]))
+        except StateSpaceTooLarge:
+            report = None
         wall = time.perf_counter() - start
-        nodes = sum(c.oracle_nodes or 0 for c in report.components) or ""
-        peaks = [c.enode_peak for c in report.components if c.enode_peak is not None]
-        smin, smax = _slacks(report.size_history)
-        rows.append({
+        row = {
             "instance": instance_id, "kind": "caterpillar", "seed": seed,
             "n": inst.graph.n, "m": inst.graph.m, "algo": algo,
-            "answer": "YES" if report.answer else "NO",
-            "oracle_nodes": nodes, "enode_peak": max(peaks) if peaks else "",
-            "slack_min": smin, "slack_max": smax, "wall_s": f"{wall:.6f}",
-        })
+            "answer": REFUSED, "wall_s": f"{wall:.6f}",
+        }
+        if report is not None:
+            comps = report.components
+            nodes = sum(c.oracle_nodes or 0 for c in comps) or ""
+            peaks = [c.enode_peak for c in comps if c.enode_peak is not None]
+            smin, smax = _slacks(report.size_history)
+            row.update({
+                "answer": _answer(report.answer),
+                "oracle_nodes": nodes, "enode_peak": max(peaks) if peaks else "",
+                "slack_min": smin, "slack_max": smax,
+            })
+        rows.append(row)
     return rows
 
 
@@ -108,23 +126,29 @@ def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
     rows = []
     for algo in algos:
         start = time.perf_counter()
+        answer, nodes = None, ""
         if algo == "spr":
-            answer = rerouting.brute_solve(spr) is not None
-            n, m, nodes = spr.graph.n, spr.graph.m, ""
+            graph = spr.graph
+            try:
+                answer = rerouting.brute_solve(spr) is not None
+            except StateSpaceTooLarge:
+                pass
         elif algo == "reduction":
             red = compile_spr(spr)
-            rg = oracle.build(
-                red.lcr.graph, red.lcr.lists, int(config["state_cap"])
-            )
-            answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
-            n, m, nodes = red.lcr.graph.n, red.lcr.graph.m, rg.num_nodes
+            graph = red.lcr.graph
+            try:
+                rg = oracle.build(graph, red.lcr.lists, int(config["state_cap"]))
+                answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
+                nodes = rg.num_nodes
+            except StateSpaceTooLarge:
+                pass
         else:
             raise ParseError(f"unknown layered algorithm: {algo}")
         wall = time.perf_counter() - start
         # the encoding columns stay empty: DictWriter fills them with ""
         rows.append({
             "instance": instance_id, "kind": "layered", "seed": seed,
-            "n": n, "m": m, "algo": algo, "answer": "YES" if answer else "NO",
+            "n": graph.n, "m": graph.m, "algo": algo, "answer": _answer(answer),
             "oracle_nodes": nodes, "wall_s": f"{wall:.6f}",
         })
     return rows
@@ -151,7 +175,8 @@ def run_experiments(config_text: str) -> str:
             rows = _run_caterpillar(config, i, seed, rng_params)
         else:
             rows = _run_layered(config, i, seed, rng_params)
-        agree = "yes" if len({r["answer"] for r in rows}) <= 1 else "no"
+        decided = {r["answer"] for r in rows} - {REFUSED}
+        agree = "yes" if len(decided) <= 1 else "no"
         for r in rows:
             writer.writerow({**r, "agree": agree})
     return buf.getvalue()

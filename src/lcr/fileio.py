@@ -87,6 +87,13 @@ def parse_lcr(text: str) -> LcrInstance:
     rows = _rows(text)
     n, m, k = _header(rows, "lcr", 3)
     body = rows[1:]
+    if min(n, m, k) < 0:
+        raise ParseError("negative counts in header")
+    # every vertex needs its own 'l' line, so the body bounds n before any
+    # work is sized by it
+    list_lines = sum(1 for row in body if row[0] == "l")
+    if n > list_lines:
+        raise ParseError(f"header promises {n} vertices, found {list_lines} 'l' lines")
     edges = _collect_edges([r for r in body if r[0] == "e"], n, m)
     lists: dict[int, frozenset[int]] = {}
     f0: dict[int, int] = {}
@@ -127,9 +134,9 @@ def parse_lcr(text: str) -> LcrInstance:
         else:
             raise ParseError(f"unexpected line: {' '.join(row)}")
     for name, got in (("l", lists), ("s", f0), ("t", fr)):
-        missing = [v for v in range(n) if v not in got]
-        if missing:
-            raise ParseError(f"missing '{name}' line for vertex {missing[0]}")
+        missing = next((v for v in range(n) if v not in got), None)
+        if missing is not None:
+            raise ParseError(f"missing '{name}' line for vertex {missing}")
     return LcrInstance(
         Graph(n, edges),
         tuple(lists[v] for v in range(n)),

@@ -8,6 +8,7 @@ stay a proper list coloring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -100,32 +101,42 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
 
     One-color vertices are deleted (their forced color leaves the neighbors'
     lists) until none remain; then one vertex whose list exceeds its current
-    degree plus one is deleted; the two phases repeat to a fixpoint.  The
-    answer to the reconfiguration question is unchanged, and the returned
-    trace lets witnesses found on the trimmed instance be lifted back.
-    Raises InfeasibleList when a list empties, which certifies that f0 and fr
-    could not both have been proper.
+    degree plus one is deleted; the two phases repeat to a fixpoint.  Ties go
+    to the smallest vertex.  The answer to the reconfiguration question is
+    unchanged, and the returned trace lets witnesses found on the trimmed
+    instance be lifted back.  Raises InfeasibleList when a list empties,
+    which certifies that f0 and fr could not both have been proper.
+
+    Two heaps of candidates replace rescans, so the pass costs
+    O((n + m + sum of list sizes) log n).
     """
     n = inst.graph.n
-    alive = set(range(n))
-    lists = {v: set(inst.lists[v]) for v in range(n)}
+    lists = {v: set(inst.lists[v]) for v in range(n)}  # live vertices only
     adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
     removals: list[Removal] = []
 
+    def is_rich(v: int) -> bool:
+        return len(lists[v]) >= len(adj[v]) + 2
+
+    # A vertex turns single only when a singleton removal trims its list,
+    # and is never rich, so it stays live until popped.  A neighbor's
+    # removal lowers the degree by one and the list by at most one, so list
+    # size minus degree never drops: a rich vertex stays rich, and its heap
+    # entries go stale only once it is removed.  Both seeds are in vertex
+    # order, hence already heaps.
+    singles = [v for v in range(n) if len(lists[v]) == 1]
+    rich = [v for v in range(n) if is_rich(v)]
+
     def remove_vertex(v: int):
-        alive.discard(v)
         for u in adj[v]:
             adj[u].discard(v)
+            if is_rich(u):
+                heapq.heappush(rich, u)
         del adj[v], lists[v]
 
-    changed = True
-    while changed:
-        changed = False
-        while True:
-            singles = [v for v in alive if len(lists[v]) == 1]
-            if not singles:
-                break
-            v = min(singles)
+    while True:
+        while singles:
+            v = heapq.heappop(singles)
             (c,) = lists[v]
             if inst.f0[v] != c or inst.fr[v] != c:
                 raise InfeasibleList(
@@ -138,22 +149,24 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
                     raise InfeasibleList(
                         f"list of vertex {u} emptied while trimming"
                     )
+                if len(lists[u]) == 1:
+                    heapq.heappush(singles, u)
             remove_vertex(v)
             removals.append(SingletonRemoval(v, c, tuple(affected)))
-            changed = True
-        rich = [v for v in alive if len(lists[v]) >= len(adj[v]) + 2]
-        if rich:
-            v = min(rich)
-            removals.append(
-                RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
-            )
-            remove_vertex(v)
-            changed = True
+        while rich and rich[0] not in lists:
+            heapq.heappop(rich)
+        if not rich:
+            break
+        v = heapq.heappop(rich)
+        removals.append(
+            RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
+        )
+        remove_vertex(v)
 
     if not removals:
         return inst, NormalizationTrace((), {v: v for v in range(n)})
 
-    kept = sorted(alive)
+    kept = sorted(lists)
     id_map = {v: i for i, v in enumerate(kept)}
     sub, _ = inst.graph.induced_subgraph(kept)
     trimmed = LcrInstance(

@@ -14,10 +14,16 @@ import random
 from typing import Iterator, Sequence
 
 from lcr.caterpillar_dp import encoding_history
-from lcr.errors import GenerationFailed
+from lcr.errors import GenerationFailed, InfeasibleList
 from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import Graph
-from lcr.instance import LcrInstance
+from lcr.instance import (
+    LcrInstance,
+    NormalizationTrace,
+    Removal,
+    RichListRemoval,
+    SingletonRemoval,
+)
 from lcr.oracle import state_space_size
 from lcr.reduction import ReducedInstance, compile_spr
 from lcr.rerouting import SprInstance
@@ -27,6 +33,75 @@ def sweep_answer(inst: LcrInstance) -> bool:
     """The caterpillar sweep's answer: the last encoding keeps its tar mark."""
     *_, (eg, _) = encoding_history(inst)
     return eg.tar is not None
+
+
+def quadratic_normalize(
+    inst: LcrInstance,
+) -> tuple[LcrInstance, NormalizationTrace]:
+    """Rescanning reference for ``lcr.instance.normalize``.
+
+    Each removal rescans every live vertex for the smallest singleton, and
+    failing that for the smallest rich vertex, so the trace order follows
+    straight from the definition; the package keeps heaps of candidates
+    instead.  Quadratic, so only for small instances.
+    """
+    n = inst.graph.n
+    alive = set(range(n))
+    lists = {v: set(inst.lists[v]) for v in range(n)}
+    adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
+    removals: list[Removal] = []
+
+    def remove_vertex(v: int):
+        alive.discard(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v], lists[v]
+
+    changed = True
+    while changed:
+        changed = False
+        while True:
+            singles = [v for v in alive if len(lists[v]) == 1]
+            if not singles:
+                break
+            v = min(singles)
+            (c,) = lists[v]
+            if inst.f0[v] != c or inst.fr[v] != c:
+                raise InfeasibleList(
+                    f"vertex {v} is pinned to color {c} but an endpoint differs"
+                )
+            affected = sorted(u for u in adj[v] if c in lists[u])
+            for u in affected:
+                lists[u].discard(c)
+                if not lists[u]:
+                    raise InfeasibleList(
+                        f"list of vertex {u} emptied while trimming"
+                    )
+            remove_vertex(v)
+            removals.append(SingletonRemoval(v, c, tuple(affected)))
+            changed = True
+        rich = [v for v in alive if len(lists[v]) >= len(adj[v]) + 2]
+        if rich:
+            v = min(rich)
+            removals.append(
+                RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
+            )
+            remove_vertex(v)
+            changed = True
+
+    if not removals:
+        return inst, NormalizationTrace((), {v: v for v in range(n)})
+
+    kept = sorted(alive)
+    id_map = {v: i for i, v in enumerate(kept)}
+    sub, _ = inst.graph.induced_subgraph(kept)
+    trimmed = LcrInstance(
+        sub,
+        tuple(frozenset(lists[v]) for v in kept),
+        tuple(inst.f0[v] for v in kept),
+        tuple(inst.fr[v] for v in kept),
+    )
+    return trimmed, NormalizationTrace(tuple(removals), id_map)
 
 
 def path_graph(n: int) -> Graph:

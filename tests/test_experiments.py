@@ -88,3 +88,24 @@ def test_reruns_differ_only_in_timing():
     assert strip_timing(run_experiments(config_layered)) == strip_timing(
         run_experiments(config_layered)
     )
+
+
+@pytest.mark.parametrize(
+    "config, count, algos",
+    [
+        ("kind=caterpillar\ncount=6\nseed=5\nstate_cap=200\n", 6,
+         ("caterpillar", "bruteforce")),
+        ("kind=layered\ncount=4\nseed=4000\nstate_cap=30\n", 4,
+         ("spr", "reduction")),
+    ],
+    ids=["caterpillar", "layered"],
+)
+def test_a_refused_oracle_run_keeps_the_experiment_going(config, count, algos):
+    rows = rows_of(run_experiments(config))
+    assert [(r["instance"], r["algo"]) for r in rows] == [
+        (str(i), a) for i in range(count) for a in algos
+    ]
+    refused = [r for r in rows if r["answer"] == "REFUSED"]
+    assert refused and all(r["oracle_nodes"] == "" for r in refused)
+    # refused runs are left out of agree; the decided answers still match
+    assert all(r["agree"] == "yes" for r in rows)

@@ -119,6 +119,12 @@ def test_lcr_round_trip_on_generated_instances():
         "p lcr 1 0 2\nl 0 0 1\ns 5 0\nt 0 1\n",
         "p lcr 2 1 2\ne 0 1\nl 0 0 1\nl 1 0 1\ns 0 0\ns 1 1\nt 0 1\n",
         "p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\nz 1\n",
+        "p lcr -1 0 2\n",
+        "p lcr 1 -1 2\nl 0 0 1\ns 0 0\nt 0 1\n",
+        "p lcr 1 0 -2\nl 0 0 1\ns 0 0\nt 0 1\n",
+        "p lcr 2 0 2\nl 0 0 1\ns 0 0\ns 1 0\nt 0 1\nt 1 1\n",
+        # a header sized far past its body must fail before any per-vertex work
+        "p lcr 1000000000000 0 1\nl 0 0\ns 0 0\nt 0 0\n",
     ],
 )
 def test_lcr_parse_errors(text):

@@ -29,7 +29,7 @@ from lcr.instance import (
 from lcr.oracle import build, oracle_decide, reachable
 from lcr.reference import restrict
 
-from .helpers import path_graph, star_graph
+from .helpers import path_graph, quadratic_normalize, star_graph
 
 
 def edge_instance(l0, l1, f0, fr):
@@ -160,6 +160,86 @@ def test_trimmed_instance_replays_the_trace():
         trimmed, trace = normalize(inst)
         replayed = trimmed_instance(inst, trace)
         assert replayed == trimmed
+
+
+def pinned_random_instance(rng: random.Random) -> LcrInstance:
+    """Random graph with 1-6 colours and endpoints that need not be proper.
+
+    About one vertex in five is pinned to a one-colour list, and a quarter
+    of those pins disagree with fr, so forced chains, emptied lists and
+    contradicted pins all occur next to rich vertices.
+    """
+    n = rng.randint(1, 10)
+    k = rng.randint(1, 6)
+    p = rng.random() * 0.6
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    lists = [set(rng.sample(range(k), rng.randint(1, k))) for _ in range(n)]
+    f0 = [rng.choice(sorted(lst)) for lst in lists]
+    fr = [rng.choice(sorted(lst)) for lst in lists]
+    for v in range(n):
+        if rng.random() < 0.2:
+            lists[v] = {f0[v]}
+            fr[v] = f0[v] if rng.random() < 0.75 else rng.randrange(k)
+    return make_instance(Graph(n, edges), lists, f0, fr)
+
+
+def test_normalize_matches_the_rescanning_reference():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2500):
+        inst = pinned_random_instance(rng)
+        try:
+            want = quadratic_normalize(inst)
+        except InfeasibleList as exc:
+            with pytest.raises(InfeasibleList) as got:
+                normalize(inst)
+            assert str(got.value) == str(exc)
+            seen.add("pinned" if "pinned" in str(exc) else "emptied")
+            continue
+        trimmed, trace = normalize(inst)
+        assert trace.removals == want[1].removals
+        assert trace.id_map == want[1].id_map
+        assert trimmed.lists == want[0].lists
+        assert trimmed.graph.edges == want[0].graph.edges
+        assert (trimmed.f0, trimmed.fr) == (want[0].f0, want[0].fr)
+        for rem in trace.removals:
+            seen.add(type(rem).__name__)
+            v = rem.vertex
+            if isinstance(rem, RichListRemoval) and len(inst.lists[v]) < (
+                inst.graph.degree(v) + 2
+            ):
+                seen.add("made rich by a removal")
+    assert seen == {
+        "pinned",
+        "emptied",
+        "SingletonRemoval",
+        "RichListRemoval",
+        "made rich by a removal",
+    }
+
+
+def test_normalize_scales_on_a_long_rich_path():
+    # rich_case's shape: a one-colour head and 8 two-colour links go as
+    # singletons; the 4-colour lists after them are rich from the start and
+    # go one by one in vertex order
+    n, chain = 20_000, 8
+    rng = random.Random(11)
+    forced = [0]
+    for _ in range(chain):
+        forced.append(rng.choice([c for c in range(6) if c != forced[-1]]))
+    lists = [{forced[0]}] + [{forced[i - 1], forced[i]} for i in range(1, chain + 1)]
+    lists += [set(rng.sample(range(6), 4)) for _ in range(chain + 1, n)]
+    f = list(forced)
+    for v in range(chain + 1, n):
+        f.append(min(lists[v] - {f[-1]}))
+    inst = make_instance(path_graph(n), lists, f, f)
+    trimmed, trace = normalize(inst)
+    kinds = [type(rem) for rem in trace.removals]
+    assert kinds == [SingletonRemoval] * (chain + 1) + [RichListRemoval] * (
+        n - chain - 1
+    )
+    assert [rem.vertex for rem in trace.removals] == list(range(n))
+    assert trimmed.graph.n == 0 and trace.id_map == {}
 
 
 def test_normalize_preserves_the_answer():
