@@ -201,9 +201,19 @@ def parse_spr(text: str) -> SprInstance:
     for tag in ("p0", "pr"):
         if tag not in paths:
             raise ParseError(f"missing '{tag}' line")
+    if n < 0:
+        raise ParseError("vertex count must be non-negative")
+    # A vertex that no line names is isolated, and compute_layers prunes it
+    # with everything else off the shortest paths, so the graph stops at the
+    # largest named vertex rather than at the untrusted header's n.  Names
+    # outside 0..n-1 stay outside the graph and fail there as before.
+    ends = [single["src"], single["dst"], *paths["p0"], *paths["pr"]]
+    size = 1 + max(
+        [max(e) for e in edges] + [v for v in ends if 0 <= v < n], default=-1
+    )
     try:
         return build_spr_instance(
-            Graph(n, edges), single["src"], single["dst"], paths["p0"], paths["pr"]
+            Graph(size, edges), single["src"], single["dst"], paths["p0"], paths["pr"]
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -4,6 +4,15 @@ Builds the full reconfiguration graph: one node per proper list coloring,
 one edge per single-vertex recoloring.  Everything downstream that needs
 ground truth (tests, the experiments runner, witness extraction) goes
 through this module.
+
+An instance whose product of list sizes passes the state cap is refused
+before any other work.  Otherwise an iterative backtracker enumerates the
+proper colorings, placing the vertices in a constraint-first order
+(maximum-cardinality search, so each vertex meets its placed neighbours as
+early as possible).  Each coloring carries an integer code, one mixed-radix
+digit per vertex, and sorting the codes numbers the nodes in lexicographic
+order.  A recoloring adds a multiple of one vertex's place value to the
+code, so each candidate neighbour costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -24,6 +33,111 @@ def state_space_size(lists: Sequence[frozenset[int]]) -> int:
     return prod(len(lst) for lst in lists)
 
 
+def _sorted_lists_within_cap(
+    lists: Sequence[frozenset[int]], cap: int
+) -> list[list[int]]:
+    """The lists, sorted, once the product of their sizes is within cap."""
+    size = state_space_size(lists)
+    if size > cap:
+        raise StateSpaceTooLarge(size, cap)
+    return [sorted(lst) for lst in lists]
+
+
+def _strides(sorted_lists: Sequence[Sequence[int]]) -> list[int]:
+    """Place value of each vertex's digit in a coloring's code."""
+    strides = [1] * len(sorted_lists)
+    for v in range(len(sorted_lists) - 2, -1, -1):
+        strides[v] = strides[v + 1] * len(sorted_lists[v + 1])
+    return strides
+
+
+def _constraint_first_order(g: Graph) -> list[int]:
+    """Vertices in maximum-cardinality-search order, in O(n + m).
+
+    Each next vertex has the most neighbours already placed (the latest one
+    to reach that count first, the smallest id when none has any), so the
+    backtracker meets an edge as soon as both ends can clash.  Bucket w is a
+    stack of the unplaced vertices that reached w placed neighbours; stale
+    entries are skipped when popped.
+    """
+    weight = [0] * g.n
+    placed = [False] * g.n
+    buckets = [list(range(g.n - 1, -1, -1))]
+    top = 0
+    order = []
+    for _ in range(g.n):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if not placed[v] and weight[v] == top:
+                break
+        placed[v] = True
+        order.append(v)
+        for u in g.neighbors(v):
+            if not placed[u]:
+                w = weight[u] = weight[u] + 1
+                if w == len(buckets):
+                    buckets.append([])
+                buckets[w].append(u)
+                top = max(top, w)
+    return order
+
+
+def _proper_colorings(
+    g: Graph, sorted_lists: Sequence[Sequence[int]], strides: Sequence[int]
+) -> tuple[list[int], list[Coloring]]:
+    """Codes and colorings of every proper list coloring, sorted by code.
+
+    A coloring's code is the mixed-radix number whose digit for v is the
+    position of its color in ``sorted_lists[v]``, vertex 0 most significant,
+    so code order is lexicographic order.  An explicit-stack backtracker
+    places the vertices in constraint-first order and offers each one only
+    the colors that no placed neighbour holds.
+    """
+    if g.n == 0:
+        return [0], [()]
+    order = _constraint_first_order(g)
+    rank = [0] * g.n
+    for d, v in enumerate(order):
+        rank[v] = d
+    earlier = [[u for u in g.neighbors(v) if rank[u] < d] for d, v in enumerate(order)]
+    options = [
+        [(c, p * strides[v]) for p, c in enumerate(sorted_lists[v])] for v in order
+    ]
+    last = g.n - 1
+    partial = [0] * g.n
+    prefix = [0] * g.n
+    codes: list[int] = []
+    colorings: list[Coloring] = []
+    # stack[d] iterates the colors left to try at depth d; only stack[0..d]
+    # is live, the slots above are overwritten on the way down
+    stack = [iter(options[0])] * g.n
+    d = 0
+    while d >= 0:
+        v, before = order[d], earlier[d]
+        for c, w in stack[d]:
+            for u in before:
+                if partial[u] == c:
+                    break
+            else:
+                partial[v] = c
+                if d == last:
+                    codes.append(prefix[d] + w)
+                    colorings.append(tuple(partial))
+                    continue
+                prefix[d + 1] = prefix[d] + w
+                d += 1
+                stack[d] = iter(options[d])
+                break
+        else:
+            d -= 1
+    perm = sorted(range(len(codes)), key=codes.__getitem__)
+    return [codes[i] for i in perm], [colorings[i] for i in perm]
+
+
 def enumerate_colorings(
     g: Graph,
     lists: Sequence[frozenset[int]],
@@ -31,30 +145,11 @@ def enumerate_colorings(
 ) -> list[Coloring]:
     """All proper list colorings of g in lexicographic order.
 
-    The product of the list sizes must stay within cap; the backtracking
-    itself prunes on the first clashing neighbor.
+    The product of the list sizes must stay within cap; it is checked
+    before any other work.
     """
-    size = state_space_size(lists)
-    if size > cap:
-        raise StateSpaceTooLarge(size, cap)
-    sorted_lists = [sorted(lst) for lst in lists]
-    earlier = [
-        [u for u in g.neighbors(v) if u < v] for v in range(g.n)
-    ]
-    out: list[Coloring] = []
-    partial = [0] * g.n
-
-    def fill(v: int):
-        if v == g.n:
-            out.append(tuple(partial))
-            return
-        for c in sorted_lists[v]:
-            if all(partial[u] != c for u in earlier[v]):
-                partial[v] = c
-                fill(v + 1)
-
-    fill(0)
-    return out
+    sorted_lists = _sorted_lists_within_cap(lists, cap)
+    return _proper_colorings(g, sorted_lists, _strides(sorted_lists))[1]
 
 
 @dataclass
@@ -100,26 +195,43 @@ def build(
     lists: Sequence[frozenset[int]],
     cap: int = DEFAULT_STATE_CAP,
 ) -> ReconfigurationGraph:
-    """Enumerate all proper colorings and link those one recoloring apart."""
+    """Enumerate all proper colorings and link those one recoloring apart.
+
+    Nodes are numbered in code order, which is lexicographic order.  The
+    candidates for neighbours with larger codes of the coloring with code
+    x are x + k * strides[v], for each vertex v and each k from 1 to the
+    number of colors above x's on v; one dict lookup per candidate tells
+    whether it is a proper coloring.  Walking v from the last vertex to the
+    first meets them in increasing order, after the smaller neighbours
+    already linked, so every adjacency list comes out sorted.
+    """
     lists = tuple(frozenset(lst) for lst in lists)
-    nodes = tuple(enumerate_colorings(g, lists, cap))
-    index = {f: i for i, f in enumerate(nodes)}
-    sorted_lists = [sorted(lst) for lst in lists]
+    sorted_lists = _sorted_lists_within_cap(lists, cap)
+    strides = _strides(sorted_lists)
+    codes, colorings = _proper_colorings(g, sorted_lists, strides)
+    nodes = tuple(colorings)
+    index = dict(zip(nodes, range(len(nodes))))
+    # adjacency entries reuse the index's own id objects rather than a fresh
+    # int each, which would add about 32 bytes per edge end
+    ids = index.values()
+    id_of_code = dict(zip(codes, ids))
+    digits = [
+        (strides[v], len(sorted_lists[v]))
+        for v in range(g.n - 1, -1, -1)
+        if len(sorted_lists[v]) > 1
+    ]
     adj: list[list[int]] = [[] for _ in nodes]
-    for i, f in enumerate(nodes):
-        for v in range(g.n):
-            fv = f[v]
-            head, tail = f[:v], f[v + 1:]
-            for c in sorted_lists[v]:
-                if c == fv:
-                    continue
-                j = index.get(head + (c,) + tail)
-                if j is not None and j > i:
-                    adj[i].append(j)
+    for i, x in zip(ids, codes):
+        mine = adj[i]
+        for stride, radix in digits:
+            y = x
+            for _ in range(x // stride % radix + 1, radix):
+                y += stride
+                j = id_of_code.get(y)
+                if j is not None:
+                    mine.append(j)
                     adj[j].append(i)
-    return ReconfigurationGraph(
-        g, lists, nodes, index, tuple(tuple(sorted(a)) for a in adj)
-    )
+    return ReconfigurationGraph(g, lists, nodes, index, tuple(map(tuple, adj)))
 
 
 def _node_id(rg: ReconfigurationGraph, f: Sequence[int]) -> int:

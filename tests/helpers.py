@@ -3,7 +3,9 @@
 The reference implementations here deliberately take different routes than
 the package (forbidden-substructure counting instead of spine walking,
 itertools.product instead of pruned backtracking, a per-layer counting pass
-instead of DFS enumeration) so they can act as oracles for it.
+instead of DFS enumeration) so they can act as oracles for it.  Where a
+package routine was rewritten for speed, its earlier, direct form is kept
+here as the reference it must match exactly.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ import random
 from typing import Iterator, Sequence
 
 from lcr.caterpillar_dp import encoding_history
-from lcr.errors import GenerationFailed, InfeasibleList
+from lcr.errors import GenerationFailed, InfeasibleList, StateSpaceTooLarge
 from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import Graph
 from lcr.instance import (
+    Coloring,
     LcrInstance,
     NormalizationTrace,
     Removal,
     RichListRemoval,
     SingletonRemoval,
 )
-from lcr.oracle import state_space_size
+from lcr.oracle import DEFAULT_STATE_CAP, ReconfigurationGraph, state_space_size
 from lcr.reduction import ReducedInstance, compile_spr
 from lcr.rerouting import SprInstance
 
@@ -104,8 +107,85 @@ def quadratic_normalize(
     return trimmed, NormalizationTrace(tuple(removals), id_map)
 
 
+def recursive_colorings(
+    g: Graph,
+    lists: Sequence[frozenset[int]],
+    cap: int = DEFAULT_STATE_CAP,
+) -> list[Coloring]:
+    """Recursive reference for ``lcr.oracle.enumerate_colorings``.
+
+    Backtracks in vertex-id order, one call per vertex, so the colorings
+    come out in lexicographic order straight from the definition.
+    """
+    size = state_space_size(lists)
+    if size > cap:
+        raise StateSpaceTooLarge(size, cap)
+    sorted_lists = [sorted(lst) for lst in lists]
+    earlier = [
+        [u for u in g.neighbors(v) if u < v] for v in range(g.n)
+    ]
+    out: list[Coloring] = []
+    partial = [0] * g.n
+
+    def fill(v: int):
+        if v == g.n:
+            out.append(tuple(partial))
+            return
+        for c in sorted_lists[v]:
+            if all(partial[u] != c for u in earlier[v]):
+                partial[v] = c
+                fill(v + 1)
+
+    fill(0)
+    return out
+
+
+def splicing_build(
+    g: Graph,
+    lists: Sequence[frozenset[int]],
+    cap: int = DEFAULT_STATE_CAP,
+) -> ReconfigurationGraph:
+    """Tuple-splicing reference for ``lcr.oracle.build``.
+
+    Every recoloring of every node is spliced into a fresh tuple and looked
+    up in the index; the package finds the same neighbours by integer codes
+    instead.  Only for small instances.
+    """
+    lists = tuple(frozenset(lst) for lst in lists)
+    nodes = tuple(recursive_colorings(g, lists, cap))
+    index = {f: i for i, f in enumerate(nodes)}
+    sorted_lists = [sorted(lst) for lst in lists]
+    adj: list[list[int]] = [[] for _ in nodes]
+    for i, f in enumerate(nodes):
+        for v in range(g.n):
+            fv = f[v]
+            head, tail = f[:v], f[v + 1:]
+            for c in sorted_lists[v]:
+                if c == fv:
+                    continue
+                j = index.get(head + (c,) + tail)
+                if j is not None and j > i:
+                    adj[i].append(j)
+                    adj[j].append(i)
+    return ReconfigurationGraph(
+        g, lists, nodes, index, tuple(tuple(sorted(a)) for a in adj)
+    )
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def one_color_path(n: int) -> LcrInstance:
+    """Path whose lists each hold one color, alternating 0 and 1: exactly
+    one proper coloring, so the oracle's work is all in the path's length."""
+    colors = [v % 2 for v in range(n)]
+    return LcrInstance(
+        path_graph(n),
+        tuple(frozenset({c}) for c in colors),
+        tuple(colors),
+        tuple(colors),
+    )
 
 
 def cycle_graph(n: int) -> Graph:

@@ -13,6 +13,8 @@ from lcr.fileio import (
 from lcr.reduction import compile_spr
 from lcr.rerouting import build_spr_instance
 
+from .helpers import one_color_path
+
 
 def mixed_edge():
     return make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (2, 3))
@@ -318,6 +320,14 @@ def test_oracle_stats_on_the_frozen_edge(tmp_path, capsys):
     assert main(["oracle", "stats", write_lcr(tmp_path, frozen_edge())]) == EXIT_OK
     assert capsys.readouterr().out == (
         "nodes 2\nedges 0\ncomponents 2\nf0_component 1\n"
+    )
+
+
+def test_oracle_stats_on_a_long_one_color_path(tmp_path, capsys):
+    inst = one_color_path(5000)
+    assert main(["oracle", "stats", write_lcr(tmp_path, inst)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "nodes 1\nedges 0\ncomponents 1\nf0_component 1\n"
     )
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from lcr import Graph, make_instance
@@ -185,6 +187,38 @@ def test_spr_round_trip():
 def test_spr_parse_errors(text):
     with pytest.raises(ParseError):
         parse_spr(text)
+
+
+def test_spr_graph_is_sized_by_the_named_vertices():
+    body = "e 0 1\ne 1 2\ne 2 4\ne 1 3\ne 3 4\nsrc 0\ndst 4\np0 0 1 2 4\npr 0 1 3 4\n"
+    tight = parse_spr("p spr 5 5\n" + body)
+    start = time.perf_counter()
+    loose = parse_spr("p spr 1000000000000 5\n" + body)
+    assert time.perf_counter() - start < 0.1
+    assert loose == tight
+    assert loose.graph.n == 5 and loose.d == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p spr -1 0\nsrc 0\ndst 0\np0 0\npr 0\n", "vertex count must be non-negative"),
+        ("p spr 9 1\ne 0 1\nsrc 0\ndst 9\np0 0 9\npr 0 9\n", "endpoint out of range"),
+        ("p spr 9 1\ne 0 1\nsrc -1\ndst 1\np0 0 1\npr 0 1\n", "endpoint out of range"),
+        ("p spr 9 1\ne 0 1\nsrc 0\ndst 1\np0 0 1\npr 0 12\n",
+         "path vertex 12 is on no shortest path"),
+        ("p spr 9 1\ne 0 1\nsrc 0\ndst 1\np0 0 1\npr 0 5\n",
+         "path vertex 5 is on no shortest path"),
+        ("p spr 9 1\ne 0 1\nsrc 0\ndst 1\np0 0 1\npr 0 -3\n",
+         "path vertex -3 is on no shortest path"),
+        ("p spr 1000000000000 1\ne 0 1\nsrc 0\ndst 1\np0 0 1\npr 1 0\n",
+         "pr is not a shortest s-t path"),
+    ],
+)
+def test_spr_named_vertices_are_checked_against_the_header(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spr(text)
+    assert str(info.value) == message
 
 
 def test_spr_with_separated_endpoints_reports_disconnection():

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import time
+from collections import Counter
+
 import pytest
 
 from lcr import (
@@ -16,7 +20,15 @@ from lcr.reference import contract_encoding, validate_encoding
 from lcr.errors import StateSpaceTooLarge, UnknownNode
 from lcr.oracle import state_space_size
 
-from .helpers import caterpillar_corpus, cycle_graph, ref_proper_colorings
+from .helpers import (
+    caterpillar_corpus,
+    cycle_graph,
+    layered_corpus,
+    one_color_path,
+    path_graph,
+    ref_proper_colorings,
+    splicing_build,
+)
 
 
 def frozen_edge():
@@ -59,6 +71,27 @@ def test_state_cap_is_enforced_before_enumerating():
     assert state_space_size(lists) == 4**10
 
 
+def test_state_cap_boundary():
+    cap = 12
+    at_cap = (Graph(2), [frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})])
+    assert build(*at_cap, cap=cap).num_nodes == 12
+    assert len(enumerate_colorings(*at_cap, cap=cap)) == 12
+    over_cap = (Graph(1), [frozenset(range(13))])
+    for fn in (build, enumerate_colorings):
+        with pytest.raises(StateSpaceTooLarge) as info:
+            fn(*over_cap, cap=cap)
+        assert info.value.size == cap + 1
+
+
+def test_a_huge_state_space_is_refused_before_any_enumeration():
+    g, lists = path_graph(30), [frozenset(range(10))] * 30
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceTooLarge) as info:
+        build(g, lists)
+    assert time.perf_counter() - start < 0.01
+    assert info.value.size == 10**30
+
+
 # -- reconfiguration graph construction ----------------------------------------
 
 
@@ -93,6 +126,63 @@ def test_edges_are_single_vertex_differences():
                     if rg.nodes[i][v] != rg.nodes[j][v]
                 ]
                 assert len(diff) == 1
+
+
+def _random_lists_corpus(count: int, seed: int):
+    """Seeded graphs on 0..9 vertices, edge densities from empty to complete,
+    and lists of 1-4 colors drawn from a palette of 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < density
+        ]
+        lists = [frozenset(rng.sample(range(5), rng.randint(1, 4))) for _ in range(n)]
+        yield Graph(n, edges), lists
+
+
+def test_build_matches_the_splicing_reference():
+    cap = 1000
+    corpus = list(_random_lists_corpus(2500, seed=9001))
+    corpus += [
+        (red.lcr.graph, red.lcr.lists)
+        for _, red in layered_corpus(60, base_seed=9101, max_states=cap)
+    ]
+    seen: Counter[str] = Counter()
+    for g, lists in corpus:
+        try:
+            ref = splicing_build(g, lists, cap)
+        except StateSpaceTooLarge as exc:
+            with pytest.raises(StateSpaceTooLarge) as info:
+                build(g, lists, cap)
+            assert info.value.size == exc.size
+            seen["refused"] += 1
+            continue
+        rg = build(g, lists, cap)
+        assert rg.nodes == ref.nodes
+        assert rg.index == ref.index
+        assert rg.adj == ref.adj
+        assert rg.lists == ref.lists
+        assert enumerate_colorings(g, lists, cap) == list(ref.nodes)
+        seen["built"] += 1
+        seen["no proper coloring"] += not ref.nodes
+        seen["isolated vertex"] += g.m > 0 and any(
+            g.degree(v) == 0 for v in range(g.n)
+        )
+        seen["one-color list"] += any(len(lst) == 1 for lst in lists)
+        seen["complete graph"] += g.n >= 3 and g.m == g.n * (g.n - 1) // 2
+    assert seen["built"] >= 2000 and seen["refused"] > 0
+    for kind in ("no proper coloring", "isolated vertex", "one-color list", "complete graph"):
+        assert seen[kind] > 0, kind
+
+
+def test_oracle_decide_needs_no_recursion_on_a_long_path():
+    inst = one_color_path(5000)
+    rg = build(inst.graph, inst.lists)
+    assert rg.nodes == (inst.f0,) and rg.adj == ((),)
+    assert oracle_decide(inst)
 
 
 # -- reachability ----------------------------------------------------------------
