@@ -4,8 +4,10 @@ The caterpillar sweep
 
 On caterpillar trees the solver never enumerates colorings.  It sweeps the
 vertices in a fixed order and drags along a tiny "encoding" graph whose
-nodes stand for bundles of partial colorings.  This script walks one sweep
-step by step and shows how small the encoding stays.
+nodes stand for bundles of partial colorings.  The encoding is one working
+state that every step changes in place; ``snapshot()`` freezes it into an
+``EncodingGraph`` when you want to keep or print it.  This script walks one
+sweep step by step and shows how small the encoding stays.
 """
 
 from lcr import (
@@ -36,7 +38,7 @@ print()
 # previous size plus the degree of the vertex being absorbed.
 print("step  vertex  kind    size  cap  kept")
 records = []
-for eg, rec in encoding_history(inst, st):
+for sweep, rec in encoding_history(inst, st):
     records.append(rec)
     print(
         f"{rec.step:4d}  {rec.vertex:6d}  {rec.kind:5s}  "
@@ -47,7 +49,7 @@ print()
 
 # The last encoding answers the question: the target coloring survived the
 # sweep exactly when its node is still present.
-answer = eg.tar is not None
+answer = sweep.tar is not None
 print("sweep answer: ", answer)
 print("oracle agrees:", oracle_decide(inst) == answer)
 
@@ -57,4 +59,5 @@ print("oracle agrees:", oracle_decide(inst) == answer)
 rg = build(g, inst.lists)
 print("full reconfiguration graph:", rg.num_nodes, "nodes")
 print("start component:           ", len(component_of(rg, inst.f0)), "nodes")
-print("final encoding:            ", len(eg.cols), "nodes")
+final = sweep.snapshot()
+print("final encoding:            ", len(final.cols), "nodes", final.edges)

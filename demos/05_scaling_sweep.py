@@ -2,12 +2,13 @@
 How far the sweep scales
 ========================
 
-The caterpillar solver touches each vertex once, and each step costs time
-that follows the encoding size.  On these leaf-heavy caterpillars the
+The caterpillar solver touches each vertex once.  A spine step costs time
+linear in the encoding size; a leaf step costs O(1) unless the leaf's two
+colors join some pair of e-nodes.  On these leaf-heavy caterpillars the
 encoding stays at a handful of e-nodes, so the sweep grows about linearly:
-at n = 100,000 it took about 3 s on a 2-core Xeon VM, with another 2 s to
-generate the instance.  This script times the sweep on a doubling ladder of
-sizes and reports the largest encoding seen at each.
+at n = 100,000 it took about 1.5 s on a 2-core Xeon VM, with another 1.8 s
+to generate the instance.  This script times the sweep on a doubling ladder
+of sizes and reports the largest encoding seen at each.
 """
 
 import resource
@@ -25,10 +26,10 @@ for spine in (6_250, 12_500, 25_000, 50_000):
     )
     t1 = time.perf_counter()
     records = []
-    for eg, rec in encoding_history(inst):
+    for sweep, rec in encoding_history(inst):
         records.append(rec)
     t2 = time.perf_counter()
-    answer = eg.tar is not None
+    answer = sweep.tar is not None
     assert check_size_bound(records) is None
     peak = max(rec.pre_extraction for rec in records)
     print(

@@ -3,14 +3,12 @@
 Vertices are swept in the caterpillar ordering v_1..v_n.  After step i the
 solver holds the encoding graph of the prefix on v_1..v_i: the component of
 the start restriction, contracted over colorings that agree on the active
-spine vertex and interconvert without recoloring it.  A leaf step only
-deletes e-node edges whose endpoint cols are exactly the leaf's two list
-colors.  A spine step rebuilds e-nodes from scratch: for each color c of the
-new spine vertex, every connected component left after dropping col-c
-e-nodes becomes one new e-node with col c, and two new e-nodes are adjacent
-when their underlying sets intersect.  Either step ends by extracting the
-component of the ini e-node.  The instance is reconfigurable exactly when
-the final encoding graph still carries the tar label.
+spine vertex and interconvert without recoloring it.  ``Sweep`` holds that
+graph as one working state that its leaf and spine steps change in place;
+the instance is reconfigurable exactly when the final state keeps the tar
+label.  A leaf whose two colors join no pair of e-nodes costs O(1); a spine
+step costs time linear in the encoding size, so the sweep is quadratic on
+3-colour paths, where the encoding gains one e-node per step.
 
 Per-step growth obeys
     |V(E'_1)| <= 2   and   |V(E'_i)| <= |V(E_{i-1})| + d(v_i)
@@ -75,126 +73,123 @@ class SizeRecord:
         return 2 if self.step == 1 else self.prev_size + self.degree
 
 
-def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
-    """Extract the component of the ini e-node, renumbering stably."""
-    if ini is None:
-        raise IniLost("start e-node vanished; the step preconditions were broken")
-    adj: dict[int, list[int]] = {i: [] for i in range(len(cols))}
-    for x, y in edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    reached = {ini}
-    stack = [ini]
-    while stack:
-        u = stack.pop()
+def _grow(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
+    """Mark and list every e-node reachable from start through unmarked ones."""
+    seen[start] = True
+    reached = [start]
+    for u in reached:  # the list grows as it is read: breadth first
         for w in adj[u]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    keep = sorted(reached)
-    renum = {old: new for new, old in enumerate(keep)}
-    new_edges = sorted(
-        (renum[x], renum[y]) if renum[x] < renum[y] else (renum[y], renum[x])
-        for x, y in edges
-        if x in reached and y in reached
-    )
-    new_tar = renum.get(tar) if tar is not None else None
-    return EncodingGraph(
-        tuple(cols[i] for i in keep),
-        tuple(new_edges),
-        renum[ini],
-        new_tar,
-        step_index,
-    )
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    return reached
 
 
-def step_leaf(prev: EncodingGraph, leaf_list: Sequence[int]) -> EncodingGraph:
-    """Extend the prefix by a leaf of the current spine vertex.
+class Sweep:
+    """The sweep's working state: one encoding graph, changed in place.
 
-    Keeping the prefix reconfigurable just forbids the spine vertex from
-    crossing between the leaf's two colors, so exactly the e-node edges
-    whose cols are that pair disappear; labels carry over.
+    ``cols`` and ``adj`` hold each e-node's col and neighbour set, the rest
+    is as in ``EncodingGraph``.  ``pairs`` covers the sorted col pair of
+    every edge (a stale pair costs one scan that cuts nothing), so a leaf
+    whose two colors form none of them costs O(1).
     """
-    colors = sorted(set(leaf_list))
-    if len(colors) != 2:
-        raise NotNormalized(f"leaf list {colors} must hold exactly 2 colors")
-    pair = set(colors)
-    kept = tuple(
-        (x, y) for x, y in prev.edges if {prev.cols[x], prev.cols[y]} != pair
-    )
-    return _ini_component(prev.cols, kept, prev.ini, prev.tar, prev.step_index + 1)
 
+    def __init__(self, cols, edges, ini, tar, step_index):
+        self.cols, self.ini, self.tar = list(cols), ini, tar
+        self.step_index = step_index
+        self.adj, self.pairs = [set() for _ in self.cols], set()
+        for x, y in edges:
+            self.adj[x].add(y)
+            self.adj[y].add(x)
+            self.pairs.add(tuple(sorted((self.cols[x], self.cols[y]))))
 
-def _spine_parts(
-    prev: EncodingGraph, colors: Sequence[int]
-) -> list[tuple[int, frozenset[int]]]:
-    """New (col, previous e-node set) pairs: one per surviving component.
+    def __len__(self) -> int:
+        return len(self.cols)
 
-    For each color, components of the e-nodes avoiding it are found by one
-    scan of the e-node ids in order, so they come out by smallest member.
-    """
-    adj = prev.adjacency()
-    parts: list[tuple[int, frozenset[int]]] = []
-    for c in colors:
-        seen = [col == c for col in prev.cols]
-        for start in range(len(seen)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            parts.append((c, frozenset(comp)))
-    return parts
+    def snapshot(self) -> EncodingGraph:
+        """The current state as a frozen ``EncodingGraph``."""
+        edges = [(x, y) for x, ys in enumerate(self.adj) for y in sorted(ys) if x < y]
+        return EncodingGraph(
+            tuple(self.cols), tuple(edges), self.ini, self.tar, self.step_index
+        )
 
+    def _extract(self) -> None:
+        """Keep the ini e-node's component, renumbered stably (no-op if whole)."""
+        if self.ini is None:
+            raise IniLost("start e-node vanished; the step preconditions were broken")
+        adj = self.adj
+        reached = _grow(adj, self.ini, [False] * len(adj))
+        if len(reached) < len(adj):
+            keep = sorted(reached)
+            renum = {old: new for new, old in enumerate(keep)}
+            self.cols = [self.cols[x] for x in keep]
+            self.adj = [{renum[y] for y in adj[x]} for x in keep]
+            self.ini, self.tar = renum[self.ini], renum.get(self.tar)
 
-def step_spine(
-    prev: EncodingGraph,
-    spine_list: Sequence[int],
-    f0_color: int,
-    fr_color: int,
-) -> tuple[EncodingGraph, int]:
-    """Extend the prefix by the next spine vertex.
+    def leaf(self, leaf_list: Sequence[int]) -> int:
+        """Extend the prefix by a leaf of the current spine vertex.
 
-    The new vertex's color c restricts the old prefix to e-nodes avoiding c;
-    each leftover component can be held fixed while the new vertex sits on c,
-    so it becomes one new e-node.  Two new e-nodes sharing an old e-node are
-    adjacent (recolor the new vertex while the rest stays put).  The ini and
-    tar marks land on the new e-nodes that extend the old ones with the
-    matching endpoint color.  Returns the new encoding graph and its e-node
-    count before component extraction.
-    """
-    colors = sorted(set(spine_list))
-    if f0_color not in colors or fr_color not in colors:
-        raise ValueError("endpoint colors must come from the spine list")
-    parts = _spine_parts(prev, colors)
+        Keeping the prefix reconfigurable just forbids the spine vertex from
+        crossing between the leaf's two colors, so exactly the e-node edges
+        whose cols are that pair disappear; labels carry over.  Returns the
+        e-node count before component extraction.
+        """
+        colors = sorted(set(leaf_list))
+        if len(colors) != 2:
+            raise NotNormalized(f"leaf list {colors} must hold exactly 2 colors")
+        self.step_index += 1
+        pre, (a, b) = len(self.cols), colors
+        if (a, b) in self.pairs:
+            self.pairs.discard((a, b))
+            cols, adj = self.cols, self.adj
+            for x in [x for x, col in enumerate(cols) if col == a]:
+                for y in [y for y in adj[x] if cols[y] == b]:
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+            self._extract()
+        return pre
 
-    membership: list[list[int]] = [[] for _ in prev.cols]
-    for i, (_, members) in enumerate(parts):
-        for x in members:
-            membership[x].append(i)
-    edges = set()
-    for owners in membership:
-        for a in range(len(owners)):
-            for b in range(a + 1, len(owners)):
-                edges.add((owners[a], owners[b]))
+    def spine(self, spine_list: Sequence[int], f0_color: int, fr_color: int) -> int:
+        """Extend the prefix by the next spine vertex.
 
-    ini = tar = None
-    for i, (c, members) in enumerate(parts):
-        if c == f0_color and prev.ini in members:
-            ini = i
-        if prev.tar is not None and c == fr_color and prev.tar in members:
-            tar = i
-    result = _ini_component(
-        [c for c, _ in parts], sorted(edges), ini, tar, prev.step_index + 1
-    )
-    return result, len(parts)
+        The new vertex's color c restricts the old prefix to e-nodes avoiding
+        c; each leftover component can be held fixed while the new vertex
+        sits on c, so it becomes one new e-node.  Two new e-nodes sharing an
+        old e-node are adjacent (recolor the new vertex while the rest stays
+        put).  The ini and tar marks land on the new e-nodes that extend the
+        old ones with the matching endpoint color.  New e-nodes come out by
+        color, then by smallest old member.  Returns the e-node count before
+        component extraction.
+        """
+        colors = sorted(set(spine_list))
+        if f0_color not in colors or fr_color not in colors:
+            raise ValueError("endpoint colors must come from the spine list")
+        cols, adj = self.cols, self.adj
+        new_cols = []
+        owners = [[] for _ in cols]  # the new e-nodes holding each old one
+        for c in colors:
+            seen = [col == c for col in cols]
+            for start, done in enumerate(seen):
+                if not done:
+                    for x in _grow(adj, start, seen):
+                        owners[x].append(len(new_cols))
+                    new_cols.append(c)
+        new_adj, pairs = [set() for _ in new_cols], set()
+        for own in owners:
+            for i, p in enumerate(own):
+                for q in own[i + 1:]:
+                    new_adj[p].add(q)
+                    new_adj[q].add(p)
+                    pairs.add((new_cols[p], new_cols[q]))  # p < q, so sorted
+        ini = {new_cols[p]: p for p in owners[self.ini]}.get(f0_color)
+        tar = None
+        if self.tar is not None:
+            tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
+        self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
+        self.ini, self.tar = ini, tar
+        self.step_index += 1
+        self._extract()
+        return len(new_cols)
 
 
 def _recognize(inst: LcrInstance) -> CaterpillarStructure:
@@ -224,37 +219,36 @@ def _check_normalized(inst: LcrInstance) -> None:
 
 def encoding_history(
     inst: LcrInstance, structure: Optional[CaterpillarStructure] = None
-) -> Iterator[tuple[EncodingGraph, SizeRecord]]:
-    """Run the sweep, yielding each step's encoding graph and size record.
+) -> Iterator[tuple[Sweep, SizeRecord]]:
+    """Run the sweep, yielding the live ``Sweep`` and each step's size record.
 
     This is the one entry to the sweep; the instance is reconfigurable
-    exactly when the last encoding graph keeps its tar mark.  The caller is
-    expected to have handled normalization, the f0 = fr shortcut, empty
-    graphs, and component splitting; the sweep demands a connected
-    caterpillar with list sizes in [2, degree+1] (a lone vertex with a
-    2-color list is the one allowed degenerate case).  The first step is a
-    K2 on the start vertex's two colors: that vertex ends the spine, so it
-    has degree at most 1 and the normalization check pins its list to 2.
+    exactly when the last state keeps its tar mark.  Each step changes the
+    same ``Sweep`` in place: take ``snapshot()`` to keep a step's encoding.
+    The caller is expected to have handled normalization, the f0 = fr
+    shortcut, empty graphs, and component splitting; the sweep demands a
+    connected caterpillar with list sizes in [2, degree+1] (a lone vertex
+    with a 2-color list is the one allowed degenerate case).  The first step
+    is a K2 on the start vertex's two colors: that vertex ends the spine, so
+    it has degree at most 1 and the normalization check pins its list to 2.
     """
     structure = structure or _recognize(inst)
     _check_normalized(inst)
     v1 = structure.ordering[0]
-    cols = tuple(sorted(inst.lists[v1]))
+    cols = sorted(inst.lists[v1])
     tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
-    eg = EncodingGraph(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
-    yield eg, SizeRecord(1, v1, "init", inst.graph.degree(v1), len(eg), 0, len(eg))
+    sweep = Sweep(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
+    k = len(sweep)
+    yield sweep, SizeRecord(1, v1, "init", inst.graph.degree(v1), k, 0, k)
     spine_set = set(structure.spine)
     for i, v in enumerate(structure.ordering[1:], start=2):
-        prev_size = len(eg)
+        prev_size = len(sweep)
         if v in spine_set:
-            eg, pre = step_spine(eg, inst.lists[v], inst.f0[v], inst.fr[v])
-            kind = "spine"
+            kind, pre = "spine", sweep.spine(inst.lists[v], inst.f0[v], inst.fr[v])
         else:
-            eg = step_leaf(eg, inst.lists[v])
-            pre = prev_size
-            kind = "leaf"
-        yield eg, SizeRecord(
-            i, v, kind, inst.graph.degree(v), pre, prev_size, len(eg)
+            kind, pre = "leaf", sweep.leaf(inst.lists[v])
+        yield sweep, SizeRecord(
+            i, v, kind, inst.graph.degree(v), pre, prev_size, len(sweep)
         )
 
 

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import fileio, oracle
-from .caterpillar_dp import encoding_history
 from .driver import solve_driver
 from .errors import LcrError, ParseError, StateSpaceTooLarge
 from .experiments import run_experiments
@@ -51,27 +50,31 @@ def _parse_instance_or_graph(text: str):
 
 def _cmd_solve(args) -> int:
     inst = fileio.parse_lcr(_read(args.file))
+    trace: list[list[str]] = []  # the lines of each swept component
+
+    def trace_step(sweep, rec) -> None:
+        if rec.kind == "init":
+            trace.append([f"component {len(trace)}"])
+        eg = sweep.snapshot()
+        trace[-1].append(f"step {rec.step} vertex {rec.vertex} {rec.kind}")
+        trace[-1].extend(
+            f"enode {i} col {col} ini {int(eg.ini == i)} tar {int(eg.tar == i)}"
+            for i, col in enumerate(eg.cols)
+        )
+        trace[-1].extend(f"eedge {x} {y}" for x, y in eg.edges)
+
     report = solve_driver(
-        inst, algo=args.algo, want_witness=args.witness, state_cap=args.state_cap
+        inst, algo=args.algo, want_witness=args.witness, state_cap=args.state_cap,
+        observer=trace_step if args.trace else None,
     )
     print("YES" if report.answer else "NO")
     if report.witness:
         for v, c in report.witness:
             print(f"r {v} {c}")
-    if args.trace:
-        if report.algorithm != "caterpillar":
-            print("# trace available only for the caterpillar algorithm")
-        else:
-            for comp_idx, comp in enumerate(report.components):
-                print(f"component {comp_idx}")
-                for eg, rec in encoding_history(comp.instance, comp.structure):
-                    print(f"step {rec.step} vertex {rec.vertex} {rec.kind}")
-                    for i, col in enumerate(eg.cols):
-                        ini = 1 if eg.ini == i else 0
-                        tar = 1 if eg.tar == i else 0
-                        print(f"enode {i} col {col} ini {ini} tar {tar}")
-                    for x, y in eg.edges:
-                        print(f"eedge {x} {y}")
+    if args.trace and report.algorithm != "caterpillar":
+        print("# trace available only for the caterpillar algorithm")
+    elif trace:
+        print("\n".join(line for lines in trace for line in lines))
     return EXIT_OK
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import caterpillar_dp, oracle
-from .caterpillar_dp import SizeRecord
+from .caterpillar_dp import SizeRecord, Sweep
 from .errors import ImproperEndpoints, NotCaterpillar
-from .graph import CaterpillarStructure, recognize_caterpillar
+from .graph import recognize_caterpillar
 from .instance import (
     LcrInstance,
     Step,
@@ -36,8 +36,6 @@ class ComponentReport:
     oracle_nodes: Optional[int] = None
     oracle_edges: Optional[int] = None
     size_history: list[SizeRecord] = field(default_factory=list)
-    instance: Optional[LcrInstance] = None  # the sub-instance that was swept
-    structure: Optional[CaterpillarStructure] = None
 
     @property
     def enode_peak(self) -> Optional[int]:
@@ -64,6 +62,7 @@ def solve_driver(
     algo: str = "auto",
     want_witness: bool = False,
     state_cap: int = oracle.DEFAULT_STATE_CAP,
+    observer: Optional[Callable[[Sweep, SizeRecord], None]] = None,
 ) -> SolveReport:
     """Decide the instance; optionally return a recoloring witness.
 
@@ -73,7 +72,8 @@ def solve_driver(
     Witness extraction is oracle-only, so ``want_witness`` overrides the
     sweep unless the caller insisted on it, in which case a witness request
     is an error.  Each component is recognized at most once; the sweep
-    reuses that structure.
+    reuses that structure.  ``observer``, if given, sees each sweep step as
+    (live ``Sweep``, size record); each swept component opens with ``init``.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -108,11 +108,13 @@ def solve_driver(
             )
         if structure is not None:
             history = []
-            for eg, rec in caterpillar_dp.encoding_history(sub, structure):
+            for state, rec in caterpillar_dp.encoding_history(sub, structure):
                 history.append(rec)
+                if observer is not None:
+                    observer(state, rec)
             report = ComponentReport(
-                tuple(comp), "caterpillar", eg.tar is not None,
-                size_history=history, instance=sub, structure=structure,
+                tuple(comp), "caterpillar", state.tar is not None,
+                size_history=history,
             )
         else:
             rg = oracle.build(sub.graph, sub.lists, state_cap)
@@ -120,7 +122,6 @@ def solve_driver(
             report = ComponentReport(
                 tuple(comp), "bruteforce", steps is not None,
                 oracle_nodes=rg.num_nodes, oracle_edges=rg.num_edges,
-                instance=sub,
             )
             if steps is not None and witness_steps is not None:
                 back = {new: old for old, new in id_map.items()}

@@ -109,24 +109,25 @@ def adjacent_s_paths(p: Sequence[int], q: Sequence[int]) -> bool:
 
 
 def enumerate_s_paths(inst: SprInstance, cap: int = DEFAULT_PATH_CAP) -> list[SPath]:
-    """All shortest s-t paths, depth first in increasing vertex order."""
+    """All shortest s-t paths, depth first in increasing vertex order, kept
+    on a stack of neighbour iterators (one per layer) instead of recursion."""
     layer_sets = [set(layer) for layer in inst.layers]
     out: list[SPath] = []
     prefix = [inst.s]
-
-    def extend(i: int):
-        if i == inst.d:
+    pending = [iter(inst.graph.neighbors(inst.s))]
+    while pending:
+        if len(prefix) == inst.d + 1:
             out.append(tuple(prefix))
             if len(out) > cap:
                 raise StateSpaceTooLarge(len(out), cap)
-            return
-        for w in inst.graph.neighbors(prefix[-1]):
-            if w in layer_sets[i + 1]:
+        else:
+            w = next((w for w in pending[-1] if w in layer_sets[len(prefix)]), None)
+            if w is not None:
                 prefix.append(w)
-                extend(i + 1)
-                prefix.pop()
-
-    extend(0)
+                pending.append(iter(inst.graph.neighbors(w)))
+                continue
+        prefix.pop()
+        pending.pop()
     return out
 
 

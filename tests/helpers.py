@@ -13,12 +13,25 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from lcr.caterpillar_dp import encoding_history
-from lcr.errors import GenerationFailed, InfeasibleList, StateSpaceTooLarge
+from lcr.caterpillar_dp import (
+    EncodingGraph,
+    SizeRecord,
+    Sweep,
+    _check_normalized,
+    _recognize,
+    encoding_history,
+)
+from lcr.errors import (
+    GenerationFailed,
+    IniLost,
+    InfeasibleList,
+    NotNormalized,
+    StateSpaceTooLarge,
+)
 from lcr.generators import gen_caterpillar, gen_layered_spr
-from lcr.graph import Graph
+from lcr.graph import CaterpillarStructure, Graph
 from lcr.instance import (
     Coloring,
     LcrInstance,
@@ -29,7 +42,7 @@ from lcr.instance import (
 )
 from lcr.oracle import DEFAULT_STATE_CAP, ReconfigurationGraph, state_space_size
 from lcr.reduction import ReducedInstance, compile_spr
-from lcr.rerouting import SprInstance
+from lcr.rerouting import DEFAULT_PATH_CAP, SPath, SprInstance
 
 
 def sweep_answer(inst: LcrInstance) -> bool:
@@ -170,6 +183,193 @@ def splicing_build(
     return ReconfigurationGraph(
         g, lists, nodes, index, tuple(tuple(sorted(a)) for a in adj)
     )
+
+
+# -- rebuilding reference for the caterpillar sweep ---------------------------------
+#
+# ``lcr.caterpillar_dp.Sweep`` changes one working state in place; these
+# steps build a fresh frozen ``EncodingGraph`` each time, straight from the
+# definition, and the engine's snapshots must equal them exactly.
+
+
+def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
+    """Extract the component of the ini e-node, renumbering stably."""
+    if ini is None:
+        raise IniLost("start e-node vanished; the step preconditions were broken")
+    adj: dict[int, list[int]] = {i: [] for i in range(len(cols))}
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    reached = {ini}
+    stack = [ini]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    keep = sorted(reached)
+    renum = {old: new for new, old in enumerate(keep)}
+    new_edges = sorted(
+        (renum[x], renum[y]) if renum[x] < renum[y] else (renum[y], renum[x])
+        for x, y in edges
+        if x in reached and y in reached
+    )
+    new_tar = renum.get(tar) if tar is not None else None
+    return EncodingGraph(
+        tuple(cols[i] for i in keep),
+        tuple(new_edges),
+        renum[ini],
+        new_tar,
+        step_index,
+    )
+
+
+def step_leaf(prev: EncodingGraph, leaf_list: Sequence[int]) -> EncodingGraph:
+    """Extend the prefix by a leaf of the current spine vertex.
+
+    Keeping the prefix reconfigurable just forbids the spine vertex from
+    crossing between the leaf's two colors, so exactly the e-node edges
+    whose cols are that pair disappear; labels carry over.
+    """
+    colors = sorted(set(leaf_list))
+    if len(colors) != 2:
+        raise NotNormalized(f"leaf list {colors} must hold exactly 2 colors")
+    pair = set(colors)
+    kept = tuple(
+        (x, y) for x, y in prev.edges if {prev.cols[x], prev.cols[y]} != pair
+    )
+    return _ini_component(prev.cols, kept, prev.ini, prev.tar, prev.step_index + 1)
+
+
+def _spine_parts(
+    prev: EncodingGraph, colors: Sequence[int]
+) -> list[tuple[int, frozenset[int]]]:
+    """New (col, previous e-node set) pairs: one per surviving component.
+
+    For each color, components of the e-nodes avoiding it are found by one
+    scan of the e-node ids in order, so they come out by smallest member.
+    """
+    adj = prev.adjacency()
+    parts: list[tuple[int, frozenset[int]]] = []
+    for c in colors:
+        seen = [col == c for col in prev.cols]
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        stack.append(w)
+            parts.append((c, frozenset(comp)))
+    return parts
+
+
+def step_spine(
+    prev: EncodingGraph,
+    spine_list: Sequence[int],
+    f0_color: int,
+    fr_color: int,
+) -> tuple[EncodingGraph, int]:
+    """Extend the prefix by the next spine vertex.
+
+    The new vertex's color c restricts the old prefix to e-nodes avoiding c;
+    each leftover component can be held fixed while the new vertex sits on c,
+    so it becomes one new e-node.  Two new e-nodes sharing an old e-node are
+    adjacent (recolor the new vertex while the rest stays put).  The ini and
+    tar marks land on the new e-nodes that extend the old ones with the
+    matching endpoint color.  Returns the new encoding graph and its e-node
+    count before component extraction.
+    """
+    colors = sorted(set(spine_list))
+    if f0_color not in colors or fr_color not in colors:
+        raise ValueError("endpoint colors must come from the spine list")
+    parts = _spine_parts(prev, colors)
+
+    membership: list[list[int]] = [[] for _ in prev.cols]
+    for i, (_, members) in enumerate(parts):
+        for x in members:
+            membership[x].append(i)
+    edges = set()
+    for owners in membership:
+        for a in range(len(owners)):
+            for b in range(a + 1, len(owners)):
+                edges.add((owners[a], owners[b]))
+
+    ini = tar = None
+    for i, (c, members) in enumerate(parts):
+        if c == f0_color and prev.ini in members:
+            ini = i
+        if prev.tar is not None and c == fr_color and prev.tar in members:
+            tar = i
+    result = _ini_component(
+        [c for c, _ in parts], sorted(edges), ini, tar, prev.step_index + 1
+    )
+    return result, len(parts)
+
+
+def reference_history(
+    inst: LcrInstance, structure: Optional[CaterpillarStructure] = None
+) -> list[tuple[EncodingGraph, SizeRecord]]:
+    """Every step's frozen encoding graph and size record, by rebuilding."""
+    structure = structure or _recognize(inst)
+    _check_normalized(inst)
+    v1 = structure.ordering[0]
+    cols = tuple(sorted(inst.lists[v1]))
+    tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
+    eg = EncodingGraph(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
+    out = [(eg, SizeRecord(1, v1, "init", inst.graph.degree(v1), len(eg), 0, len(eg)))]
+    spine_set = set(structure.spine)
+    for i, v in enumerate(structure.ordering[1:], start=2):
+        prev_size = len(eg)
+        if v in spine_set:
+            eg, pre = step_spine(eg, inst.lists[v], inst.f0[v], inst.fr[v])
+            kind = "spine"
+        else:
+            eg = step_leaf(eg, inst.lists[v])
+            pre = prev_size
+            kind = "leaf"
+        out.append((eg, SizeRecord(
+            i, v, kind, inst.graph.degree(v), pre, prev_size, len(eg)
+        )))
+    return out
+
+
+def load_sweep(eg: EncodingGraph) -> Sweep:
+    """A working state holding ``eg``, which must be its ini component."""
+    return Sweep(eg.cols, eg.edges, eg.ini, eg.tar, eg.step_index)
+
+
+def recursive_s_paths(inst: SprInstance, cap: int = DEFAULT_PATH_CAP) -> list[SPath]:
+    """Recursive reference for ``lcr.rerouting.enumerate_s_paths``.
+
+    One call per layer, so only for instances far shallower than the
+    interpreter's recursion limit; the package keeps an explicit stack.
+    """
+    layer_sets = [set(layer) for layer in inst.layers]
+    out: list[SPath] = []
+    prefix = [inst.s]
+
+    def extend(i: int):
+        if i == inst.d:
+            out.append(tuple(prefix))
+            if len(out) > cap:
+                raise StateSpaceTooLarge(len(out), cap)
+            return
+        for w in inst.graph.neighbors(prefix[-1]):
+            if w in layer_sets[i + 1]:
+                prefix.append(w)
+                extend(i + 1)
+                prefix.pop()
+
+    extend(0)
+    return out
 
 
 def path_graph(n: int) -> Graph:

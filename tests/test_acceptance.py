@@ -83,7 +83,7 @@ def test_criterion_2_every_prefix_encoding_is_isomorphic(cat_corpus):
     matched = prefixes = 0
     for inst in subset:
         st = recognize_caterpillar(inst.graph)
-        for eg, rec in encoding_history(inst, st):
+        for sweep, rec in encoding_history(inst, st):
             prefixes += 1
             prefix = st.ordering[: rec.step]
             sub, id_map = induced_instance(inst, prefix)
@@ -92,7 +92,7 @@ def test_criterion_2_every_prefix_encoding_is_isomorphic(cat_corpus):
             oracle_eg = contract_encoding(
                 rg, comp, id_map[st.spine_of_prefix[rec.step - 1]], sub.f0, sub.fr
             )
-            matched += label_preserving_isomorphic(eg, oracle_eg)
+            matched += label_preserving_isomorphic(sweep.snapshot(), oracle_eg)
     ok = len(subset) == 200 and matched == prefixes
     report(2, ok, f"{matched}/{prefixes} prefixes isomorphic on {len(subset)} instances")
     assert ok

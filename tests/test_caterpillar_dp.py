@@ -8,10 +8,9 @@ from lcr.caterpillar_dp import (
     SizeRecord,
     check_size_bound,
     encoding_history,
-    step_leaf,
-    step_spine,
 )
 from lcr.errors import IniLost, NotCaterpillar, NotNormalized
+from lcr.generators import gen_caterpillar
 from lcr.graph import recognize_caterpillar
 from lcr.instance import induced_instance
 from lcr.reference import (
@@ -20,7 +19,14 @@ from lcr.reference import (
     validate_encoding,
 )
 
-from .helpers import caterpillar_corpus, cycle_graph, sweep_answer
+from . import helpers
+from .helpers import (
+    caterpillar_corpus,
+    cycle_graph,
+    load_sweep,
+    reference_history,
+    sweep_answer,
+)
 
 
 def branchy_caterpillar():
@@ -34,11 +40,32 @@ def branchy_caterpillar():
     )
 
 
+def snapshots(inst, structure=None):
+    return [(s.snapshot(), rec) for s, rec in encoding_history(inst, structure)]
+
+
+def engine_leaf(prev, leaf_list):
+    sweep = load_sweep(prev)
+    sweep.leaf(leaf_list)
+    return sweep.snapshot()
+
+
+def engine_spine(prev, spine_list, f0_color, fr_color):
+    sweep = load_sweep(prev)
+    pre = sweep.spine(spine_list, f0_color, fr_color)
+    return sweep.snapshot(), pre
+
+
+# the rebuilding reference and the working-state engine must agree on each case
+LEAF_STEPS = (helpers.step_leaf, engine_leaf)
+SPINE_STEPS = (helpers.step_spine, engine_spine)
+
+
 # -- initialization ----------------------------------------------------------------
 
 
 def first_step(inst):
-    return next(encoding_history(inst))[0]
+    return next(encoding_history(inst))[0].snapshot()
 
 
 def test_init_is_a_k2_with_endpoint_marks():
@@ -71,33 +98,37 @@ def test_init_requires_a_two_color_list():
 
 def test_leaf_with_the_same_pair_cuts_the_k2():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    assert step_leaf(prev, [1, 2]) == EncodingGraph(
-        cols=(1,), edges=(), ini=0, tar=None, step_index=2
-    )
+    for step_leaf in LEAF_STEPS:
+        assert step_leaf(prev, [1, 2]) == EncodingGraph(
+            cols=(1,), edges=(), ini=0, tar=None, step_index=2
+        )
 
 
 def test_leaf_disjoint_from_all_cols_changes_nothing():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    assert step_leaf(prev, [3, 4]) == EncodingGraph(
-        cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=2
-    )
+    for step_leaf in LEAF_STEPS:
+        assert step_leaf(prev, [3, 4]) == EncodingGraph(
+            cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=2
+        )
 
 
 def test_leaf_can_isolate_the_middle_of_a_path():
     prev = EncodingGraph(
         cols=(1, 2, 1), edges=((0, 1), (1, 2)), ini=1, tar=0, step_index=3
     )
-    assert step_leaf(prev, [1, 2]) == EncodingGraph(
-        cols=(2,), edges=(), ini=0, tar=None, step_index=4
-    )
+    for step_leaf in LEAF_STEPS:
+        assert step_leaf(prev, [1, 2]) == EncodingGraph(
+            cols=(2,), edges=(), ini=0, tar=None, step_index=4
+        )
 
 
 def test_leaf_list_must_hold_two_colors():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    with pytest.raises(NotNormalized):
-        step_leaf(prev, [1])
-    with pytest.raises(NotNormalized):
-        step_leaf(prev, [1, 2, 3])
+    for step_leaf in LEAF_STEPS:
+        with pytest.raises(NotNormalized):
+            step_leaf(prev, [1])
+        with pytest.raises(NotNormalized):
+            step_leaf(prev, [1, 2, 3])
 
 
 # -- spine steps ------------------------------------------------------------------
@@ -105,53 +136,58 @@ def test_leaf_list_must_hold_two_colors():
 
 def test_spine_over_a_frozen_pair_keeps_only_the_start_side():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    # two new e-nodes before extraction, one after
-    assert step_spine(prev, [1, 2], 2, 1) == (
-        EncodingGraph(cols=(2,), edges=(), ini=0, tar=None, step_index=2), 2
-    )
+    for step_spine in SPINE_STEPS:
+        # two new e-nodes before extraction, one after
+        assert step_spine(prev, [1, 2], 2, 1) == (
+            EncodingGraph(cols=(2,), edges=(), ini=0, tar=None, step_index=2), 2
+        )
 
 
 def test_spine_with_fresh_colors_splits_one_node_into_a_free_edge():
     prev = EncodingGraph(cols=(1,), edges=(), ini=0, tar=0, step_index=1)
-    assert step_spine(prev, [2, 3], 2, 3) == (
-        EncodingGraph(cols=(2, 3), edges=((0, 1),), ini=0, tar=1, step_index=2),
-        2,
-    )
+    for step_spine in SPINE_STEPS:
+        assert step_spine(prev, [2, 3], 2, 3) == (
+            EncodingGraph(cols=(2, 3), edges=((0, 1),), ini=0, tar=1, step_index=2),
+            2,
+        )
 
 
 def test_spine_color_missing_from_prev_collects_everything():
     # members: col 1 keeps old e-node {1}, col 2 keeps {0}, col 9 keeps {0, 1};
     # the edges say col 9 meets both others, which share nothing
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    eg, pre = step_spine(prev, [1, 2, 9], 9, 9)
-    assert eg == EncodingGraph(
-        cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
-    )
-    assert pre == 3
-    # the marks say which new e-node holds old ini 0 and old tar 1
-    eg, _ = step_spine(prev, [1, 2, 9], 2, 1)
-    assert eg == EncodingGraph(
-        cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0, step_index=2
-    )
+    for step_spine in SPINE_STEPS:
+        eg, pre = step_spine(prev, [1, 2, 9], 9, 9)
+        assert eg == EncodingGraph(
+            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
+        )
+        assert pre == 3
+        # the marks say which new e-node holds old ini 0 and old tar 1
+        eg, _ = step_spine(prev, [1, 2, 9], 2, 1)
+        assert eg == EncodingGraph(
+            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0, step_index=2
+        )
 
 
 def test_spine_step_records_component_members():
     # members: col 1 keeps old e-node {1}, col 3 keeps {0, 1}
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    assert step_spine(prev, [1, 3], 3, 3)[0] == EncodingGraph(
-        cols=(1, 3), edges=((0, 1),), ini=1, tar=1, step_index=2
-    )
-    assert step_spine(prev, [1, 3], 3, 1)[0] == EncodingGraph(
-        cols=(1, 3), edges=((0, 1),), ini=1, tar=0, step_index=2
-    )
-    with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
-        step_spine(prev, [1, 3], 1, 1)
+    for step_spine in SPINE_STEPS:
+        assert step_spine(prev, [1, 3], 3, 3)[0] == EncodingGraph(
+            cols=(1, 3), edges=((0, 1),), ini=1, tar=1, step_index=2
+        )
+        assert step_spine(prev, [1, 3], 3, 1)[0] == EncodingGraph(
+            cols=(1, 3), edges=((0, 1),), ini=1, tar=0, step_index=2
+        )
+        with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
+            step_spine(prev, [1, 3], 1, 1)
 
 
 def test_spine_endpoint_colors_must_come_from_the_list():
     prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
-    with pytest.raises(ValueError):
-        step_spine(prev, [1, 2], 7, 1)
+    for step_spine in SPINE_STEPS:
+        with pytest.raises(ValueError):
+            step_spine(prev, [1, 2], 7, 1)
 
 
 # -- full sweeps --------------------------------------------------------------------
@@ -159,7 +195,7 @@ def test_spine_endpoint_colors_must_come_from_the_list():
 
 def test_history_on_the_branchy_caterpillar():
     inst = branchy_caterpillar()
-    steps = list(encoding_history(inst))
+    steps = snapshots(inst)
     assert [rec for _, rec in steps] == [
         SizeRecord(1, 0, "init", 1, 2, 0, 2),
         SizeRecord(2, 1, "spine", 3, 3, 2, 3),
@@ -181,9 +217,37 @@ def test_history_on_the_branchy_caterpillar():
 
 def test_history_is_deterministic():
     inst = branchy_caterpillar()
-    first = list(encoding_history(inst))
-    second = list(encoding_history(inst))
-    assert first == second
+    assert snapshots(inst) == snapshots(inst)
+
+
+def test_engine_matches_the_rebuilding_reference():
+    corpus = caterpillar_corpus(150, base_seed=2401)
+    corpus += [  # 3-colour paths: the encoding gains one e-node per step
+        gen_caterpillar(n, leaf_prob=0, colors=3, list_range=(3, 3), seed=n)
+        for n in range(2, 61)
+    ]
+    corpus += [  # leafy: one leaf on every spine vertex, tiny encodings
+        gen_caterpillar(
+            spine, colors=6, list_range=(2, 3), leaves_per_spine=1, seed=seed
+        )
+        for spine, seed in ((40, 1), (80, 2), (160, 3))
+    ]
+    seen = set()
+    for inst in corpus:
+        ref = reference_history(inst)
+        assert snapshots(inst) == ref
+        for (prev, _), (eg, rec) in zip(ref, ref[1:]):
+            if rec.kind == "leaf":
+                pair = set(inst.lists[rec.vertex])
+                cut = any({prev.cols[x], prev.cols[y]} == pair for x, y in prev.edges)
+                seen.add("leaf cuts edges" if cut else "leaf cuts nothing")
+            if rec.final_size < rec.pre_extraction:
+                seen.add("extraction drops e-nodes")
+            if prev.tar is not None and eg.tar is None:
+                seen.add("tar lost")
+    assert seen == {
+        "leaf cuts edges", "leaf cuts nothing", "extraction drops e-nodes", "tar lost"
+    }
 
 
 def test_size_bound_flags_the_offending_step():
@@ -246,7 +310,7 @@ def test_solve_agrees_with_the_oracle_on_random_caterpillars():
 def test_every_prefix_matches_the_contracted_oracle_component():
     for inst in caterpillar_corpus(15, base_seed=2201, max_n=9):
         st = recognize_caterpillar(inst.graph)
-        for eg, rec in encoding_history(inst, st):
+        for eg, rec in snapshots(inst, st):
             validate_encoding(eg, spine_list=inst.lists[st.spine_of_prefix[rec.step - 1]])
             prefix = st.ordering[: rec.step]
             sub, id_map = induced_instance(inst, prefix)

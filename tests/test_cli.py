@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import lcr.caterpillar_dp
+import lcr.cli
 from lcr import Graph, is_valid_sequence, make_instance
 from lcr.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, main
 from lcr.fileio import (
@@ -68,16 +70,20 @@ def test_solve_trace_dumps_each_step(tmp_path, capsys):
     )
 
 
-def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
+def two_swept_components():
     # vertex 4 is forced (a singleton removal that strips color 1 from
     # vertex 3) and vertex 5 is rich; two caterpillar components remain
-    inst = make_instance(
+    return make_instance(
         Graph(9, [(0, 1), (0, 5), (2, 3), (3, 4), (3, 6), (6, 7), (3, 8)]),
         [{1, 2}, {2, 3}, {3, 4}, {1, 2, 3, 4}, {1}, {1, 2, 3, 4},
          {2, 3, 4}, {3, 4}, {2, 4}],
         (1, 2, 3, 2, 1, 3, 3, 4, 4),
         (2, 3, 4, 3, 1, 4, 4, 3, 2),
     )
+
+
+def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
+    inst = two_swept_components()
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "NO\n"
@@ -116,12 +122,43 @@ def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
     )
 
 
+def test_solve_trace_sweeps_each_component_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = lcr.caterpillar_dp.encoding_history
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].graph.n)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lcr.caterpillar_dp, "encoding_history", counting)
+    # and any name the CLI might import the entry under
+    monkeypatch.setattr(lcr.cli, "encoding_history", counting, raising=False)
+    path = write_lcr(tmp_path, two_swept_components())
+    assert main(["solve", path, "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out.count("component ") == 2
+    assert calls == [2, 5]
+
+
 def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
     inst = mixed_edge()
     path = write_lcr(tmp_path, inst)
     assert main(["solve", path, "--algo", "bruteforce", "--trace"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("YES\n# trace available only")
+
+
+def test_solve_trace_of_a_mixed_run_prints_only_the_notice(tmp_path, capsys):
+    # the path is swept, the triangle goes to the oracle: no partial trace
+    inst = make_instance(
+        Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+        [{1, 2}, {2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}],
+        (1, 2, 1, 2, 3),
+        (2, 3, 1, 2, 3),
+    )
+    assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "YES\n# trace available only for the caterpillar algorithm\n"
+    )
 
 
 def test_solve_equal_endpoints(tmp_path, capsys):

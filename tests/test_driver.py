@@ -51,6 +51,28 @@ def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
     assert [c.algorithm for c in report.components] == ["caterpillar", "bruteforce"]
 
 
+def test_a_plain_solve_never_snapshots_the_sweep(monkeypatch):
+    def refuse(self):
+        raise AssertionError("snapshot taken without an observer")
+
+    monkeypatch.setattr(lcr.caterpillar_dp.Sweep, "snapshot", refuse)
+    for inst in caterpillar_corpus(20, base_seed=7201, max_n=10):
+        solve_driver(inst, algo="caterpillar")
+
+
+def test_the_observer_sees_every_sweep_step():
+    inst = two_component_instance()
+    seen = []
+    report = solve_driver(
+        inst, algo="caterpillar",
+        observer=lambda sweep, rec: seen.append((sweep.snapshot(), rec)),
+    )
+    assert [rec for _, rec in seen] == report.size_history
+    assert [rec.kind for _, rec in seen] == ["init", "spine", "init", "spine"]
+    # the frozen edge loses its tar, the mixed edge keeps it
+    assert [eg.tar is not None for eg, rec in seen if rec.step == 2] == [False, True]
+
+
 def test_caterpillar_and_oracle_agree_through_the_driver():
     for inst in caterpillar_corpus(40, base_seed=7101, max_n=10):
         swept = solve_driver(inst, algo="auto")

@@ -14,7 +14,7 @@ from lcr.rerouting import (
     is_s_path,
 )
 
-from .helpers import ref_count_s_paths
+from .helpers import path_graph, recursive_s_paths, ref_count_s_paths
 
 
 def disjoint_paths_graph(cross_edges=()):
@@ -136,6 +136,36 @@ def test_enumeration_respects_the_cap():
     )
     with pytest.raises(StateSpaceTooLarge):
         enumerate_s_paths(inst, cap=2)
+
+
+def test_enumeration_matches_the_recursive_reference_in_order_and_cap():
+    checked = capped = 0
+    for depth in range(1, 9):
+        for seed in range(25):
+            try:
+                inst = gen_layered_spr(depth, max_width=4, density=0.6, seed=seed)
+            except GenerationFailed:
+                continue
+            paths = recursive_s_paths(inst)
+            assert enumerate_s_paths(inst) == paths
+            checked += 1
+            for cap in {0, 1, len(paths) // 2, len(paths) - 1}:
+                if 0 <= cap < len(paths):
+                    with pytest.raises(StateSpaceTooLarge) as ours:
+                        enumerate_s_paths(inst, cap)
+                    with pytest.raises(StateSpaceTooLarge) as ref:
+                        recursive_s_paths(inst, cap)
+                    assert str(ours.value) == str(ref.value)
+                    capped += 1
+    assert checked > 150 and capped > 300
+
+
+def test_a_long_path_enumerates_without_recursion():
+    n = 1500
+    path = tuple(range(n))
+    inst = build_spr_instance(path_graph(n), 0, n - 1, path, path)
+    assert enumerate_s_paths(inst) == [path]
+    assert brute_solve(inst) == [path]
 
 
 # -- brute-force solving ------------------------------------------------------------
