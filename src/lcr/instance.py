@@ -274,9 +274,16 @@ def is_valid_sequence(inst: LcrInstance, seq: Sequence[Step]) -> bool:
 def induced_instance(
     inst: LcrInstance, vertices: Iterable[int]
 ) -> tuple[LcrInstance, dict[int, int]]:
-    """Sub-instance induced on the given vertices, with the old-to-new map."""
-    sub, id_map = inst.graph.induced_subgraph(vertices)
-    kept = sorted(id_map, key=id_map.get)
+    """Sub-instance induced on the given vertices, with the old-to-new map.
+
+    Vertices that cover the whole instance, as a graph of one component
+    does, give the instance itself back with an identity map, as
+    ``normalize`` does when it removes nothing.
+    """
+    kept = sorted(set(vertices))
+    if kept == list(range(inst.graph.n)):
+        return inst, {v: v for v in kept}
+    sub, id_map = inst.graph.induced_subgraph(kept)
     return (
         LcrInstance(
             sub,

@@ -8,6 +8,7 @@ from lcr import Graph, is_valid_sequence, make_instance
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from lcr.generators import gen_random_instance
+from lcr.instance import normalize
 
 from .helpers import caterpillar_corpus, cycle_graph
 
@@ -178,3 +179,48 @@ def test_dp_size_history_reaches_the_report():
     report = solve_driver(inst, algo="caterpillar")
     assert report.size_history
     assert report.size_history[0].step == 1
+
+
+def copying_induced_instance(inst, vertices):
+    """``induced_instance`` as it was: a fresh copy even of a spanning component."""
+    sub, id_map = inst.graph.induced_subgraph(vertices)
+    kept = sorted(id_map, key=id_map.get)
+    return (
+        make_instance(
+            sub,
+            [inst.lists[v] for v in kept],
+            [inst.f0[v] for v in kept],
+            [inst.fr[v] for v in kept],
+        ),
+        id_map,
+    )
+
+
+def test_a_spanning_component_is_swept_without_a_copy(monkeypatch):
+    def refuse(self, vertices):
+        raise AssertionError("induced_subgraph called on a connected caterpillar")
+
+    corpus = caterpillar_corpus(30, base_seed=7401, max_n=12)
+    spanning = [inst for inst in corpus if normalize(inst)[0] is inst]
+    assert len(spanning) >= 10
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "induced_subgraph", refuse)
+        for inst in spanning:
+            solve_driver(inst, algo="caterpillar")
+    # answers, witnesses and component reports are those of the copying split
+    for want_witness in (False, True):
+        for inst in corpus:
+            report = solve_driver(inst, want_witness=want_witness)
+            with monkeypatch.context() as patch:
+                patch.setattr(lcr.driver, "induced_instance", copying_induced_instance)
+                copied = solve_driver(inst, want_witness=want_witness)
+            assert (report.answer, report.algorithm, report.witness) == (
+                copied.answer, copied.algorithm, copied.witness
+            )
+            assert [
+                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.size_history)
+                for c in report.components
+            ] == [
+                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.size_history)
+                for c in copied.components
+            ]

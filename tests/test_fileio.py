@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+import re
 import time
+from typing import Sequence
 
 import pytest
 
+import lcr.fileio
 from lcr import Graph, make_instance
-from lcr.errors import GenerationFailed, ParseError
+from lcr.errors import GenerationFailed, LcrError, ParseError
 from lcr.fileio import (
+    MAX_GRAPH_VERTICES,
     format_colormap,
     format_decomposition,
     format_graph,
@@ -25,6 +31,9 @@ from lcr.fileio import (
 from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
 from lcr.graph import PathDecomposition
 from lcr.reduction import ThresholdWitness, compile_spr, to_threshold
+from lcr.rerouting import build_spr_instance
+
+from .helpers import row_parse_graph, row_parse_lcr, row_parse_spr
 
 
 def spr_samples(count, base_seed):
@@ -82,6 +91,23 @@ def test_empty_graph_round_trip():
 def test_graph_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+def test_graph_header_past_the_vertex_limit_fails_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_graph("p graph 1000000000000 0\n")
+    assert time.perf_counter() - start < 0.01
+    assert str(info.value) == (
+        f"header promises 1000000000000 vertices, above the limit of {MAX_GRAPH_VERTICES}"
+    )
+
+
+def test_graph_vertex_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(lcr.fileio, "MAX_GRAPH_VERTICES", 10)
+    assert parse_graph("p graph 10 1\ne 0 9\n") == Graph(10, [(0, 9)])
+    with pytest.raises(ParseError, match="above the limit of 10"):
+        parse_graph("p graph 11 1\ne 0 9\n")
 
 
 # -- instances -----------------------------------------------------------------
@@ -276,3 +302,301 @@ def test_threshold_witness_round_trip():
 def test_threshold_witness_parse_errors(text):
     with pytest.raises(ParseError):
         parse_threshold_witness(text)
+
+
+# -- parse . format is the identity, on seeded values --------------------------------
+
+COMMENTS = (None, "", "a remark", "n = 5, # inside a comment", "p lcr 9 9 9")
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    """Often empty, a single vertex, or sparse enough to leave vertices isolated."""
+    n = rng.choice([0, 1, 2, rng.randrange(3, 40)])
+    density = rng.choice([0.0, 0.1, 0.5])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if rng.random() < density])
+
+
+def _random_lcr(rng: random.Random):
+    g = _random_graph(rng)
+    k = rng.choice([1, 3, 60])  # up to 60-colour lists
+    lists = [rng.sample(range(k), rng.randint(1, k)) for _ in range(g.n)]
+    return make_instance(
+        g, lists, [rng.choice(lst) for lst in lists], [rng.choice(lst) for lst in lists]
+    )
+
+
+def _round_trip_values(kind: str, rng: random.Random) -> list:
+    if kind == "graph":
+        return [_random_graph(rng) for _ in range(40)]
+    if kind == "lcr":
+        return [_random_lcr(rng) for _ in range(40)]
+    if kind == "sequence":
+        return [
+            [(rng.randrange(100), rng.randrange(100)) for _ in range(rng.choice([0, 1, 300]))]
+            for _ in range(20)
+        ]
+    if kind == "spr":
+        single = build_spr_instance(Graph(1), 0, 0, [0], [0])
+        return [single] + spr_samples(15, base_seed=rng.randrange(10**6))
+    if kind == "decomposition":
+        return [
+            PathDecomposition(tuple(
+                frozenset(rng.sample(range(50), rng.choice([0, 1, 3, 50])))
+                for _ in range(rng.choice([0, 1, 8]))
+            ))
+            for _ in range(20)
+        ]
+    if kind == "colormap":
+        reds = [compile_spr(spr) for spr in spr_samples(5, base_seed=rng.randrange(10**6))]
+        return reds + [
+            dataclasses.replace(reds[0], pair_of={
+                c: (rng.randrange(20), rng.randrange(5)) for c in rng.sample(range(500), size)
+            })
+            for size in (0, 1, 200)
+        ]
+    return [
+        ThresholdWitness(
+            tuple(rng.randint(-50, 50) for _ in range(rng.choice([0, 1, 30]))),
+            rng.randint(-100, 100),
+        )
+        for _ in range(20)
+    ]
+
+
+ROUND_TRIPS = {
+    "graph": (format_graph, parse_graph, lambda g: g),
+    "lcr": (format_lcr, parse_lcr, lambda inst: inst),
+    "sequence": (format_sequence, parse_sequence, lambda steps: steps),
+    "spr": (format_spr, parse_spr, lambda inst: inst),
+    "decomposition": (format_decomposition, parse_decomposition, lambda pd: pd),
+    "colormap": (format_colormap, parse_colormap, lambda red: red.pair_of),
+    "threshold": (format_threshold_witness, parse_threshold_witness, lambda w: w),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+def test_every_format_round_trips(kind):
+    fmt, parse, parsed_form = ROUND_TRIPS[kind]
+    rng = random.Random(kind)
+    for value in _round_trip_values(kind, rng):
+        comment = rng.choice(COMMENTS)
+        text = fmt(value, comment=comment)
+        assert parse(text) == parsed_form(value), (kind, text)
+        if comment:
+            assert text.startswith(f"# {comment}\n")
+
+
+# -- the column readers against the row-by-row reference -----------------------------
+
+BIG = "9" * 5000  # past int()'s digit limit on current Pythons
+ODD_TOKENS = ("x", "1.5", "0x1", "-1", "-3", "1_0", "+1", BIG, "0", "1", "2", "7", "99")
+ODD_TAGS = ("ex", "l0", "s", "e", "l", "t", "E", "p", "src", "dst", "p0", "pr", "q")
+
+
+def _mutate(lines: list[str], rng: random.Random) -> None:
+    """Apply one seeded line or token mutation to ``lines`` in place."""
+    if not lines:
+        lines.append(rng.choice(["", "p", "# only a comment"]))
+        return
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    op = rng.randrange(15)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op in (3, 4) and tokens:
+        # a non-integer, negative, out-of-range, odd or huge token, or one
+        # copied from the same line
+        j = rng.randrange(len(tokens))
+        tokens[j] = rng.choice(ODD_TOKENS + (rng.choice(tokens),))
+        lines[i] = " ".join(tokens)
+    elif op == 5:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(ODD_TOKENS[:-4] + ("3",)))
+        lines[i] = " ".join(tokens)
+    elif op == 6 and tokens:
+        del tokens[rng.randrange(len(tokens))]
+        lines[i] = " ".join(tokens)
+    elif op == 7 and tokens:
+        lines[i] = " ".join(tokens[:rng.randrange(1, len(tokens) + 1)])
+    elif op == 8:
+        cut = rng.randrange(len(lines[i]) + 1)
+        lines[i] = rng.choice([
+            lines[i] + " # note",
+            lines[i][:cut] + "#" + lines[i][cut:],
+            "#" + lines[i],
+        ])
+        if rng.random() < 0.3:
+            lines.insert(i, "# a comment line")
+    elif op == 9:
+        lines.insert(i, rng.choice(["", "   ", "\t", " # indented comment"]))
+    elif op == 10:
+        lines[i] = rng.choice([" ", "\t", "  \t", "\x0b"]) + lines[i]
+    elif op == 11 and " " in lines[i]:
+        lines[i] = lines[i].replace(" ", rng.choice(["\t", " \t ", "\xa0", "\x0c"]), 1)
+    elif op == 12 and tokens:
+        tokens[0] = rng.choice(ODD_TAGS)
+        lines[i] = " ".join(tokens)
+    elif op == 13:
+        head = lines[0].split()
+        if len(head) > 2 and head[2].lstrip("-").isdigit():
+            # far past the body, or below zero; the graph header stays
+            # small, since a bare graph may have isolated vertices
+            far = int(head[2]) + rng.choice([1, 1000])
+            if head[1] != "graph" and rng.random() < 0.5:
+                far = 10**12
+            head[2] = str(rng.choice([far, far, -1]))
+            lines[0] = " ".join(head)
+    else:
+        lines[i] = lines[i] + rng.choice(["", " ", "\t", "\x0c", "\r"])
+
+
+def _outcome(parse, text: str):
+    try:
+        return "ok", parse(text)
+    except LcrError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _family(message: str) -> str:
+    """A message with its echoed line and its numbers blanked out."""
+    return re.sub(r"(?<!\w)-?\d+", "N", message.split(":", 1)[0])
+
+
+EDGE_FAMILIES = {
+    "edge line needs two endpoints",
+    "bad integer in edge line",
+    "edge endpoint out of range",
+    "self-loop at N",
+    "duplicate edge (N, N)",
+    "header promises N edges, found N",
+}
+
+
+def _header_families(kind: str, fields: int) -> set[str]:
+    return {
+        f"missing 'p {kind}' header",
+        f"expected 'p {kind}' header with N fields",
+        "bad integer in header line",
+    }
+
+
+FAMILIES = {
+    "graph": _header_families("graph", 2) | EDGE_FAMILIES | {
+        "negative counts in header",
+        "unexpected line",
+    },
+    "lcr": _header_families("lcr", 3) | EDGE_FAMILIES | {
+        "negative counts in header",
+        "header promises N vertices, found N 'l' lines",
+        "bad integer in list line",
+        "list line needs a vertex",
+        "list vertex N out of range",
+        "vertex N has two list lines",
+        "empty color list for vertex N",
+        "color outside N..N for vertex N",
+        "repeated color in list of vertex N",
+        "bad integer in s line",
+        "bad integer in t line",
+        "'s' line needs vertex and color",
+        "'t' line needs vertex and color",
+        "'s' vertex N out of range",
+        "'t' vertex N out of range",
+        "vertex N has two 's' lines",
+        "vertex N has two 't' lines",
+        "unexpected line",
+        # no "missing 'l' line": once n fits the 'l' line count, a body whose
+        # list lines name distinct vertices in range names them all
+        "missing 's' line for vertex N",
+        "missing 't' line for vertex N",
+    },
+    "spr": _header_families("spr", 2) | EDGE_FAMILIES | {
+        "need exactly one 'src <vertex>' line",
+        "need exactly one 'dst <vertex>' line",
+        "need exactly one 'p0' line",
+        "need exactly one 'pr' line",
+        "bad integer in src line",
+        "bad integer in p0 line",
+        "unexpected line",
+        "missing 'src' line",
+        "missing 'dst' line",
+        "missing 'p0' line",
+        "missing 'pr' line",
+        "vertex count must be non-negative",
+        "endpoint out of range",
+        "path vertex N is on no shortest path",
+        "p0 is not a shortest s-t path",
+        "pr is not a shortest s-t path",
+    },
+}
+
+
+def _base_texts() -> dict[str, list[str]]:
+    lcr_texts = [format_lcr(gen_caterpillar(s % 4 + 2, colors=4, seed=s)) for s in range(4)]
+    lcr_texts += [
+        format_lcr(gen_random_instance(5, edge_prob=0.5, colors=3, seed=s)) for s in range(3)
+    ]
+    # kinds interleaved, and a list given in descending order
+    mixed = lcr_texts[0].splitlines()
+    shuffled = random.Random(5).sample(mixed[1:], len(mixed) - 1)
+    lcr_texts.append("\n".join([mixed[0]] + shuffled))
+    lcr_texts.append("p lcr 2 1 3\nl 1 2 0\ne 1 0\nt 1 0\ns 1 2\nl 0 1 2\ns 0 1\nt 0 2\n")
+    lcr_texts += ["p lcr 0 0 0\n", "p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\n"]
+    spr_texts = [format_spr(inst) for inst in spr_samples(6, base_seed=5401)]
+    spr_texts += ["p spr 1 0\nsrc 0\ndst 0\np0 0\npr 0\n"]
+    graph_texts = [
+        format_graph(g) for g in (
+            Graph(0), Graph(1), Graph(4, [(0, 1)]), Graph(6, [(0, 1), (1, 2), (2, 5), (0, 5)]),
+            Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+        )
+    ]
+    return {"lcr": lcr_texts, "spr": spr_texts, "graph": graph_texts}
+
+
+def _mutated(base: str, seeds: Sequence[int]) -> str:
+    lines = base.splitlines()
+    for seed in seeds:
+        _mutate(lines, random.Random(seed))
+    return random.Random(seeds[0]).choice(["\n", "\n", "\r\n"]).join(lines) + "\n"
+
+
+def test_parsers_match_the_row_reference():
+    """Every mutated text gives the reference's value or its exact error.
+
+    Each sample mutates a base text by A, by B and by A then B.  When A and
+    B alone fail with different messages and A-then-B fails with one of
+    them, that text holds two faults and pins which one is reported.
+    """
+    parsers = {
+        "lcr": (parse_lcr, row_parse_lcr),
+        "spr": (parse_spr, row_parse_spr),
+        "graph": (parse_graph, row_parse_graph),
+    }
+    rng = random.Random(7)
+    for kind, bases in _base_texts().items():
+        parse, reference = parsers[kind]
+        reached, parsed, two_faults = set(), 0, 0
+        for sample in range(400):
+            base = bases[sample % len(bases)]
+            a, b = rng.getrandbits(32), rng.getrandbits(32)
+            results = []
+            for seeds in ((a,), (b,), (a, b), (a, b, a + 1)):
+                text = _mutated(base, seeds)
+                want = _outcome(reference, text)
+                assert _outcome(parse, text) == want, (kind, text)
+                results.append(want)
+                if want[0] == "ok":
+                    parsed += 1
+                elif want[0] == "ParseError":
+                    reached.add(_family(want[1]))
+            only_a, only_b, both = results[:3]
+            failed = "ok" not in (only_a[0], only_b[0])
+            if failed and only_a != only_b and both in (only_a, only_b):
+                two_faults += 1
+        assert FAMILIES[kind] <= reached, (kind, FAMILIES[kind] - reached)
+        assert parsed >= 100, (kind, parsed)
+        assert two_faults >= 50, (kind, two_faults)
