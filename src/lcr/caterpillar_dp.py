@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import IniLost, NotCaterpillar, NotConnected, NotNormalized
-from .graph import CaterpillarStructure, recognize_caterpillar
+from .graph import CaterpillarStructure, reach, recognize_caterpillar
 from .instance import LcrInstance
 
 
@@ -73,18 +73,6 @@ class SizeRecord:
         return 2 if self.step == 1 else self.prev_size + self.degree
 
 
-def _grow(adj: list[set[int]], start: int, seen: list[bool]) -> list[int]:
-    """Mark and list every e-node reachable from start through unmarked ones."""
-    seen[start] = True
-    reached = [start]
-    for u in reached:  # the list grows as it is read: breadth first
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                reached.append(w)
-    return reached
-
-
 class Sweep:
     """The sweep's working state: one encoding graph, changed in place.
 
@@ -118,7 +106,7 @@ class Sweep:
         if self.ini is None:
             raise IniLost("start e-node vanished; the step preconditions were broken")
         adj = self.adj
-        reached = _grow(adj, self.ini, [False] * len(adj))
+        reached = reach(adj, self.ini, [False] * len(adj))
         if len(reached) < len(adj):
             keep = sorted(reached)
             renum = {old: new for new, old in enumerate(keep)}
@@ -171,7 +159,7 @@ class Sweep:
             seen = [col == c for col in cols]
             for start, done in enumerate(seen):
                 if not done:
-                    for x in _grow(adj, start, seen):
+                    for x in reach(adj, start, seen):
                         owners[x].append(len(new_cols))
                     new_cols.append(c)
         new_adj, pairs = [set() for _ in new_cols], set()

@@ -8,8 +8,9 @@ oracle and are lifted back through the normalization trace.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import caterpillar_dp, oracle
@@ -35,13 +36,11 @@ class ComponentReport:
     answer: bool
     oracle_nodes: Optional[int] = None
     oracle_edges: Optional[int] = None
-    size_history: list[SizeRecord] = field(default_factory=list)
-
-    @property
-    def enode_peak(self) -> Optional[int]:
-        if not self.size_history:
-            return None
-        return max(rec.pre_extraction for rec in self.size_history)
+    # a swept run's summary over its size records (None for the oracle): the
+    # largest pre-extraction count and the extremes of bound - pre-extraction
+    enode_peak: Optional[int] = None
+    slack_min: Optional[int] = None
+    slack_max: Optional[int] = None
 
 
 @dataclass
@@ -51,10 +50,6 @@ class SolveReport:
     witness: Optional[list[Step]]
     components: list[ComponentReport]
     seconds: float
-
-    @property
-    def size_history(self) -> list[SizeRecord]:
-        return [rec for comp in self.components for rec in comp.size_history]
 
 
 def solve_driver(
@@ -107,14 +102,20 @@ def solve_driver(
                 f"component {comp} of the trimmed graph is not a caterpillar"
             )
         if structure is not None:
-            history = []
+            peak, lo, hi = 0, math.inf, -math.inf
             for state, rec in caterpillar_dp.encoding_history(sub, structure):
-                history.append(rec)
+                slack = rec.bound - rec.pre_extraction
+                if rec.pre_extraction > peak:
+                    peak = rec.pre_extraction
+                if slack < lo:
+                    lo = slack
+                if slack > hi:
+                    hi = slack
                 if observer is not None:
                     observer(state, rec)
             report = ComponentReport(
                 tuple(comp), "caterpillar", state.tar is not None,
-                size_history=history,
+                enode_peak=peak, slack_min=lo, slack_max=hi,
             )
         else:
             rg = oracle.build(sub.graph, sub.lists, state_cap)

@@ -72,11 +72,6 @@ def _answer(answer) -> str:
     return REFUSED if answer is None else "YES" if answer else "NO"
 
 
-def _slacks(history):
-    slacks = [rec.bound - rec.pre_extraction for rec in history]
-    return (min(slacks), max(slacks)) if slacks else ("", "")
-
-
 def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
     spine = rng_params.randint(int(config["spine_min"]), int(config["spine_max"]))
     inst = gen_caterpillar(
@@ -101,14 +96,13 @@ def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
             "answer": REFUSED, "wall_s": f"{wall:.6f}",
         }
         if report is not None:
-            comps = report.components
-            nodes = sum(c.oracle_nodes or 0 for c in comps) or ""
-            peaks = [c.enode_peak for c in comps if c.enode_peak is not None]
-            smin, smax = _slacks(report.size_history)
+            nodes = sum(c.oracle_nodes or 0 for c in report.components) or ""
+            swept = [c for c in report.components if c.enode_peak is not None]
             row.update({
-                "answer": _answer(report.answer),
-                "oracle_nodes": nodes, "enode_peak": max(peaks) if peaks else "",
-                "slack_min": smin, "slack_max": smax,
+                "answer": _answer(report.answer), "oracle_nodes": nodes,
+                "enode_peak": max((c.enode_peak for c in swept), default=""),
+                "slack_min": min((c.slack_min for c in swept), default=""),
+                "slack_max": max((c.slack_max for c in swept), default=""),
             })
         rows.append(row)
     return rows

@@ -1,8 +1,11 @@
 """Simple undirected graphs plus the structural checks the solvers rely on.
 
-Vertices are dense integers 0..n-1.  Graphs are immutable; deleting or
-inducing returns a fresh graph together with an old-to-new id map so callers
-can translate witnesses back.
+Vertices are dense integers 0..n-1.  Graphs are immutable; inducing
+returns a fresh graph together with an old-to-new id map so callers can
+translate witnesses back.  The three breadth-first helpers, ``reach``,
+``components`` and ``shortest_path``, take any adjacency sequence (vertex
+ids 0..len(adj)-1), so the reconfiguration, encoding and s-path graphs share
+them with ``Graph``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,49 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotConnected
+
+def reach(adj: Sequence[Iterable[int]], start: int, seen: list[bool]) -> list[int]:
+    """Mark and list every vertex reachable from start through unmarked ones."""
+    seen[start] = True
+    reached = [start]
+    for u in reached:  # the list grows as it is read: breadth first
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    return reached
+
+
+def components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Vertex sets of the components, each sorted, ordered by smallest vertex."""
+    seen = [False] * len(adj)
+    return [sorted(reach(adj, v, seen)) for v in range(len(adj)) if not seen[v]]
+
+
+def shortest_path(
+    adj: Sequence[Iterable[int]], src: int, dst: int
+) -> Optional[list[int]]:
+    """Vertices of a shortest src-dst path, or None when dst is out of reach.
+
+    Breadth first in adjacency order: a vertex's parent is the vertex that
+    discovered it, and the search stops once dst has a parent.
+    """
+    parent = {src: src}
+    queue = [src]
+    for u in queue:  # the list grows as it is read: breadth first
+        if dst in parent:
+            break
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 class Graph:
@@ -53,43 +99,11 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return len(self._bfs_order(0)) == self.n
-
-    def _bfs_order(self, start: int) -> list[int]:
-        seen = [False] * self.n
-        seen[start] = True
-        order = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-                    queue.append(w)
-        return order
+        return self.n > 0 and len(reach(self._adj, 0, [False] * self.n)) == self.n
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return components(self._adj)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph induced on the given vertices.
@@ -105,10 +119,6 @@ class Graph:
             if u in id_map and v in id_map
         ]
         return Graph(len(kept), edges), id_map
-
-    def delete_vertices(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        drop = set(vertices)
-        return self.induced_subgraph(v for v in range(self.n) if v not in drop)
 
     def __eq__(self, other) -> bool:
         return (

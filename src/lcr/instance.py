@@ -110,22 +110,25 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     Two heaps of candidates replace rescans, so the pass costs
     O((n + m + sum of list sizes) log n).
     """
-    n = inst.graph.n
+    n, degree = inst.graph.n, inst.graph.degree
+    # A vertex turns single only when a singleton removal trims its list,
+    # and is never rich, so it stays live until popped.  A neighbor's
+    # removal lowers the degree by one and the list by at most one, so list
+    # size minus degree never drops: a rich vertex stays rich, and its heap
+    # entries go stale only once it is removed.  Both seeds are in vertex
+    # order, hence already heaps; with both empty nothing is removable.
+    sizes = [len(lst) for lst in inst.lists]
+    singles = [v for v, k in enumerate(sizes) if k == 1]
+    rich = [v for v, k in enumerate(sizes) if k >= degree(v) + 2]
+    if not singles and not rich:
+        return inst, NormalizationTrace((), {v: v for v in range(n)})
+
     lists = {v: set(inst.lists[v]) for v in range(n)}  # live vertices only
     adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
     removals: list[Removal] = []
 
     def is_rich(v: int) -> bool:
         return len(lists[v]) >= len(adj[v]) + 2
-
-    # A vertex turns single only when a singleton removal trims its list,
-    # and is never rich, so it stays live until popped.  A neighbor's
-    # removal lowers the degree by one and the list by at most one, so list
-    # size minus degree never drops: a rich vertex stays rich, and its heap
-    # entries go stale only once it is removed.  Both seeds are in vertex
-    # order, hence already heaps.
-    singles = [v for v in range(n) if len(lists[v]) == 1]
-    rich = [v for v in range(n) if is_rich(v)]
 
     def remove_vertex(v: int):
         for u in adj[v]:
@@ -163,9 +166,6 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
         )
         remove_vertex(v)
 
-    if not removals:
-        return inst, NormalizationTrace((), {v: v for v in range(n)})
-
     kept = sorted(lists)
     id_map = {v: i for i, v in enumerate(kept)}
     sub, _ = inst.graph.induced_subgraph(kept)
@@ -180,6 +180,8 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
 
 def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrInstance:
     """Rebuild the normalized instance from the original and the trace."""
+    if not trace.removals:
+        return original
     stripped: dict[int, set[int]] = {}
     for rem in trace.removals:
         if isinstance(rem, SingletonRemoval):

@@ -17,13 +17,12 @@ code, so each candidate neighbour costs one dict lookup.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
 from .errors import StateSpaceTooLarge, UnknownNode
-from .graph import Graph
+from .graph import Graph, components, reach, shortest_path
 from .instance import Coloring, LcrInstance, Step
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -171,23 +170,7 @@ class ReconfigurationGraph:
         return sum(len(a) for a in self.adj) // 2
 
     def components(self) -> list[list[int]]:
-        seen = [False] * len(self.nodes)
-        comps = []
-        for start in range(len(self.nodes)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return components(self.adj)
 
 
 def build(
@@ -245,26 +228,9 @@ def reachable(
     rg: ReconfigurationGraph, f0: Sequence[int], fr: Sequence[int]
 ) -> Optional[list[Step]]:
     """Shortest recoloring sequence from f0 to fr, or None if unreachable."""
-    src, dst = _node_id(rg, f0), _node_id(rg, fr)
-    if src == dst:
-        return []
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in rg.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                if w == dst:
-                    queue.clear()
-                    break
-                queue.append(w)
-    if dst not in parent:
+    path = shortest_path(rg.adj, _node_id(rg, f0), _node_id(rg, fr))
+    if path is None:
         return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
     steps = []
     for a, b in zip(path, path[1:]):
         fa, fb = rg.nodes[a], rg.nodes[b]
@@ -275,16 +241,7 @@ def reachable(
 
 def component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
     """Node ids of the component containing f."""
-    start = _node_id(rg, f)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in rg.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return frozenset(reach(rg.adj, _node_id(rg, f), [False] * len(rg.adj)))
 
 
 def oracle_decide(inst: LcrInstance, cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .caterpillar_dp import EncodingGraph
 from .errors import NotCaterpillar, OutOfRange, PartialColoring
-from .graph import CaterpillarStructure, recognize_caterpillar
+from .graph import CaterpillarStructure, reach, recognize_caterpillar
 from .instance import LcrInstance
 from .oracle import ReconfigurationGraph
 
@@ -44,18 +44,8 @@ def validate_encoding(eg: EncodingGraph, spine_list=None) -> None:
         bad = [c for c in eg.cols if c not in spine_list]
         if bad:
             raise ValueError(f"cols {bad} outside the spine list")
-    if k:
-        adj = eg.adjacency()
-        stack = [0]
-        reached = {0}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != k:
-            raise ValueError("encoding graph is disconnected")
+    if k and len(reach(eg.adjacency(), 0, [False] * k)) != k:
+        raise ValueError("encoding graph is disconnected")
 
 
 def _labels(eg: EncodingGraph) -> list[tuple[int, bool, bool]]:

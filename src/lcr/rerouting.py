@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import Disconnected, StateSpaceTooLarge
-from .graph import Graph
+from .graph import Graph, shortest_path
 
 SPath = tuple[int, ...]
 
@@ -157,21 +157,5 @@ def brute_solve(
                 adj[group[a]].add(group[b])
                 adj[group[b]].add(group[a])
 
-    src, dst = index[inst.p0], index[inst.pr]
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if dst not in parent:
-        return None
-    chain = [dst]
-    while chain[-1] != src:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-    return [paths[i] for i in chain]
+    chain = shortest_path(adj, index[inst.p0], index[inst.pr])
+    return None if chain is None else [paths[i] for i in chain]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import deque
 from typing import Iterator, Optional, Sequence
 
 from lcr.caterpillar_dp import (
@@ -40,10 +41,22 @@ from lcr.instance import (
     Removal,
     RichListRemoval,
     SingletonRemoval,
+    Step,
 )
-from lcr.oracle import DEFAULT_STATE_CAP, ReconfigurationGraph, state_space_size
+from lcr.oracle import (
+    DEFAULT_STATE_CAP,
+    ReconfigurationGraph,
+    _node_id,
+    state_space_size,
+)
 from lcr.reduction import ReducedInstance, compile_spr
-from lcr.rerouting import DEFAULT_PATH_CAP, SPath, SprInstance, build_spr_instance
+from lcr.rerouting import (
+    DEFAULT_PATH_CAP,
+    SPath,
+    SprInstance,
+    build_spr_instance,
+    enumerate_s_paths,
+)
 
 
 def sweep_answer(inst: LcrInstance) -> bool:
@@ -371,6 +384,144 @@ def recursive_s_paths(inst: SprInstance, cap: int = DEFAULT_PATH_CAP) -> list[SP
 
     extend(0)
     return out
+
+
+# -- per-module references for the breadth-first helpers --------------------------
+#
+# ``lcr.graph.reach``, ``components`` and ``shortest_path`` answer every
+# reachability question in the package.  Before them each module ran its own
+# deque search; those bodies are kept here verbatim, and the helpers must
+# give the same outputs, shortest paths included.
+
+
+def deque_connected_components(self: Graph) -> list[list[int]]:
+    """Queue reference for ``Graph.connected_components``."""
+    seen = [False] * self.n
+    comps = []
+    for start in range(self.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in self._adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def deque_rg_components(self: ReconfigurationGraph) -> list[list[int]]:
+    """Queue reference for ``ReconfigurationGraph.components``."""
+    seen = [False] * len(self.nodes)
+    comps = []
+    for start in range(len(self.nodes)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in self.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def deque_component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
+    """Queue reference for ``lcr.oracle.component_of``."""
+    start = _node_id(rg, f)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in rg.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def deque_reachable(
+    rg: ReconfigurationGraph, f0: Sequence[int], fr: Sequence[int]
+) -> Optional[list[Step]]:
+    """Queue reference for ``lcr.oracle.reachable``."""
+    src, dst = _node_id(rg, f0), _node_id(rg, fr)
+    if src == dst:
+        return []
+    parent = {src: -1}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in rg.adj[u]:
+            if w not in parent:
+                parent[w] = u
+                if w == dst:
+                    queue.clear()
+                    break
+                queue.append(w)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    steps = []
+    for a, b in zip(path, path[1:]):
+        fa, fb = rg.nodes[a], rg.nodes[b]
+        (v,) = [x for x in range(rg.graph.n) if fa[x] != fb[x]]
+        steps.append((v, fb[v]))
+    return steps
+
+
+def deque_brute_solve(
+    inst: SprInstance, cap: int = DEFAULT_PATH_CAP
+) -> Optional[list[SPath]]:
+    """Queue reference for ``lcr.rerouting.brute_solve``."""
+    paths = enumerate_s_paths(inst, cap)
+    index = {p: i for i, p in enumerate(paths)}
+    if inst.p0 not in index or inst.pr not in index:
+        raise ValueError("endpoint paths missing from the enumeration")
+
+    # bucket paths by each single-layer wildcard to find the swap neighbors
+    buckets: dict[tuple, list[int]] = {}
+    for i, p in enumerate(paths):
+        for j in range(1, inst.d):
+            key = p[:j] + (-1,) + p[j + 1:]
+            buckets.setdefault(key, []).append(i)
+    adj: list[set[int]] = [set() for _ in paths]
+    for group in buckets.values():
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                adj[group[a]].add(group[b])
+                adj[group[b]].add(group[a])
+
+    src, dst = index[inst.p0], index[inst.pr]
+    parent = {src: -1}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            break
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    if dst not in parent:
+        return None
+    chain = [dst]
+    while chain[-1] != src:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return [paths[i] for i in chain]
 
 
 # -- row-by-row reference for the text readers ---------------------------------------

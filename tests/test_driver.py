@@ -5,10 +5,11 @@ import pytest
 import lcr.caterpillar_dp
 import lcr.driver
 from lcr import Graph, is_valid_sequence, make_instance
+from lcr.caterpillar_dp import encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from lcr.generators import gen_random_instance
-from lcr.instance import normalize
+from lcr.instance import induced_instance, normalize
 
 from .helpers import caterpillar_corpus, cycle_graph
 
@@ -21,6 +22,16 @@ def two_component_instance():
         (1, 2, 1, 2),
         (2, 1, 2, 3),
     )
+
+
+def sweep_records(inst):
+    """Size records of the sweep on each component of the normalized
+    instance, in the driver's component order."""
+    trimmed, _ = normalize(inst)
+    return [
+        [rec for _, rec in encoding_history(induced_instance(trimmed, comp)[0])]
+        for comp in trimmed.graph.connected_components()
+    ]
 
 
 def test_auto_recognizes_each_component_once(monkeypatch):
@@ -68,7 +79,7 @@ def test_the_observer_sees_every_sweep_step():
         inst, algo="caterpillar",
         observer=lambda sweep, rec: seen.append((sweep.snapshot(), rec)),
     )
-    assert [rec for _, rec in seen] == report.size_history
+    assert [rec for _, rec in seen] == sum(sweep_records(inst), [])
     assert [rec.kind for _, rec in seen] == ["init", "spine", "init", "spine"]
     # the frozen edge loses its tar, the mixed edge keeps it
     assert [eg.tar is not None for eg, rec in seen if rec.step == 2] == [False, True]
@@ -163,22 +174,32 @@ def test_component_reports_track_their_algorithms():
     report = solve_driver(inst, algo="bruteforce")
     assert all(c.algorithm == "bruteforce" for c in report.components)
     assert all(c.oracle_nodes is not None for c in report.components)
+    assert all(
+        (c.enode_peak, c.slack_min, c.slack_max) == (None,) * 3 for c in report.components
+    )
     assert report.seconds >= 0
 
     cat = solve_driver(inst, algo="caterpillar")
     assert cat.answer is False
     assert all(c.algorithm == "caterpillar" for c in cat.components)
     assert all(c.enode_peak is not None for c in cat.components)
-    assert cat.size_history
+    assert all(c.oracle_nodes is None for c in cat.components)
 
 
 def test_dp_size_history_reaches_the_report():
-    inst = next(
-        i for i in caterpillar_corpus(5, base_seed=7301, max_n=10) if i.f0 != i.fr
-    )
-    report = solve_driver(inst, algo="caterpillar")
-    assert report.size_history
-    assert report.size_history[0].step == 1
+    # each swept component reports the peak and slack range of its records
+    corpus = caterpillar_corpus(10, base_seed=7301, max_n=10)
+    corpus = [inst for inst in corpus if inst.f0 != inst.fr]
+    assert corpus
+    for inst in corpus:
+        report = solve_driver(inst, algo="caterpillar")
+        histories = sweep_records(inst)
+        assert len(report.components) == len(histories)
+        for comp, records in zip(report.components, histories):
+            assert records[0].step == 1
+            slacks = [rec.bound - rec.pre_extraction for rec in records]
+            assert comp.enode_peak == max(rec.pre_extraction for rec in records)
+            assert (comp.slack_min, comp.slack_max) == (min(slacks), max(slacks))
 
 
 def copying_induced_instance(inst, vertices):
@@ -218,9 +239,11 @@ def test_a_spanning_component_is_swept_without_a_copy(monkeypatch):
                 copied.answer, copied.algorithm, copied.witness
             )
             assert [
-                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.size_history)
+                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.enode_peak,
+                 c.slack_min, c.slack_max)
                 for c in report.components
             ] == [
-                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.size_history)
+                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.enode_peak,
+                 c.slack_min, c.slack_max)
                 for c in copied.components
             ]

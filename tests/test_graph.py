@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,15 +12,22 @@ from lcr import (
     is_partial_two_tree,
     recognize_caterpillar,
 )
+from lcr import build, component_of, reachable
 from lcr.errors import NotConnected
-from lcr.generators import gen_caterpillar
+from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
 from lcr.graph import PathDecomposition
+from lcr.rerouting import brute_solve
 
 from .helpers import (
     all_labeled_trees,
     caterpillar_corpus,
     complete_graph,
     cycle_graph,
+    deque_brute_solve,
+    deque_component_of,
+    deque_connected_components,
+    deque_reachable,
+    deque_rg_components,
     path_graph,
     ref_is_caterpillar,
     star_graph,
@@ -55,19 +63,44 @@ def test_graph_connectivity_and_components():
     assert g.connected_components() == [[0, 1], [2], [3, 4]]
 
 
+def test_breadth_first_helpers_match_the_per_module_searches():
+    rng = random.Random(8101)
+    answers = set()
+    for seed in range(300):
+        inst = gen_random_instance(rng.randint(1, 7), seed=seed)  # lists of 1..4
+        g = inst.graph
+        comps = g.connected_components()
+        assert comps == deque_connected_components(g)
+        assert g.is_connected() == (len(comps) == 1)
+        rg = build(g, inst.lists)
+        assert rg.components() == deque_rg_components(rg)
+        far = rg.nodes[rng.randrange(rg.num_nodes)]
+        for f in (inst.f0, inst.fr, far):
+            assert component_of(rg, f) == deque_component_of(rg, f)
+        for f, h in ((inst.f0, inst.fr), (inst.f0, far), (far, far)):
+            steps = reachable(rg, f, h)
+            assert steps == deque_reachable(rg, f, h)
+            answers.add(steps is None)
+    assert answers == {True, False}
+
+    lengths = set()
+    for seed in range(300):
+        spr = gen_layered_spr(
+            rng.randint(2, 6), density=rng.uniform(0.3, 0.9), seed=seed
+        )
+        for inst in (spr, replace(spr, pr=spr.p0)):
+            chain = brute_solve(inst)
+            assert chain == deque_brute_solve(inst)
+            lengths.add(-1 if chain is None else min(len(chain), 3))
+    assert lengths == {-1, 1, 2, 3}
+
+
 def test_induced_subgraph_keeps_sorted_id_order():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     sub, id_map = g.induced_subgraph([3, 1, 4])
     assert id_map == {1: 0, 3: 1, 4: 2}
     assert sub.n == 3
     assert sub.edges == frozenset({(0, 1), (1, 2)})
-
-
-def test_delete_vertices_complements_induction():
-    g = path_graph(6)
-    sub, id_map = g.delete_vertices([0, 3])
-    assert id_map == {1: 0, 2: 1, 4: 2, 5: 3}
-    assert sub.edges == frozenset({(0, 1), (2, 3)})
 
 
 def test_graph_equality_and_hash():

@@ -259,6 +259,20 @@ def test_lift_empty_sequence_without_removals():
     assert lift_sequence(trace, inst, []) == []
 
 
+def test_lift_under_an_empty_trace_copies_nothing(monkeypatch):
+    def refuse(self, vertices):
+        raise AssertionError("induced_subgraph called under an empty trace")
+
+    inst = edge_instance({1, 2}, {2, 3}, (1, 2), (2, 3))
+    _, trace = normalize(inst)
+    steps = reachable(build(inst.graph, inst.lists), inst.f0, inst.fr)
+    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+    assert trimmed_instance(inst, trace) is inst
+    assert lift_sequence(trace, inst, steps) == steps == [(1, 3), (0, 2)]
+    with pytest.raises(InvalidSequence):  # still checked against the instance
+        lift_sequence(trace, inst, [(0, 1)])
+
+
 def test_lift_reinserts_rich_vertex_moves():
     # vertex 0 is rich and vanishes; the lifted run must dodge it around
     # vertex 1's recoloring and park it on its target color afterwards
