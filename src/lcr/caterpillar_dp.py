@@ -47,13 +47,6 @@ class EncodingGraph:
     def __len__(self) -> int:
         return len(self.cols)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.cols]
-        for x, y in self.edges:
-            adj[x].append(y)
-            adj[y].append(x)
-        return adj
-
 
 @dataclass(frozen=True)
 class SizeRecord:

@@ -76,6 +76,3 @@ class ImproperEndpoints(LcrError):
 class GenerationFailed(LcrError):
     """Random generation did not produce a valid instance within the retry budget."""
 
-
-class OutOfRange(LcrError, ValueError):
-    """Index argument outside the valid range."""

@@ -92,41 +92,6 @@ def gen_caterpillar(
     return LcrInstance(g, tuple(lists), f0, fr)
 
 
-def gen_random_instance(
-    n: int,
-    edge_prob: float = 0.35,
-    colors: int = 4,
-    list_range: tuple[int, int] = (1, 4),
-    seed: int = 0,
-) -> LcrInstance:
-    """Random instance on an arbitrary graph, not necessarily normalized.
-
-    List sizes may be 1 (forced colors) or exceed degree+1, so normalization
-    has real work to do.  Regenerates until both endpoint colorings exist.
-    """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
-    lo, hi = list_range
-    for _ in range(MAX_TRIES):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_prob
-        ]
-        g = Graph(n, edges)
-        lists = [
-            frozenset(rng.sample(range(colors), min(rng.randint(lo, hi), colors)))
-            for _ in range(n)
-        ]
-        f0 = _greedy_coloring(g, lists, rng)
-        fr = _greedy_coloring(g, lists, rng)
-        if f0 is not None and fr is not None:
-            return LcrInstance(g, tuple(lists), f0, fr)
-    raise GenerationFailed("could not find proper endpoint colorings")
-
-
 def gen_layered_spr(
     depth: int,
     max_width: int = 3,

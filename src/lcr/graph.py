@@ -1,11 +1,11 @@
 """Simple undirected graphs plus the structural checks the solvers rely on.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable; inducing
-returns a fresh graph together with an old-to-new id map so callers can
-translate witnesses back.  The three breadth-first helpers, ``reach``,
-``components`` and ``shortest_path``, take any adjacency sequence (vertex
-ids 0..len(adj)-1), so the reconfiguration, encoding and s-path graphs share
-them with ``Graph``.
+returns a graph (the graph itself when every vertex is kept) together with
+an old-to-new id map so callers can translate witnesses back.  The three
+breadth-first helpers, ``reach``, ``components`` and ``shortest_path``, take
+any adjacency sequence (vertex ids 0..len(adj)-1), so the reconfiguration,
+encoding and s-path graphs share them with ``Graph``.
 """
 
 from __future__ import annotations
@@ -109,10 +109,13 @@ class Graph:
         """Subgraph induced on the given vertices.
 
         Returns the new graph plus the old-to-new id map; new ids follow the
-        sorted order of the kept old ids.
+        sorted order of the kept old ids.  Vertices that cover the graph give
+        back the graph itself, which is immutable, with the identity map.
         """
         kept = sorted(set(vertices))
         id_map = {v: i for i, v in enumerate(kept)}
+        if kept == list(range(self.n)):
+            return self, id_map
         edges = [
             (id_map[u], id_map[v])
             for u, v in self.edges
@@ -142,23 +145,12 @@ class CaterpillarStructure:
     graph (a leaf is promoted onto each end when needed).  ``ordering`` lists
     the vertices v_1..v_n produced by the breadth-first walk that starts at
     one spine endpoint and, at each spine vertex, visits its leaves before
-    the next spine vertex.  ``spine_of_prefix[i-1]`` is the latest spine
-    vertex among the first i ordered vertices.
+    the next spine vertex.
     """
 
     spine: tuple[int, ...]
     leaves: dict[int, int]
     ordering: tuple[int, ...]
-    spine_of_prefix: tuple[int, ...]
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Edges implied by the decomposition; must equal the input graph's."""
-        edges = set()
-        for a, b in zip(self.spine, self.spine[1:]):
-            edges.add((a, b) if a < b else (b, a))
-        for leaf, host in self.leaves.items():
-            edges.add((leaf, host) if leaf < host else (host, leaf))
-        return frozenset(edges)
 
 
 def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
@@ -173,11 +165,11 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     if not g.is_connected():
         raise NotConnected("caterpillar recognition requires a connected graph")
     if g.n == 1:
-        return CaterpillarStructure((0,), {}, (0,), (0,))
+        return CaterpillarStructure((0,), {}, (0,))
     if g.m != g.n - 1:
         return None  # has a cycle
     if g.n == 2:
-        return CaterpillarStructure((0, 1), {}, (0, 1), (0, 1))
+        return CaterpillarStructure((0, 1), {}, (0, 1))
 
     internal = [v for v in range(g.n) if g.degree(v) >= 2]
     internal_set = set(internal)
@@ -234,16 +226,7 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     for s in spine[1:]:
         ordering.append(s)
         ordering.extend(leaves_of.get(s, ()))
-    spine_of_prefix = []
-    latest = spine[0]
-    for v in ordering:
-        if v in spine_set:
-            latest = v
-        spine_of_prefix.append(latest)
-
-    return CaterpillarStructure(
-        tuple(spine), leaves, tuple(ordering), tuple(spine_of_prefix)
-    )
+    return CaterpillarStructure(tuple(spine), leaves, tuple(ordering))
 
 
 @dataclass(frozen=True)
@@ -265,36 +248,25 @@ class DecompositionCheck(NamedTuple):
 def check_path_decomposition(g: Graph, pd: PathDecomposition) -> DecompositionCheck:
     """Validate a path decomposition of g; the width is reported either way.
 
-    Checks that the bags cover every vertex, that every edge is inside some
-    bag, and that each vertex occupies a contiguous run of bags.
+    Checks that the bags cover every vertex, that each vertex occupies a
+    contiguous run of bags (its bag count equals the span from its first bag
+    to its last), and that every edge is inside some bag (with contiguous
+    runs, the two spans overlap).  One pass over the bags, one over the edges.
     """
-    for bag in pd.bags:
+    first, last, count = [-1] * g.n, [-1] * g.n, [0] * g.n
+    for i, bag in enumerate(pd.bags):
         for v in bag:
             if not 0 <= v < g.n:
                 raise ValueError(f"bag vertex {v} out of range for n={g.n}")
-    width = pd.width
-
-    covered: set[int] = set()
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, bag in enumerate(pd.bags):
-        for v in bag:
-            covered.add(v)
-            first.setdefault(v, i)
+            if first[v] < 0:
+                first[v] = i
             last[v] = i
-    if len(covered) != g.n:
-        return DecompositionCheck(False, width)
-
-    for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in pd.bags):
-            return DecompositionCheck(False, width)
-
-    for v in covered:
-        span = range(first[v], last[v] + 1)
-        if any(v not in pd.bags[i] for i in span):
-            return DecompositionCheck(False, width)
-
-    return DecompositionCheck(True, width)
+            count[v] += 1
+    # an uncovered vertex has count 0 against a span of 1 (from -1 to -1)
+    valid = all(c == b - a + 1 for a, b, c in zip(first, last, count)) and all(
+        max(first[u], first[v]) <= min(last[u], last[v]) for u, v in g.edges
+    )
+    return DecompositionCheck(valid, pd.width)
 
 
 def is_partial_two_tree(g: Graph) -> bool:

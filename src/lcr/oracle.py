@@ -137,20 +137,6 @@ def _proper_colorings(
     return [codes[i] for i in perm], [colorings[i] for i in perm]
 
 
-def enumerate_colorings(
-    g: Graph,
-    lists: Sequence[frozenset[int]],
-    cap: int = DEFAULT_STATE_CAP,
-) -> list[Coloring]:
-    """All proper list colorings of g in lexicographic order.
-
-    The product of the list sizes must stay within cap; it is checked
-    before any other work.
-    """
-    sorted_lists = _sorted_lists_within_cap(lists, cap)
-    return _proper_colorings(g, sorted_lists, _strides(sorted_lists))[1]
-
-
 @dataclass
 class ReconfigurationGraph:
     """Reconfiguration graph with canonically numbered nodes."""

@@ -134,12 +134,24 @@ class ThresholdWitness:
     bound: int
 
     def verify(self, g: Graph) -> bool:
-        """Edges must be exactly the pairs whose weights sum to the bound."""
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if (self.weights[u] + self.weights[v] >= self.bound) != g.has_edge(u, v):
-                    return False
-        return True
+        """Edges must be exactly the pairs whose weights sum to the bound.
+
+        Every edge must reach the bound; then the edges are all such pairs
+        exactly when their number matches a count of the pairs that reach it,
+        taken by two pointers over the sorted weights.
+        """
+        weights, bound = self.weights, self.bound
+        if any(weights[u] + weights[v] < bound for u, v in g.edges):
+            return False
+        ws = sorted(weights[v] for v in range(g.n))
+        pairs, lo, hi = 0, 0, g.n - 1
+        while lo < hi:
+            if ws[lo] + ws[hi] >= bound:  # so does ws[k] + ws[hi] for lo <= k < hi
+                pairs += hi - lo
+                hi -= 1
+            else:
+                lo += 1
+        return pairs == g.m
 
 
 def to_threshold(red: ReducedInstance) -> tuple[LcrInstance, ThresholdWitness]:

@@ -32,8 +32,13 @@ from lcr.errors import (
     ParseError,
     StateSpaceTooLarge,
 )
-from lcr.generators import gen_caterpillar, gen_layered_spr
-from lcr.graph import CaterpillarStructure, Graph
+from lcr.generators import MAX_TRIES, _greedy_coloring, gen_caterpillar, gen_layered_spr
+from lcr.graph import (
+    CaterpillarStructure,
+    DecompositionCheck,
+    Graph,
+    PathDecomposition,
+)
 from lcr.instance import (
     Coloring,
     LcrInstance,
@@ -47,9 +52,10 @@ from lcr.oracle import (
     DEFAULT_STATE_CAP,
     ReconfigurationGraph,
     _node_id,
+    build,
     state_space_size,
 )
-from lcr.reduction import ReducedInstance, compile_spr
+from lcr.reduction import ReducedInstance, ThresholdWitness, compile_spr
 from lcr.rerouting import (
     DEFAULT_PATH_CAP,
     SPath,
@@ -58,11 +64,30 @@ from lcr.rerouting import (
     enumerate_s_paths,
 )
 
+from .reference import adjacency
+
 
 def sweep_answer(inst: LcrInstance) -> bool:
     """The caterpillar sweep's answer: the last encoding keeps its tar mark."""
     *_, (eg, _) = encoding_history(inst)
     return eg.tar is not None
+
+
+def all_colorings(
+    g: Graph, lists: Sequence[frozenset[int]], cap: int = DEFAULT_STATE_CAP
+) -> list[Coloring]:
+    """Every proper list coloring of g in lexicographic order: the oracle's nodes."""
+    return list(build(g, lists, cap).nodes)
+
+
+def spine_of_prefix(st: CaterpillarStructure) -> tuple[int, ...]:
+    """Entry i-1 is the latest spine vertex among the first i ordered vertices."""
+    spine, latest, out = set(st.spine), st.ordering[0], []
+    for v in st.ordering:
+        if v in spine:
+            latest = v
+        out.append(latest)
+    return tuple(out)
 
 
 def quadratic_normalize(
@@ -139,7 +164,7 @@ def recursive_colorings(
     lists: Sequence[frozenset[int]],
     cap: int = DEFAULT_STATE_CAP,
 ) -> list[Coloring]:
-    """Recursive reference for ``lcr.oracle.enumerate_colorings``.
+    """Recursive reference for the nodes of ``lcr.oracle.build``.
 
     Backtracks in vertex-id order, one call per vertex, so the colorings
     come out in lexicographic order straight from the definition.
@@ -264,7 +289,7 @@ def _spine_parts(
     For each color, components of the e-nodes avoiding it are found by one
     scan of the e-node ids in order, so they come out by smallest member.
     """
-    adj = prev.adjacency()
+    adj = adjacency(prev)
     parts: list[tuple[int, frozenset[int]]] = []
     for c in colors:
         seen = [col == c for col in prev.cols]
@@ -785,6 +810,41 @@ def ref_count_s_paths(inst: SprInstance) -> int:
     return counts.get(inst.t, 0)
 
 
+def gen_random_instance(
+    n: int,
+    edge_prob: float = 0.35,
+    colors: int = 4,
+    list_range: tuple[int, int] = (1, 4),
+    seed: int = 0,
+) -> LcrInstance:
+    """Random instance on an arbitrary graph, not necessarily normalized.
+
+    List sizes may be 1 (forced colors) or exceed degree+1, so normalization
+    has real work to do.  Regenerates until both endpoint colorings exist.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    rng = random.Random(seed)
+    lo, hi = list_range
+    for _ in range(MAX_TRIES):
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < edge_prob
+        ]
+        g = Graph(n, edges)
+        lists = [
+            frozenset(rng.sample(range(colors), min(rng.randint(lo, hi), colors)))
+            for _ in range(n)
+        ]
+        f0 = _greedy_coloring(g, lists, rng)
+        fr = _greedy_coloring(g, lists, rng)
+        if f0 is not None and fr is not None:
+            return LcrInstance(g, tuple(lists), f0, fr)
+    raise GenerationFailed("could not find proper endpoint colorings")
+
+
 def caterpillar_corpus(
     count: int,
     base_seed: int,
@@ -837,3 +897,46 @@ def layered_corpus(
         if state_space_size(red.lcr.lists) <= max_states:
             out.append((spr, red))
     return out
+
+
+# -- quadratic references for the certificate checkers ------------------------------
+
+
+def pairwise_threshold_verify(witness: ThresholdWitness, g: Graph) -> bool:
+    """Pair-by-pair reference for ``ThresholdWitness.verify``."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (witness.weights[u] + witness.weights[v] >= witness.bound) != g.has_edge(u, v):
+                return False
+    return True
+
+
+def bag_scan_check_path_decomposition(g: Graph, pd: PathDecomposition) -> DecompositionCheck:
+    """Bag-scanning reference for ``lcr.graph.check_path_decomposition``."""
+    for bag in pd.bags:
+        for v in bag:
+            if not 0 <= v < g.n:
+                raise ValueError(f"bag vertex {v} out of range for n={g.n}")
+    width = pd.width
+
+    covered: set[int] = set()
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, bag in enumerate(pd.bags):
+        for v in bag:
+            covered.add(v)
+            first.setdefault(v, i)
+            last[v] = i
+    if len(covered) != g.n:
+        return DecompositionCheck(False, width)
+
+    for u, v in g.edges:
+        if not any(u in bag and v in bag for bag in pd.bags):
+            return DecompositionCheck(False, width)
+
+    for v in covered:
+        span = range(first[v], last[v] + 1)
+        if any(v not in pd.bags[i] for i in span):
+            return DecompositionCheck(False, width)
+
+    return DecompositionCheck(True, width)

@@ -1,21 +1,33 @@
-"""Cross-checks for the caterpillar sweep, kept apart from the solver.
+"""Cross-checks for the caterpillar sweep, kept beside the tests.
 
-Nothing on the solve path imports this module.  The tests use it to check
-the structural invariants of each encoding graph the sweep builds, to
-contract the same graph straight from the reconfiguration graph of a prefix,
-to compare the two up to e-node numbering, and to restrict colorings to
-sweep prefixes.
+This module lives in ``tests/``, not in the ``lcr`` package: nothing on the
+solve path imports it.  The tests use it to check the structural invariants
+of each encoding graph the sweep builds, to contract the same graph straight
+from the reconfiguration graph of a prefix, to compare the two up to e-node
+numbering, and to restrict colorings to sweep prefixes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .caterpillar_dp import EncodingGraph
-from .errors import NotCaterpillar, OutOfRange, PartialColoring
-from .graph import CaterpillarStructure, reach, recognize_caterpillar
-from .instance import LcrInstance
-from .oracle import ReconfigurationGraph
+from lcr.caterpillar_dp import EncodingGraph
+from lcr.errors import LcrError, NotCaterpillar, PartialColoring
+from lcr.graph import CaterpillarStructure, reach, recognize_caterpillar
+from lcr.instance import LcrInstance
+from lcr.oracle import ReconfigurationGraph
+
+
+class OutOfRange(LcrError, ValueError):
+    """Index argument outside the valid range."""
+
+
+def adjacency(eg: EncodingGraph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in eg.cols]
+    for x, y in eg.edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    return adj
 
 
 def validate_encoding(eg: EncodingGraph, spine_list=None) -> None:
@@ -44,7 +56,7 @@ def validate_encoding(eg: EncodingGraph, spine_list=None) -> None:
         bad = [c for c in eg.cols if c not in spine_list]
         if bad:
             raise ValueError(f"cols {bad} outside the spine list")
-    if k and len(reach(eg.adjacency(), 0, [False] * k)) != k:
+    if k and len(reach(adjacency(eg), 0, [False] * k)) != k:
         raise ValueError("encoding graph is disconnected")
 
 
@@ -64,7 +76,7 @@ def label_preserving_isomorphic(a: EncodingGraph, b: EncodingGraph) -> bool:
     la, lb = _labels(a), _labels(b)
     if sorted(la) != sorted(lb):
         return False
-    adj_a, adj_b = a.adjacency(), b.adjacency()
+    adj_a, adj_b = adjacency(a), adjacency(b)
     if sorted(len(x) for x in adj_a) != sorted(len(x) for x in adj_b):
         return False
     edges_b = {(x, y) if x < y else (y, x) for x, y in b.edges}

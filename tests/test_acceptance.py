@@ -17,7 +17,7 @@ import pytest
 
 from lcr import is_valid_sequence, oracle_decide
 from lcr.caterpillar_dp import check_size_bound, encoding_history
-from lcr.generators import gen_caterpillar, gen_random_instance
+from lcr.generators import gen_caterpillar
 from lcr.graph import (
     check_path_decomposition,
     is_bipartite,
@@ -28,7 +28,6 @@ from lcr.instance import induced_instance, lift_sequence, normalize
 from lcr.oracle import (
     build,
     component_of,
-    enumerate_colorings,
     reachable,
     state_space_size,
 )
@@ -38,10 +37,17 @@ from lcr.reduction import (
     spath_sequence_to_recoloring,
     to_threshold,
 )
-from lcr.reference import contract_encoding, label_preserving_isomorphic
 from lcr.rerouting import adjacent_s_paths, brute_solve, is_s_path
 
-from .helpers import caterpillar_corpus, layered_corpus, sweep_answer
+from .helpers import (
+    all_colorings,
+    caterpillar_corpus,
+    gen_random_instance,
+    layered_corpus,
+    spine_of_prefix,
+    sweep_answer,
+)
+from .reference import contract_encoding, label_preserving_isomorphic
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -83,6 +89,7 @@ def test_criterion_2_every_prefix_encoding_is_isomorphic(cat_corpus):
     matched = prefixes = 0
     for inst in subset:
         st = recognize_caterpillar(inst.graph)
+        spines = spine_of_prefix(st)
         for sweep, rec in encoding_history(inst, st):
             prefixes += 1
             prefix = st.ordering[: rec.step]
@@ -90,7 +97,7 @@ def test_criterion_2_every_prefix_encoding_is_isomorphic(cat_corpus):
             rg = build(sub.graph, sub.lists)
             comp = component_of(rg, sub.f0)
             oracle_eg = contract_encoding(
-                rg, comp, id_map[st.spine_of_prefix[rec.step - 1]], sub.f0, sub.fr
+                rg, comp, id_map[spines[rec.step - 1]], sub.f0, sub.fr
             )
             matched += label_preserving_isomorphic(sweep.snapshot(), oracle_eg)
     ok = len(subset) == 200 and matched == prefixes
@@ -194,9 +201,9 @@ def test_criterion_7_threshold_variant_preserves_everything(layered):
     sample = layered[:100]
     for _, red in sample:
         thr, witness = to_threshold(red)
-        same_colorings = enumerate_colorings(
+        same_colorings = all_colorings(
             thr.graph, thr.lists
-        ) == enumerate_colorings(red.lcr.graph, red.lcr.lists)
+        ) == all_colorings(red.lcr.graph, red.lcr.lists)
         preserved += (
             same_colorings
             and witness.verify(thr.graph)

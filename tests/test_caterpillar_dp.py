@@ -13,11 +13,6 @@ from lcr.errors import IniLost, NotCaterpillar, NotNormalized
 from lcr.generators import gen_caterpillar
 from lcr.graph import recognize_caterpillar
 from lcr.instance import induced_instance
-from lcr.reference import (
-    contract_encoding,
-    label_preserving_isomorphic,
-    validate_encoding,
-)
 
 from . import helpers
 from .helpers import (
@@ -25,7 +20,13 @@ from .helpers import (
     cycle_graph,
     load_sweep,
     reference_history,
+    spine_of_prefix,
     sweep_answer,
+)
+from .reference import (
+    contract_encoding,
+    label_preserving_isomorphic,
+    validate_encoding,
 )
 
 
@@ -310,14 +311,15 @@ def test_solve_agrees_with_the_oracle_on_random_caterpillars():
 def test_every_prefix_matches_the_contracted_oracle_component():
     for inst in caterpillar_corpus(15, base_seed=2201, max_n=9):
         st = recognize_caterpillar(inst.graph)
+        spines = spine_of_prefix(st)
         for eg, rec in snapshots(inst, st):
-            validate_encoding(eg, spine_list=inst.lists[st.spine_of_prefix[rec.step - 1]])
+            validate_encoding(eg, spine_list=inst.lists[spines[rec.step - 1]])
             prefix = st.ordering[: rec.step]
             sub, id_map = induced_instance(inst, prefix)
             rg = build(sub.graph, sub.lists)
             comp = component_of(rg, sub.f0)
             oracle_eg = contract_encoding(
-                rg, comp, id_map[st.spine_of_prefix[rec.step - 1]], sub.f0, sub.fr
+                rg, comp, id_map[spines[rec.step - 1]], sub.f0, sub.fr
             )
             assert label_preserving_isomorphic(eg, oracle_eg)
 

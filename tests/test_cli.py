@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import lcr.caterpillar_dp
 import lcr.cli
 from lcr import Graph, is_valid_sequence, make_instance
@@ -9,10 +11,11 @@ from lcr.fileio import (
     format_lcr,
     format_sequence,
     format_spr,
+    format_threshold_witness,
     parse_lcr,
     parse_sequence,
 )
-from lcr.reduction import compile_spr
+from lcr.reduction import ThresholdWitness, compile_spr
 from lcr.rerouting import build_spr_instance
 
 from .helpers import one_color_path
@@ -300,6 +303,36 @@ def test_verify_decomposition_against_a_bare_graph(tmp_path, capsys):
     dec_path.write_text("b 0 1\nb 1 2\n")
     assert main(["verify", "decomposition", str(graph_path), str(dec_path)]) == EXIT_OK
     assert capsys.readouterr().out == "OK width 1\n"
+
+
+def _timed_main(argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_verify_threshold_on_a_large_edgeless_graph(tmp_path, capsys):
+    # every pair is a non-edge: a pair-by-pair check makes 2 * 10**8 tests
+    n = 20_000
+    graph_path = tmp_path / "edgeless.graph"
+    graph_path.write_text(f"p graph {n} 0\n")
+    wit = tmp_path / "zero.thr"
+    wit.write_text(format_threshold_witness(ThresholdWitness((0,) * n, 1)))
+    code, elapsed = _timed_main(["verify", "threshold", str(graph_path), str(wit)])
+    assert code == EXIT_OK and capsys.readouterr().out == "OK\n"
+    assert elapsed < 2.0
+
+
+def test_verify_decomposition_of_a_long_path(tmp_path, capsys):
+    # scanning the bags for each edge makes 2 * 10**8 membership tests
+    n = 20_000
+    graph_path = tmp_path / "path.graph"
+    graph_path.write_text(format_graph(Graph(n, [(i, i + 1) for i in range(n - 1)])))
+    dec_path = tmp_path / "chain.dec"
+    dec_path.write_text("".join(f"b {i} {i + 1}\n" for i in range(n - 1)))
+    code, elapsed = _timed_main(["verify", "decomposition", str(graph_path), str(dec_path)])
+    assert code == EXIT_OK and capsys.readouterr().out == "OK width 1\n"
+    assert elapsed < 2.0
 
 
 def test_verify_needs_its_certificate_file(tmp_path, capsys):

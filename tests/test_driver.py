@@ -8,10 +8,9 @@ from lcr import Graph, is_valid_sequence, make_instance
 from lcr.caterpillar_dp import encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
-from lcr.generators import gen_random_instance
 from lcr.instance import induced_instance, normalize
 
-from .helpers import caterpillar_corpus, cycle_graph
+from .helpers import caterpillar_corpus, cycle_graph, gen_random_instance
 
 
 def two_component_instance():

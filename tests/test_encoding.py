@@ -3,13 +3,14 @@ from __future__ import annotations
 import pytest
 
 from lcr.caterpillar_dp import EncodingGraph
-from lcr.reference import label_preserving_isomorphic, validate_encoding
+
+from .reference import adjacency, label_preserving_isomorphic, validate_encoding
 
 
 def test_len_and_adjacency():
     eg = EncodingGraph(cols=(1, 2, 1), edges=((0, 1), (1, 2)), ini=0, tar=2)
     assert len(eg) == 3
-    assert eg.adjacency() == [[1], [0, 2], [1]]
+    assert adjacency(eg) == [[1], [0, 2], [1]]
 
 
 def test_validation_accepts_a_path_with_shared_cols():

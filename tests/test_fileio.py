@@ -28,12 +28,12 @@ from lcr.fileio import (
     parse_spr,
     parse_threshold_witness,
 )
-from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
+from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import PathDecomposition
 from lcr.reduction import ThresholdWitness, compile_spr, to_threshold
 from lcr.rerouting import build_spr_instance
 
-from .helpers import row_parse_graph, row_parse_lcr, row_parse_spr
+from .helpers import gen_random_instance, row_parse_graph, row_parse_lcr, row_parse_spr
 
 
 def spr_samples(count, base_seed):
@@ -562,6 +562,22 @@ def _mutated(base: str, seeds: Sequence[int]) -> str:
     for seed in seeds:
         _mutate(lines, random.Random(seed))
     return random.Random(seeds[0]).choice(["\n", "\n", "\r\n"]).join(lines) + "\n"
+
+
+def test_parse_spr_builds_one_graph_per_pruned_text(monkeypatch):
+    texts = [format_spr(spr) for spr in spr_samples(30, base_seed=880)]
+    builds = 0
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for text in texts:
+        parse_spr(text)
+    assert builds == len(texts)
 
 
 def test_parsers_match_the_row_reference():

@@ -4,13 +4,13 @@ import pytest
 
 from lcr.errors import GenerationFailed
 from lcr.fileio import format_lcr, format_spr
-from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
+from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import recognize_caterpillar
 from lcr.instance import is_proper_list_coloring
 from lcr.reduction import compile_spr
 from lcr.rerouting import is_s_path
 
-from .helpers import ref_is_caterpillar
+from .helpers import gen_random_instance, ref_is_caterpillar
 
 
 def test_caterpillar_generation_is_deterministic():

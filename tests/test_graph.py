@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,12 +15,13 @@ from lcr import (
 )
 from lcr import build, component_of, reachable
 from lcr.errors import NotConnected
-from lcr.generators import gen_caterpillar, gen_layered_spr, gen_random_instance
+from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import PathDecomposition
 from lcr.rerouting import brute_solve
 
 from .helpers import (
     all_labeled_trees,
+    bag_scan_check_path_decomposition,
     caterpillar_corpus,
     complete_graph,
     cycle_graph,
@@ -28,8 +30,10 @@ from .helpers import (
     deque_connected_components,
     deque_reachable,
     deque_rg_components,
+    gen_random_instance,
     path_graph,
     ref_is_caterpillar,
+    spine_of_prefix,
     star_graph,
 )
 
@@ -103,6 +107,15 @@ def test_induced_subgraph_keeps_sorted_id_order():
     assert sub.edges == frozenset({(0, 1), (1, 2)})
 
 
+def test_induced_subgraph_on_every_vertex_is_the_graph_itself():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    sub, id_map = g.induced_subgraph([3, 1, 2, 0, 1])
+    assert sub is g
+    assert id_map == {0: 0, 1: 1, 2: 2, 3: 3}
+    sub, id_map = g.induced_subgraph([0, 1, 2])
+    assert sub is not g and sub.n == 3 and id_map == {0: 0, 1: 1, 2: 2}
+
+
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(1, 2), (0, 1)])
@@ -131,7 +144,7 @@ def test_star_promotes_lowest_leaves_onto_spine():
     assert st.spine == (1, 0, 2)
     assert st.leaves == {3: 0}
     assert st.ordering == (1, 0, 3, 2)
-    assert st.spine_of_prefix == (1, 0, 0, 2)
+    assert spine_of_prefix(st) == (1, 0, 0, 2)
 
 
 def test_single_vertex_counts_as_caterpillar():
@@ -176,7 +189,8 @@ def test_recognition_rejects_connected_non_trees():
 def test_structure_reproduces_the_edge_set():
     for inst in caterpillar_corpus(60, base_seed=901, max_n=20):
         st = recognize_caterpillar(inst.graph)
-        assert st.edge_set() == inst.graph.edges
+        spine_edges = set(zip(st.spine, st.spine[1:])) | set(st.leaves.items())
+        assert {(min(e), max(e)) for e in spine_edges} == inst.graph.edges
 
 
 def test_ordering_attaches_each_vertex_to_the_active_spine():
@@ -184,10 +198,11 @@ def test_ordering_attaches_each_vertex_to_the_active_spine():
     for inst in caterpillar_corpus(60, base_seed=902, max_n=20):
         g = inst.graph
         st = recognize_caterpillar(g)
+        spines = spine_of_prefix(st)
         for i in range(2, g.n + 1):
             prev = set(st.ordering[: i - 1])
             back = set(g.neighbors(st.ordering[i - 1])) & prev
-            assert back == {st.spine_of_prefix[i - 2]}
+            assert back == {spines[i - 2]}
 
 
 def test_generated_caterpillars_are_recognized():
@@ -240,6 +255,47 @@ def test_bag_vertex_out_of_range_is_an_error():
 
 def test_empty_decomposition_of_empty_graph():
     assert check_path_decomposition(Graph(0), PathDecomposition(())).valid
+
+
+def _decomposition_outcome(check, g, pd):
+    try:
+        return check(g, pd)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_decomposition_check_matches_the_bag_scanning_reference():
+    # bags built from one interval per vertex, edges mostly between
+    # overlapping intervals, then about half the cases damaged
+    rng = random.Random(5101)
+    seen: Counter[str] = Counter()
+    for _ in range(6000):
+        n, k = rng.randint(0, 7), rng.randint(1, 6)
+        spans = [sorted((rng.randrange(k), rng.randrange(k))) for _ in range(n)]
+        bags = [
+            {v for v, (a, b) in enumerate(spans) if a <= i <= b} for i in range(k)
+        ]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [
+            (u, v) for u, v in pairs
+            if rng.random() < (0.6 if max(spans[u][0], spans[v][0])
+                               <= min(spans[u][1], spans[v][1]) else 0.05)
+        ]
+        damage = rng.random()
+        if damage < 0.2 and any(bags):
+            rng.choice([bag for bag in bags if bag]).pop()
+        elif damage < 0.4:
+            rng.choice(bags).add(rng.randrange(max(n, 1)))
+        elif damage < 0.45:
+            rng.choice(bags).add(rng.choice((-1, n, n + 3)))
+        elif damage < 0.5 and len(bags) > 1:
+            bags.pop(rng.randrange(len(bags)))
+        g = Graph(n, edges)
+        pd = PathDecomposition(tuple(frozenset(bag) for bag in bags))
+        want = _decomposition_outcome(bag_scan_check_path_decomposition, g, pd)
+        assert _decomposition_outcome(check_path_decomposition, g, pd) == want
+        seen["error" if want[0] == "ValueError" else str(want.valid)] += 1
+    assert seen["True"] > 1000 and seen["False"] > 1000 and seen["error"] > 100
 
 
 # -- partial 2-tree elimination ------------------------------------------------

@@ -16,10 +16,8 @@ from lcr import (
 from lcr.errors import (
     InfeasibleList,
     InvalidSequence,
-    OutOfRange,
     PartialColoring,
 )
-from lcr.generators import gen_random_instance
 from lcr.instance import (
     LcrInstance,
     induced_instance,
@@ -27,9 +25,9 @@ from lcr.instance import (
     trimmed_instance,
 )
 from lcr.oracle import build, oracle_decide, reachable
-from lcr.reference import restrict
 
-from .helpers import path_graph, quadratic_normalize, star_graph
+from .helpers import gen_random_instance, path_graph, quadratic_normalize, star_graph
+from .reference import OutOfRange, restrict
 
 
 def edge_instance(l0, l1, f0, fr):

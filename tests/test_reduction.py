@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from lcr import Graph, is_valid_sequence, oracle_decide
 from lcr.errors import DegenerateDistance, ImproperColoring, InvalidRerouting
 from lcr.graph import check_path_decomposition, is_bipartite, is_partial_two_tree
 from lcr.instance import is_proper_list_coloring
-from lcr.oracle import enumerate_colorings
 from lcr.reduction import (
     ForbiddenVertex,
+    ThresholdWitness,
     coloring_to_spath,
     compile_spr,
     emit_path_decomposition,
@@ -18,7 +21,7 @@ from lcr.reduction import (
 )
 from lcr.rerouting import brute_solve, build_spr_instance, is_s_path
 
-from .helpers import layered_corpus
+from .helpers import all_colorings, layered_corpus, pairwise_threshold_verify
 
 
 def diamond_spr():
@@ -165,11 +168,34 @@ def test_threshold_join_only_touches_list_disjoint_pairs():
                 assert not (red.lcr.lists[u] & red.lcr.lists[v])
 
 
+def test_threshold_check_matches_the_pairwise_reference():
+    # half the graphs are the weights' own threshold graph, some of those
+    # with one pair flipped; weights and bound may be negative
+    rng = random.Random(4451)
+    seen: Counter[bool] = Counter()
+    for _ in range(6000):
+        n = rng.randint(0, 8)
+        weights = tuple(rng.randint(-3, 3) for _ in range(n))
+        bound = rng.randint(-3, 4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if rng.random() < 0.5:
+            edges = {(u, v) for u, v in pairs if weights[u] + weights[v] >= bound}
+            if pairs and rng.random() < 0.5:
+                edges ^= {rng.choice(pairs)}
+        else:
+            edges = {p for p in pairs if rng.random() < 0.5}
+        g, witness = Graph(n, sorted(edges)), ThresholdWitness(weights, bound)
+        want = pairwise_threshold_verify(witness, g)
+        assert witness.verify(g) == want
+        seen[want] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
+
+
 def test_threshold_form_keeps_the_coloring_set_and_answer():
     checked = 0
     for _, red in layered_corpus(25, base_seed=4501):
         thr, _ = to_threshold(red)
-        assert enumerate_colorings(thr.graph, thr.lists) == enumerate_colorings(
+        assert all_colorings(thr.graph, thr.lists) == all_colorings(
             red.lcr.graph, red.lcr.lists
         )
         assert oracle_decide(thr) == oracle_decide(red.lcr)
@@ -188,7 +214,7 @@ def test_endpoint_colorings_project_to_the_endpoint_paths():
 
 def test_every_proper_coloring_projects_to_an_s_path():
     for spr, red in layered_corpus(15, base_seed=4701):
-        for f in enumerate_colorings(red.lcr.graph, red.lcr.lists):
+        for f in all_colorings(red.lcr.graph, red.lcr.lists):
             assert is_s_path(spr, coloring_to_spath(red, f))
 
 
