@@ -137,31 +137,44 @@ class Sweep:
         c; each leftover component can be held fixed while the new vertex
         sits on c, so it becomes one new e-node.  Two new e-nodes sharing an
         old e-node are adjacent (recolor the new vertex while the rest stays
-        put).  The ini and tar marks land on the new e-nodes that extend the
-        old ones with the matching endpoint color.  New e-nodes come out by
-        color, then by smallest old member.  Returns the e-node count before
-        component extraction.
+        put), so each component's one search links the new e-node to the
+        earlier owners of every member it reaches.  The ini and tar marks land
+        on the new e-nodes that extend the old ones with the matching endpoint
+        color.  New e-nodes come out by color, then by smallest old member.
+        Returns the e-node count before component extraction.
         """
         colors = sorted(set(spine_list))
         if f0_color not in colors or fr_color not in colors:
             raise ValueError("endpoint colors must come from the spine list")
         cols, adj = self.cols, self.adj
-        new_cols = []
+        new_cols, new_adj = [], []
         owners = [[] for _ in cols]  # the new e-nodes holding each old one
         for c in colors:
             seen = [col == c for col in cols]
             for start, done in enumerate(seen):
-                if not done:
-                    for x in reach(adj, start, seen):
-                        owners[x].append(len(new_cols))
-                    new_cols.append(c)
-        new_adj, pairs = [set() for _ in new_cols], set()
-        for own in owners:
-            for i, p in enumerate(own):
-                for q in own[i + 1:]:
-                    new_adj[p].add(q)
+                if done:
+                    continue
+                p, mine, seen[start], reached = len(new_cols), set(), True, [start]
+                for x in reached:  # breadth first, as in ``reach``
+                    own = owners[x]
+                    if own:
+                        mine.update(own)  # they share x with p
+                    own.append(p)
+                    for y in adj[x]:
+                        if not seen[y]:
+                            seen[y] = True
+                            reached.append(y)
+                for q in mine:
                     new_adj[q].add(p)
-                    pairs.add((new_cols[p], new_cols[q]))  # p < q, so sorted
+                new_cols.append(c)
+                new_adj.append(mine)
+        # an old e-node of col d has an owner of every color of C but d, so a
+        # pair {a, b} of C carries an edge exactly when some old col is neither
+        present = set(cols)
+        pairs = {(a, b) for a in colors for b in colors if a < b and present - {a, b}}
+        # both ends of an old edge share the new e-node of a third color, so
+        # the state stays connected unless C is the col pair of an old edge
+        cut = len(colors) == 2 and tuple(colors) in self.pairs
         ini = {new_cols[p]: p for p in owners[self.ini]}.get(f0_color)
         tar = None
         if self.tar is not None:
@@ -169,7 +182,8 @@ class Sweep:
         self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
         self.ini, self.tar = ini, tar
         self.step_index += 1
-        self._extract()
+        if cut or ini is None:
+            self._extract()
         return len(new_cols)
 
 

@@ -37,7 +37,10 @@ def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise LcrError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_instance_or_graph(text: str):

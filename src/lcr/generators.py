@@ -57,6 +57,8 @@ def gen_caterpillar(
         raise ValueError("spine length must be positive")
     if colors < 2:
         raise ValueError("need at least two colors")
+    if leaves_per_spine is not None and leaves_per_spine < 0:
+        raise ValueError("leaf count must not be negative")
     rng = random.Random(seed)
     lo, hi = list_range
     if not 2 <= lo <= hi:

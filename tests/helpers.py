@@ -38,6 +38,7 @@ from lcr.graph import (
     DecompositionCheck,
     Graph,
     PathDecomposition,
+    reach,
 )
 from lcr.instance import (
     Coloring,
@@ -383,6 +384,47 @@ def reference_history(
 def load_sweep(eg: EncodingGraph) -> Sweep:
     """A working state holding ``eg``, which must be its ini component."""
     return Sweep(eg.cols, eg.edges, eg.ini, eg.tar, eg.step_index)
+
+
+class OwnerListSweep(Sweep):
+    """The working state with the earlier two-pass spine step, kept verbatim.
+
+    Its spine step lists each old e-node's new owners by one ``reach`` per
+    component, builds the edges and their col pairs from those lists in a
+    second pass, and always extracts.  ``Sweep.spine`` must give the same
+    states and the same ``pairs``.
+    """
+
+    def spine(self, spine_list: Sequence[int], f0_color: int, fr_color: int) -> int:
+        colors = sorted(set(spine_list))
+        if f0_color not in colors or fr_color not in colors:
+            raise ValueError("endpoint colors must come from the spine list")
+        cols, adj = self.cols, self.adj
+        new_cols = []
+        owners = [[] for _ in cols]  # the new e-nodes holding each old one
+        for c in colors:
+            seen = [col == c for col in cols]
+            for start, done in enumerate(seen):
+                if not done:
+                    for x in reach(adj, start, seen):
+                        owners[x].append(len(new_cols))
+                    new_cols.append(c)
+        new_adj, pairs = [set() for _ in new_cols], set()
+        for own in owners:
+            for i, p in enumerate(own):
+                for q in own[i + 1:]:
+                    new_adj[p].add(q)
+                    new_adj[q].add(p)
+                    pairs.add((new_cols[p], new_cols[q]))  # p < q, so sorted
+        ini = {new_cols[p]: p for p in owners[self.ini]}.get(f0_color)
+        tar = None
+        if self.tar is not None:
+            tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
+        self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
+        self.ini, self.tar = ini, tar
+        self.step_index += 1
+        self._extract()
+        return len(new_cols)
 
 
 def recursive_s_paths(inst: SprInstance, cap: int = DEFAULT_PATH_CAP) -> list[SPath]:

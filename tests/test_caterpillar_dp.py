@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import lcr.caterpillar_dp
 from lcr import Graph, build, component_of, make_instance, oracle_decide
 from lcr.caterpillar_dp import (
     EncodingGraph,
@@ -9,9 +10,10 @@ from lcr.caterpillar_dp import (
     check_size_bound,
     encoding_history,
 )
+from lcr.driver import solve_driver
 from lcr.errors import IniLost, NotCaterpillar, NotNormalized
 from lcr.generators import gen_caterpillar
-from lcr.graph import recognize_caterpillar
+from lcr.graph import reach, recognize_caterpillar
 from lcr.instance import induced_instance
 
 from . import helpers
@@ -221,7 +223,7 @@ def test_history_is_deterministic():
     assert snapshots(inst) == snapshots(inst)
 
 
-def test_engine_matches_the_rebuilding_reference():
+def engine_corpus():
     corpus = caterpillar_corpus(150, base_seed=2401)
     corpus += [  # 3-colour paths: the encoding gains one e-node per step
         gen_caterpillar(n, leaf_prob=0, colors=3, list_range=(3, 3), seed=n)
@@ -233,8 +235,12 @@ def test_engine_matches_the_rebuilding_reference():
         )
         for spine, seed in ((40, 1), (80, 2), (160, 3))
     ]
+    return corpus
+
+
+def test_engine_matches_the_rebuilding_reference():
     seen = set()
-    for inst in corpus:
+    for inst in engine_corpus():
         ref = reference_history(inst)
         assert snapshots(inst) == ref
         for (prev, _), (eg, rec) in zip(ref, ref[1:]):
@@ -249,6 +255,51 @@ def test_engine_matches_the_rebuilding_reference():
     assert seen == {
         "leaf cuts edges", "leaf cuts nothing", "extraction drops e-nodes", "tar lost"
     }
+
+
+def test_pairs_match_the_owner_lists_and_skipped_extractions_stay_connected(
+    monkeypatch,
+):
+    seen = set()
+    for inst in engine_corpus():
+        with monkeypatch.context() as m:
+            m.setattr(lcr.caterpillar_dp, "Sweep", helpers.OwnerListSweep)
+            ref = [
+                (s.snapshot(), rec, set(s.pairs)) for s, rec in encoding_history(inst)
+            ]
+        prev_pairs = None
+        for (sweep, rec), (ref_eg, ref_rec, ref_pairs) in zip(
+            encoding_history(inst), ref, strict=True
+        ):
+            eg = sweep.snapshot()
+            assert (eg, rec) == (ref_eg, ref_rec)
+            # the leaf step's O(1) shortcut reads pairs as a cover of the edges
+            edge_pairs = {tuple(sorted((eg.cols[x], eg.cols[y]))) for x, y in eg.edges}
+            assert edge_pairs <= sweep.pairs
+            if rec.kind == "spine":
+                assert sweep.pairs == ref_pairs
+                colors = tuple(sorted(set(inst.lists[rec.vertex])))
+                if colors in prev_pairs:
+                    seen.add("extracted")
+                else:
+                    seen.add("extraction skipped")
+                    reached = reach(sweep.adj, sweep.ini, [False] * len(sweep))
+                    assert len(reached) == len(sweep)
+            prev_pairs = set(sweep.pairs)
+    assert seen == {"extracted", "extraction skipped"}
+
+
+def test_sweep_agrees_with_the_oracle_on_three_color_paths():
+    answers = []
+    for n in range(2, 13):
+        for seed in range(12):
+            inst = gen_caterpillar(
+                n, leaf_prob=0, colors=3, list_range=(3, 3), seed=seed
+            )
+            answer = solve_driver(inst, "caterpillar").answer
+            assert answer == oracle_decide(inst), (n, seed)
+            answers.append(answer)
+    assert set(answers) == {True, False}
 
 
 def test_size_bound_flags_the_offending_step():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import lcr.caterpillar_dp
 import lcr.cli
@@ -19,6 +23,8 @@ from lcr.reduction import ThresholdWitness, compile_spr
 from lcr.rerouting import build_spr_instance
 
 from .helpers import one_color_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def mixed_edge():
@@ -374,6 +380,33 @@ def test_gen_layered_writes_a_loadable_instance(tmp_path, capsys):
 
     parse_spr(text)
     capsys.readouterr()
+
+
+def test_gen_rejects_a_negative_leaf_count(tmp_path, capsys):
+    out = tmp_path / "x.lcr"
+    argv = ["gen", "caterpillar", "--spine-len", "3", "--leaves-per-spine", "-1"]
+    assert main(argv + ["-o", str(out)]) == EXIT_USAGE
+    assert "error: leaf count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_write_exits_2_without_a_traceback(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.lcr")
+    gen = ["gen", "caterpillar", "--spine-len", "3", "-o", target]
+    assert main(gen) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    normalize = ["normalize", write_lcr(tmp_path, mixed_edge()), "-o", target]
+    assert main(normalize) == EXIT_USAGE
+    assert "error: cannot write" in capsys.readouterr().err
+    # the same through the module entry point, as a user would run it
+    result = subprocess.run(
+        [sys.executable, "-m", "lcr.cli", *gen],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert "error: cannot write" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_gen_defaults_to_stdout(capsys):

@@ -44,6 +44,7 @@ def test_leaves_per_spine_pins_the_shape():
     # ten leaves; spine ends carry 1+2 edges, interior spine 2+2
     degrees = sorted(inst.graph.degree(v) for v in range(inst.graph.n))
     assert degrees == [1] * 10 + [3, 3, 4, 4, 4]
+    assert gen_caterpillar(5, colors=4, seed=3, leaves_per_spine=0).graph.m == 4
 
 
 def test_caterpillar_rejects_bad_parameters():
@@ -51,6 +52,8 @@ def test_caterpillar_rejects_bad_parameters():
         gen_caterpillar(0, seed=1)
     with pytest.raises(ValueError):
         gen_caterpillar(3, colors=1, seed=1)
+    with pytest.raises(ValueError, match="leaf count"):
+        gen_caterpillar(3, seed=1, leaves_per_spine=-1)
 
 
 def test_random_instances_are_deterministic_and_proper():
