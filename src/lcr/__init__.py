@@ -13,7 +13,7 @@ is imported from its module.
 """
 
 from .caterpillar_dp import check_size_bound, encoding_history
-from .driver import ComponentReport, SolveReport, solve_driver
+from .driver import solve_driver
 from .graph import (
     Graph,
     check_path_decomposition,

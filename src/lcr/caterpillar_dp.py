@@ -35,14 +35,13 @@ class EncodingGraph:
     the active spine vertex and are mutually reachable without recoloring
     it.  Each e-node carries the shared spine color ``col``; ``ini`` and
     ``tar`` name the e-nodes whose classes contain the start and target
-    restrictions.
+    restrictions.  Which step it belongs to is ``SizeRecord.step``.
     """
 
     cols: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     ini: Optional[int]
     tar: Optional[int]
-    step_index: int = -1
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -72,12 +71,12 @@ class Sweep:
     ``cols`` and ``adj`` hold each e-node's col and neighbour set, the rest
     is as in ``EncodingGraph``.  ``pairs`` covers the sorted col pair of
     every edge (a stale pair costs one scan that cuts nothing), so a leaf
-    whose two colors form none of them costs O(1).
+    whose two colors form none of them costs O(1).  The state does not
+    count its steps; ``encoding_history`` numbers them in its size records.
     """
 
-    def __init__(self, cols, edges, ini, tar, step_index):
+    def __init__(self, cols, edges, ini, tar):
         self.cols, self.ini, self.tar = list(cols), ini, tar
-        self.step_index = step_index
         self.adj, self.pairs = [set() for _ in self.cols], set()
         for x, y in edges:
             self.adj[x].add(y)
@@ -90,9 +89,7 @@ class Sweep:
     def snapshot(self) -> EncodingGraph:
         """The current state as a frozen ``EncodingGraph``."""
         edges = [(x, y) for x, ys in enumerate(self.adj) for y in sorted(ys) if x < y]
-        return EncodingGraph(
-            tuple(self.cols), tuple(edges), self.ini, self.tar, self.step_index
-        )
+        return EncodingGraph(tuple(self.cols), tuple(edges), self.ini, self.tar)
 
     def _extract(self) -> None:
         """Keep the ini e-node's component, renumbered stably (no-op if whole)."""
@@ -118,7 +115,6 @@ class Sweep:
         colors = sorted(set(leaf_list))
         if len(colors) != 2:
             raise NotNormalized(f"leaf list {colors} must hold exactly 2 colors")
-        self.step_index += 1
         pre, (a, b) = len(self.cols), colors
         if (a, b) in self.pairs:
             self.pairs.discard((a, b))
@@ -181,7 +177,6 @@ class Sweep:
             tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
         self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
         self.ini, self.tar = ini, tar
-        self.step_index += 1
         if cut or ini is None:
             self._extract()
         return len(new_cols)
@@ -232,7 +227,7 @@ def encoding_history(
     v1 = structure.ordering[0]
     cols = sorted(inst.lists[v1])
     tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
-    sweep = Sweep(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
+    sweep = Sweep(cols, ((0, 1),), cols.index(inst.f0[v1]), tar)
     k = len(sweep)
     yield sweep, SizeRecord(1, v1, "init", inst.graph.degree(v1), k, 0, k)
     spine_set = set(structure.spine)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fileio, oracle
-from .driver import solve_driver
+from .driver import ALGORITHMS, solve_driver
 from .errors import LcrError, ParseError, StateSpaceTooLarge
 from .experiments import run_experiments
 from .generators import gen_caterpillar, gen_layered_spr
@@ -185,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide an instance file")
     p.add_argument("file")
-    p.add_argument("--algo", choices=["auto", "caterpillar", "bruteforce"],
-                   default="auto")
+    p.add_argument("--algo", choices=ALGORITHMS, default="auto")
     p.add_argument("--witness", action="store_true",
                    help="print a recoloring witness (oracle only)")
     p.add_argument("--trace", action="store_true",

@@ -35,7 +35,6 @@ class ComponentReport:
     algorithm: str
     answer: bool
     oracle_nodes: Optional[int] = None
-    oracle_edges: Optional[int] = None
     # a swept run's summary over its size records (None for the oracle): the
     # largest pre-extraction count and the extremes of bound - pre-extraction
     enode_peak: Optional[int] = None
@@ -122,7 +121,7 @@ def solve_driver(
             steps = oracle.reachable(rg, sub.f0, sub.fr)
             report = ComponentReport(
                 tuple(comp), "bruteforce", steps is not None,
-                oracle_nodes=rg.num_nodes, oracle_edges=rg.num_edges,
+                oracle_nodes=rg.num_nodes,
             )
             if steps is not None and witness_steps is not None:
                 back = {new: old for old, new in id_map.items()}

@@ -14,16 +14,11 @@ from .graph import Graph
 from .instance import LcrInstance
 from .rerouting import SprInstance, build_spr_instance
 
-MAX_TRIES = 200
-
 
 def _greedy_coloring(
-    g: Graph, lists, rng: random.Random, order=None
+    g: Graph, lists, rng: random.Random, order
 ) -> Optional[tuple[int, ...]]:
     """Random proper list coloring, greedily along the given vertex order."""
-    if order is None:
-        order = list(range(g.n))
-        rng.shuffle(order)
     coloring: dict[int, int] = {}
     for v in order:
         free = sorted(

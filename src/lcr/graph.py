@@ -139,17 +139,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class CaterpillarStructure:
-    """Spine/leaf decomposition of a caterpillar plus its solver ordering.
+    """Spine of a caterpillar plus its solver ordering.
 
     The spine induces a path whose two endpoints have degree 1 in the whole
     graph (a leaf is promoted onto each end when needed).  ``ordering`` lists
     the vertices v_1..v_n produced by the breadth-first walk that starts at
     one spine endpoint and, at each spine vertex, visits its leaves before
-    the next spine vertex.
+    the next spine vertex.  Every vertex off the spine is a leaf, attached
+    to the latest spine vertex before it in ``ordering``.
     """
 
     spine: tuple[int, ...]
-    leaves: dict[int, int]
     ordering: tuple[int, ...]
 
 
@@ -165,11 +165,11 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     if not g.is_connected():
         raise NotConnected("caterpillar recognition requires a connected graph")
     if g.n == 1:
-        return CaterpillarStructure((0,), {}, (0,))
+        return CaterpillarStructure((0,), (0,))
     if g.m != g.n - 1:
         return None  # has a cycle
     if g.n == 2:
-        return CaterpillarStructure((0, 1), {}, (0, 1))
+        return CaterpillarStructure((0, 1), (0, 1))
 
     internal = [v for v in range(g.n) if g.degree(v) >= 2]
     internal_set = set(internal)
@@ -214,19 +214,14 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     if spine[0] > spine[-1]:
         spine.reverse()
 
+    # every vertex off the spine is a leaf of its one neighbour, and the
+    # spine's ends have no leaves; neighbour tuples are sorted by id
     spine_set = set(spine)
-    leaves = {
-        v: g.neighbors(v)[0] for v in range(g.n) if v not in spine_set
-    }
-    leaves_of: dict[int, list[int]] = {}
-    for leaf in sorted(leaves):
-        leaves_of.setdefault(leaves[leaf], []).append(leaf)
-
     ordering = [spine[0]]
     for s in spine[1:]:
         ordering.append(s)
-        ordering.extend(leaves_of.get(s, ()))
-    return CaterpillarStructure(tuple(spine), leaves, tuple(ordering))
+        ordering.extend(w for w in g.neighbors(s) if w not in spine_set)
+    return CaterpillarStructure(tuple(spine), tuple(ordering))
 
 
 @dataclass(frozen=True)

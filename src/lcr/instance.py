@@ -90,10 +90,15 @@ Removal = Union[SingletonRemoval, RichListRemoval]
 
 @dataclass(frozen=True)
 class NormalizationTrace:
-    """Ordered removal log plus the old-to-new map for surviving vertices."""
+    """What ``normalize`` did: the ordered removal log, the old-to-new map
+    for surviving vertices, and ``trimmed``, the very instance it returned
+    (the input itself when nothing was removed), which lifting checks
+    witnesses against instead of rebuilding it.
+    """
 
     removals: tuple[Removal, ...]
     id_map: dict[int, int]
+    trimmed: LcrInstance
 
 
 def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
@@ -121,7 +126,7 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     singles = [v for v, k in enumerate(sizes) if k == 1]
     rich = [v for v, k in enumerate(sizes) if k >= degree(v) + 2]
     if not singles and not rich:
-        return inst, NormalizationTrace((), {v: v for v in range(n)})
+        return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
 
     lists = {v: set(inst.lists[v]) for v in range(n)}  # live vertices only
     adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
@@ -175,26 +180,7 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
         tuple(inst.f0[v] for v in kept),
         tuple(inst.fr[v] for v in kept),
     )
-    return trimmed, NormalizationTrace(tuple(removals), id_map)
-
-
-def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrInstance:
-    """Rebuild the normalized instance from the original and the trace."""
-    if not trace.removals:
-        return original
-    stripped: dict[int, set[int]] = {}
-    for rem in trace.removals:
-        if isinstance(rem, SingletonRemoval):
-            for u in rem.affected:
-                stripped.setdefault(u, set()).add(rem.color)
-    kept = sorted(trace.id_map)
-    sub, _ = original.graph.induced_subgraph(kept)
-    return LcrInstance(
-        sub,
-        tuple(original.lists[v] - stripped.get(v, frozenset()) for v in kept),
-        tuple(original.f0[v] for v in kept),
-        tuple(original.fr[v] for v in kept),
-    )
+    return trimmed, NormalizationTrace(tuple(removals), id_map, trimmed)
 
 
 def lift_sequence(
@@ -202,21 +188,23 @@ def lift_sequence(
     original: LcrInstance,
     seq: Sequence[Step],
 ) -> list[Step]:
-    """Translate a witness for the normalized instance back to the original.
+    """Translate a witness for ``trace.trimmed`` back to the original.
 
-    Deleted one-color vertices simply keep their forced color.  For a deleted
-    rich-list vertex v, whenever the sequence is about to recolor a neighbor
-    of v to v's current color, an extra step first moves v to the lowest
-    color of its list at removal time that avoids that color and all current
-    neighbor colors; such a color exists because the list exceeded the degree
-    by two.  A final step per rich-list vertex moves it to its fr color.
+    The witness is checked against ``trace.trimmed`` itself, so lifting
+    builds no instance or graph.  Deleted one-color vertices simply keep
+    their forced color.  For a deleted rich-list vertex v, whenever the
+    sequence is about to recolor a neighbor of v to v's current color, an
+    extra step first moves v to the lowest color of its list at removal time
+    that avoids that color and all current neighbor colors; such a color
+    exists because the list exceeded the degree by two.  A final step per
+    rich-list vertex moves it to its fr color.
 
     Each rich vertex must see the moves of the rich vertices removed after
     it, so one pass reinserts them all: a step at level i still passes rich
     vertices i-1 down to 0 (in removal order), and the first of them that
     sits on the step's color dodges ahead of it.
     """
-    if not is_valid_sequence(trimmed_instance(original, trace), seq):
+    if not is_valid_sequence(trace.trimmed, seq):
         raise InvalidSequence("sequence is not valid on the normalized instance")
 
     rich = [rem for rem in trace.removals if isinstance(rem, RichListRemoval)]

@@ -32,7 +32,7 @@ from lcr.errors import (
     ParseError,
     StateSpaceTooLarge,
 )
-from lcr.generators import MAX_TRIES, _greedy_coloring, gen_caterpillar, gen_layered_spr
+from lcr.generators import _greedy_coloring, gen_caterpillar, gen_layered_spr
 from lcr.graph import (
     CaterpillarStructure,
     DecompositionCheck,
@@ -91,6 +91,36 @@ def spine_of_prefix(st: CaterpillarStructure) -> tuple[int, ...]:
     return tuple(out)
 
 
+def leaf_attachment(st: CaterpillarStructure) -> dict[int, int]:
+    """Each leaf's spine vertex, read off the ordering: the latest spine
+    vertex before it, so a leaf listed under the wrong vertex shows."""
+    spine = set(st.spine)
+    return {
+        v: latest
+        for v, latest in zip(st.ordering, spine_of_prefix(st))
+        if v not in spine
+    }
+
+
+def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrInstance:
+    """Rebuild the normalized instance from the original and the trace."""
+    if not trace.removals:
+        return original
+    stripped: dict[int, set[int]] = {}
+    for rem in trace.removals:
+        if isinstance(rem, SingletonRemoval):
+            for u in rem.affected:
+                stripped.setdefault(u, set()).add(rem.color)
+    kept = sorted(trace.id_map)
+    sub, _ = original.graph.induced_subgraph(kept)
+    return LcrInstance(
+        sub,
+        tuple(original.lists[v] - stripped.get(v, frozenset()) for v in kept),
+        tuple(original.f0[v] for v in kept),
+        tuple(original.fr[v] for v in kept),
+    )
+
+
 def quadratic_normalize(
     inst: LcrInstance,
 ) -> tuple[LcrInstance, NormalizationTrace]:
@@ -146,7 +176,7 @@ def quadratic_normalize(
             changed = True
 
     if not removals:
-        return inst, NormalizationTrace((), {v: v for v in range(n)})
+        return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
 
     kept = sorted(alive)
     id_map = {v: i for i, v in enumerate(kept)}
@@ -157,7 +187,7 @@ def quadratic_normalize(
         tuple(inst.f0[v] for v in kept),
         tuple(inst.fr[v] for v in kept),
     )
-    return trimmed, NormalizationTrace(tuple(removals), id_map)
+    return trimmed, NormalizationTrace(tuple(removals), id_map, trimmed)
 
 
 def recursive_colorings(
@@ -232,7 +262,7 @@ def splicing_build(
 # definition, and the engine's snapshots must equal them exactly.
 
 
-def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
+def _ini_component(cols, edges, ini, tar) -> EncodingGraph:
     """Extract the component of the ini e-node, renumbering stably."""
     if ini is None:
         raise IniLost("start e-node vanished; the step preconditions were broken")
@@ -261,7 +291,6 @@ def _ini_component(cols, edges, ini, tar, step_index) -> EncodingGraph:
         tuple(new_edges),
         renum[ini],
         new_tar,
-        step_index,
     )
 
 
@@ -279,7 +308,7 @@ def step_leaf(prev: EncodingGraph, leaf_list: Sequence[int]) -> EncodingGraph:
     kept = tuple(
         (x, y) for x, y in prev.edges if {prev.cols[x], prev.cols[y]} != pair
     )
-    return _ini_component(prev.cols, kept, prev.ini, prev.tar, prev.step_index + 1)
+    return _ini_component(prev.cols, kept, prev.ini, prev.tar)
 
 
 def _spine_parts(
@@ -348,9 +377,7 @@ def step_spine(
             ini = i
         if prev.tar is not None and c == fr_color and prev.tar in members:
             tar = i
-    result = _ini_component(
-        [c for c, _ in parts], sorted(edges), ini, tar, prev.step_index + 1
-    )
+    result = _ini_component([c for c, _ in parts], sorted(edges), ini, tar)
     return result, len(parts)
 
 
@@ -363,7 +390,7 @@ def reference_history(
     v1 = structure.ordering[0]
     cols = tuple(sorted(inst.lists[v1]))
     tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
-    eg = EncodingGraph(cols, ((0, 1),), cols.index(inst.f0[v1]), tar, 1)
+    eg = EncodingGraph(cols, ((0, 1),), cols.index(inst.f0[v1]), tar)
     out = [(eg, SizeRecord(1, v1, "init", inst.graph.degree(v1), len(eg), 0, len(eg)))]
     spine_set = set(structure.spine)
     for i, v in enumerate(structure.ordering[1:], start=2):
@@ -383,7 +410,7 @@ def reference_history(
 
 def load_sweep(eg: EncodingGraph) -> Sweep:
     """A working state holding ``eg``, which must be its ini component."""
-    return Sweep(eg.cols, eg.edges, eg.ini, eg.tar, eg.step_index)
+    return Sweep(eg.cols, eg.edges, eg.ini, eg.tar)
 
 
 class OwnerListSweep(Sweep):
@@ -422,7 +449,6 @@ class OwnerListSweep(Sweep):
             tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
         self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
         self.ini, self.tar = ini, tar
-        self.step_index += 1
         self._extract()
         return len(new_cols)
 
@@ -852,6 +878,16 @@ def ref_count_s_paths(inst: SprInstance) -> int:
     return counts.get(inst.t, 0)
 
 
+MAX_TRIES = 200
+
+
+def _shuffled_coloring(g: Graph, lists, rng: random.Random) -> Optional[Coloring]:
+    """Random proper list coloring, greedily along a freshly shuffled order."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return _greedy_coloring(g, lists, rng, order)
+
+
 def gen_random_instance(
     n: int,
     edge_prob: float = 0.35,
@@ -880,8 +916,8 @@ def gen_random_instance(
             frozenset(rng.sample(range(colors), min(rng.randint(lo, hi), colors)))
             for _ in range(n)
         ]
-        f0 = _greedy_coloring(g, lists, rng)
-        fr = _greedy_coloring(g, lists, rng)
+        f0 = _shuffled_coloring(g, lists, rng)
+        fr = _shuffled_coloring(g, lists, rng)
         if f0 is not None and fr is not None:
             return LcrInstance(g, tuple(lists), f0, fr)
     raise GenerationFailed("could not find proper endpoint colorings")

@@ -130,7 +130,6 @@ def contract_encoding(
     spine_vertex: int,
     f0: Sequence[int],
     fr: Sequence[int],
-    step_index: int = -1,
 ) -> EncodingGraph:
     """Contract one component into its e-node graph for a chosen vertex.
 
@@ -183,7 +182,7 @@ def contract_encoding(
     fr_id = rg.index.get(tuple(fr))
     ini = enode_of.get(f0_id) if f0_id is not None else None
     tar = enode_of.get(fr_id) if fr_id is not None else None
-    return EncodingGraph(cols, tuple(sorted(edges)), ini, tar, step_index)
+    return EncodingGraph(cols, tuple(sorted(edges)), ini, tar)
 
 
 def restrict(

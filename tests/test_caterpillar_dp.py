@@ -74,7 +74,7 @@ def first_step(inst):
 def test_init_is_a_k2_with_endpoint_marks():
     inst = make_instance(Graph(1), [{1, 2}], (1,), (2,))
     assert first_step(inst) == EncodingGraph(
-        cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1
+        cols=(1, 2), edges=((0, 1),), ini=0, tar=1
     )
 
 
@@ -100,33 +100,33 @@ def test_init_requires_a_two_color_list():
 
 
 def test_leaf_with_the_same_pair_cuts_the_k2():
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_leaf in LEAF_STEPS:
         assert step_leaf(prev, [1, 2]) == EncodingGraph(
-            cols=(1,), edges=(), ini=0, tar=None, step_index=2
+            cols=(1,), edges=(), ini=0, tar=None
         )
 
 
 def test_leaf_disjoint_from_all_cols_changes_nothing():
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_leaf in LEAF_STEPS:
         assert step_leaf(prev, [3, 4]) == EncodingGraph(
-            cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=2
+            cols=(1, 2), edges=((0, 1),), ini=0, tar=1
         )
 
 
 def test_leaf_can_isolate_the_middle_of_a_path():
     prev = EncodingGraph(
-        cols=(1, 2, 1), edges=((0, 1), (1, 2)), ini=1, tar=0, step_index=3
+        cols=(1, 2, 1), edges=((0, 1), (1, 2)), ini=1, tar=0
     )
     for step_leaf in LEAF_STEPS:
         assert step_leaf(prev, [1, 2]) == EncodingGraph(
-            cols=(2,), edges=(), ini=0, tar=None, step_index=4
+            cols=(2,), edges=(), ini=0, tar=None
         )
 
 
 def test_leaf_list_must_hold_two_colors():
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_leaf in LEAF_STEPS:
         with pytest.raises(NotNormalized):
             step_leaf(prev, [1])
@@ -138,19 +138,19 @@ def test_leaf_list_must_hold_two_colors():
 
 
 def test_spine_over_a_frozen_pair_keeps_only_the_start_side():
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_spine in SPINE_STEPS:
         # two new e-nodes before extraction, one after
         assert step_spine(prev, [1, 2], 2, 1) == (
-            EncodingGraph(cols=(2,), edges=(), ini=0, tar=None, step_index=2), 2
+            EncodingGraph(cols=(2,), edges=(), ini=0, tar=None), 2
         )
 
 
 def test_spine_with_fresh_colors_splits_one_node_into_a_free_edge():
-    prev = EncodingGraph(cols=(1,), edges=(), ini=0, tar=0, step_index=1)
+    prev = EncodingGraph(cols=(1,), edges=(), ini=0, tar=0)
     for step_spine in SPINE_STEPS:
         assert step_spine(prev, [2, 3], 2, 3) == (
-            EncodingGraph(cols=(2, 3), edges=((0, 1),), ini=0, tar=1, step_index=2),
+            EncodingGraph(cols=(2, 3), edges=((0, 1),), ini=0, tar=1),
             2,
         )
 
@@ -158,36 +158,36 @@ def test_spine_with_fresh_colors_splits_one_node_into_a_free_edge():
 def test_spine_color_missing_from_prev_collects_everything():
     # members: col 1 keeps old e-node {1}, col 2 keeps {0}, col 9 keeps {0, 1};
     # the edges say col 9 meets both others, which share nothing
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_spine in SPINE_STEPS:
         eg, pre = step_spine(prev, [1, 2, 9], 9, 9)
         assert eg == EncodingGraph(
-            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
+            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=2, tar=2
         )
         assert pre == 3
         # the marks say which new e-node holds old ini 0 and old tar 1
         eg, _ = step_spine(prev, [1, 2, 9], 2, 1)
         assert eg == EncodingGraph(
-            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0, step_index=2
+            cols=(1, 2, 9), edges=((0, 2), (1, 2)), ini=1, tar=0
         )
 
 
 def test_spine_step_records_component_members():
     # members: col 1 keeps old e-node {1}, col 3 keeps {0, 1}
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_spine in SPINE_STEPS:
         assert step_spine(prev, [1, 3], 3, 3)[0] == EncodingGraph(
-            cols=(1, 3), edges=((0, 1),), ini=1, tar=1, step_index=2
+            cols=(1, 3), edges=((0, 1),), ini=1, tar=1
         )
         assert step_spine(prev, [1, 3], 3, 1)[0] == EncodingGraph(
-            cols=(1, 3), edges=((0, 1),), ini=1, tar=0, step_index=2
+            cols=(1, 3), edges=((0, 1),), ini=1, tar=0
         )
         with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
             step_spine(prev, [1, 3], 1, 1)
 
 
 def test_spine_endpoint_colors_must_come_from_the_list():
-    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1, step_index=1)
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
     for step_spine in SPINE_STEPS:
         with pytest.raises(ValueError):
             step_spine(prev, [1, 2], 7, 1)
@@ -207,13 +207,13 @@ def test_history_on_the_branchy_caterpillar():
         SizeRecord(5, 3, "spine", 1, 2, 2, 2),
     ]
     assert steps[1][0] == EncodingGraph(
-        cols=(1, 2, 3), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=2
+        cols=(1, 2, 3), edges=((0, 2), (1, 2)), ini=2, tar=2
     )
     assert steps[2][0] == EncodingGraph(
-        cols=(1, 2, 3), edges=((0, 2), (1, 2)), ini=2, tar=2, step_index=3
+        cols=(1, 2, 3), edges=((0, 2), (1, 2)), ini=2, tar=2
     )
     assert steps[4][0] == EncodingGraph(
-        cols=(1, 3), edges=((0, 1),), ini=0, tar=1, step_index=5
+        cols=(1, 3), edges=((0, 1),), ini=0, tar=1
     )
     assert check_size_bound([rec for _, rec in steps]) is None
 

@@ -31,6 +31,7 @@ from .helpers import (
     deque_reachable,
     deque_rg_components,
     gen_random_instance,
+    leaf_attachment,
     path_graph,
     ref_is_caterpillar,
     spine_of_prefix,
@@ -130,7 +131,7 @@ def test_path_is_caterpillar_with_spine_only():
     st = recognize_caterpillar(path_graph(5))
     assert st is not None
     assert st.spine == (0, 1, 2, 3, 4)
-    assert st.leaves == {}
+    assert leaf_attachment(st) == {}
     assert st.ordering == (0, 1, 2, 3, 4)
 
 
@@ -142,7 +143,7 @@ def test_star_promotes_lowest_leaves_onto_spine():
     st = recognize_caterpillar(star_graph(3))
     assert st is not None
     assert st.spine == (1, 0, 2)
-    assert st.leaves == {3: 0}
+    assert leaf_attachment(st) == {3: 0}
     assert st.ordering == (1, 0, 3, 2)
     assert spine_of_prefix(st) == (1, 0, 0, 2)
 
@@ -189,7 +190,8 @@ def test_recognition_rejects_connected_non_trees():
 def test_structure_reproduces_the_edge_set():
     for inst in caterpillar_corpus(60, base_seed=901, max_n=20):
         st = recognize_caterpillar(inst.graph)
-        spine_edges = set(zip(st.spine, st.spine[1:])) | set(st.leaves.items())
+        spine_edges = set(zip(st.spine, st.spine[1:]))
+        spine_edges |= set(leaf_attachment(st).items())
         assert {(min(e), max(e)) for e in spine_edges} == inst.graph.edges
 
 

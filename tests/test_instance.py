@@ -18,15 +18,16 @@ from lcr.errors import (
     InvalidSequence,
     PartialColoring,
 )
-from lcr.instance import (
-    LcrInstance,
-    induced_instance,
-    is_proper_list_coloring,
-    trimmed_instance,
-)
+from lcr.instance import LcrInstance, induced_instance, is_proper_list_coloring
 from lcr.oracle import build, oracle_decide, reachable
 
-from .helpers import gen_random_instance, path_graph, quadratic_normalize, star_graph
+from .helpers import (
+    gen_random_instance,
+    path_graph,
+    quadratic_normalize,
+    star_graph,
+    trimmed_instance,
+)
 from .reference import OutOfRange, restrict
 
 
@@ -156,8 +157,8 @@ def test_trimmed_instance_replays_the_trace():
     for seed in range(40):
         inst = gen_random_instance(7, seed=300 + seed)
         trimmed, trace = normalize(inst)
-        replayed = trimmed_instance(inst, trace)
-        assert replayed == trimmed
+        assert trace.trimmed is trimmed
+        assert trimmed_instance(inst, trace) == trace.trimmed
 
 
 def pinned_random_instance(rng: random.Random) -> LcrInstance:
@@ -265,7 +266,7 @@ def test_lift_under_an_empty_trace_copies_nothing(monkeypatch):
     _, trace = normalize(inst)
     steps = reachable(build(inst.graph, inst.lists), inst.f0, inst.fr)
     monkeypatch.setattr(Graph, "induced_subgraph", refuse)
-    assert trimmed_instance(inst, trace) is inst
+    assert trace.trimmed is inst
     assert lift_sequence(trace, inst, steps) == steps == [(1, 3), (0, 2)]
     with pytest.raises(InvalidSequence):  # still checked against the instance
         lift_sequence(trace, inst, [(0, 1)])
@@ -280,6 +281,34 @@ def test_lift_reinserts_rich_vertex_moves():
     lifted = lift_sequence(trace, inst, [])
     assert lifted == [(0, 3), (1, 1), (0, 2)]
     assert is_valid_sequence(inst, lifted)
+
+
+def test_lift_with_removals_builds_no_graph(monkeypatch):
+    # witnesses are checked against the trace's own trimmed instance
+    cases = []
+    for seed in range(60):
+        inst = gen_random_instance(6, colors=4, seed=900 + seed)
+        trimmed, trace = normalize(inst)
+        if trace.removals and trimmed.graph.n:
+            steps = reachable(
+                build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr
+            )
+            if steps:
+                cases.append((inst, trace, steps))
+    assert len(cases) >= 10
+    builds = 0
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    lifted = [lift_sequence(trace, inst, steps) for inst, trace, steps in cases]
+    assert builds == 0
+    monkeypatch.undo()
+    assert all(is_valid_sequence(c[0], seq) for c, seq in zip(cases, lifted))
 
 
 def test_lift_keeps_forced_colors_for_singletons():
