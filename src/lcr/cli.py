@@ -43,6 +43,12 @@ def _write(path: str | None, text: str):
             raise LcrError(f"cannot write {path}: {exc}") from exc
 
 
+def _state_cap(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _parse_instance_or_graph(text: str):
     """Accept either a bare graph file or a full instance file."""
     rows = [r for r in text.splitlines() if r.strip() and not r.lstrip().startswith("#")]
@@ -190,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a recoloring witness (oracle only)")
     p.add_argument("--trace", action="store_true",
                    help="dump the per-step encoding graphs")
-    p.add_argument("--state-cap", type=int, default=oracle.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=_state_cap, default=oracle.DEFAULT_STATE_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("normalize", help="write the trimmed instance")
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="what", required=True)
     ps = osub.add_parser("stats")
     ps.add_argument("file")
-    ps.add_argument("--state-cap", type=int, default=oracle.DEFAULT_STATE_CAP)
+    ps.add_argument("--state-cap", type=_state_cap, default=oracle.DEFAULT_STATE_CAP)
     ps.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("experiments", help="run a config file, write CSV")

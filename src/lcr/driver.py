@@ -73,6 +73,8 @@ def solve_driver(
         raise ValueError(f"unknown algorithm {algo!r}")
     if want_witness and algo == "caterpillar":
         raise ValueError("the caterpillar sweep is decision-only; no witnesses")
+    if state_cap < 0:
+        raise ValueError(f"state cap must be non-negative, not {state_cap}")
     started = time.perf_counter()
 
     if not is_proper_list_coloring(inst, inst.f0):

@@ -11,14 +11,17 @@ proper colorings, placing the vertices in a constraint-first order
 (maximum-cardinality search, so each vertex meets its placed neighbours as
 early as possible).  Each coloring carries an integer code, one mixed-radix
 digit per vertex, and sorting the codes numbers the nodes in lexicographic
-order.  A recoloring adds a multiple of one vertex's place value to the
-code, so each candidate neighbour costs one dict lookup.
+order.  Recoloring one vertex adds a multiple of its place value to the
+code, so one set intersection per vertex and shift finds every edge, once
+the hits whose addition carried into a higher digit are dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import prod
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import StateSpaceTooLarge, UnknownNode
@@ -36,6 +39,8 @@ def _sorted_lists_within_cap(
     lists: Sequence[frozenset[int]], cap: int
 ) -> list[list[int]]:
     """The lists, sorted, once the product of their sizes is within cap."""
+    if cap < 0:
+        raise ValueError(f"state cap must be non-negative, not {cap}")
     size = state_space_size(lists)
     if size > cap:
         raise StateSpaceTooLarge(size, cap)
@@ -166,13 +171,13 @@ def build(
 ) -> ReconfigurationGraph:
     """Enumerate all proper colorings and link those one recoloring apart.
 
-    Nodes are numbered in code order, which is lexicographic order.  The
-    candidates for neighbours with larger codes of the coloring with code
-    x are x + k * strides[v], for each vertex v and each k from 1 to the
-    number of colors above x's on v; one dict lookup per candidate tells
-    whether it is a proper coloring.  Walking v from the last vertex to the
-    first meets them in increasing order, after the smaller neighbours
-    already linked, so every adjacency list comes out sorted.
+    Nodes are numbered in code order, which is lexicographic order.  For
+    each vertex v and each shift k * strides[v], k from 1 to |L(v)| - 1,
+    the proper codes that are also some proper code plus the shift come
+    from one set intersection.  A hit y is a recoloring of v only when its
+    digit for v is at least k, that is y % (strides[v] * |L(v)|) >= shift;
+    otherwise the addition carried into a higher digit.  Each adjacency
+    list is sorted once every edge is in.  A cap below 0 is a ValueError.
     """
     lists = tuple(frozenset(lst) for lst in lists)
     sorted_lists = _sorted_lists_within_cap(lists, cap)
@@ -182,25 +187,19 @@ def build(
     index = dict(zip(nodes, range(len(nodes))))
     # adjacency entries reuse the index's own id objects rather than a fresh
     # int each, which would add about 32 bytes per edge end
-    ids = index.values()
-    id_of_code = dict(zip(codes, ids))
-    digits = [
-        (strides[v], len(sorted_lists[v]))
-        for v in range(g.n - 1, -1, -1)
-        if len(sorted_lists[v]) > 1
-    ]
+    id_of_code = dict(zip(codes, index.values()))
+    proper = id_of_code.keys()
     adj: list[list[int]] = [[] for _ in nodes]
-    for i, x in zip(ids, codes):
-        mine = adj[i]
-        for stride, radix in digits:
-            y = x
-            for _ in range(x // stride % radix + 1, radix):
-                y += stride
-                j = id_of_code.get(y)
-                if j is not None:
-                    mine.append(j)
+    for stride, lst in zip(strides, sorted_lists):
+        period = stride * len(lst)
+        for shift in range(stride, period, stride):
+            for y in proper & map(add, codes, repeat(shift)):
+                if y % period >= shift:
+                    i, j = id_of_code[y - shift], id_of_code[y]
+                    adj[i].append(j)
                     adj[j].append(i)
-    return ReconfigurationGraph(g, lists, nodes, index, tuple(map(tuple, adj)))
+    rows = tuple(map(tuple, map(sorted, adj)))
+    return ReconfigurationGraph(g, lists, nodes, index, rows)
 
 
 def _node_id(rg: ReconfigurationGraph, f: Sequence[int]) -> int:

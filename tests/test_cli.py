@@ -194,6 +194,13 @@ def test_solve_state_cap_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_negative_state_cap_exits_2(tmp_path, capsys):
+    path = write_lcr(tmp_path, mixed_edge())
+    argv = ["solve", path, "--algo", "bruteforce", "--state-cap", "-1"]
+    assert main(argv) == EXIT_USAGE
+    assert "error: argument --state-cap" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -440,6 +447,15 @@ def test_oracle_stats_cap_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_stats_negative_state_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.lcr"
+    path.write_text("p lcr 0 0 0\n")
+    assert main(["oracle", "stats", str(path), "--state-cap", "-5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --state-cap" in captured.err
+
+
 # -- experiments -------------------------------------------------------------------
 
 
@@ -452,3 +468,12 @@ def test_experiments_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("instance,kind,seed,n,m,algo,answer")
     assert len(lines) == 1 + 3 * 2
     capsys.readouterr()
+
+
+def test_experiments_negative_state_cap_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("kind=caterpillar\ncount=3\nseed=11\nstate_cap=-1\n")
+    out = tmp_path / "results.csv"
+    assert main(["experiments", str(config), "-o", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "error: state cap must be non-negative" in capsys.readouterr().err

@@ -168,6 +168,14 @@ def test_tiny_state_cap_trips_the_guard():
         solve_driver(inst, algo="bruteforce", state_cap=1)
 
 
+def test_a_negative_state_cap_is_a_value_error():
+    # raised up front, even where no component reaches the oracle
+    inst = make_instance(Graph(1), [{1, 2}], (1,), (2,))
+    for algo in ("auto", "caterpillar", "bruteforce"):
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_driver(inst, algo=algo, state_cap=-1)
+
+
 def test_component_reports_track_their_algorithms():
     inst = two_component_instance()
     report = solve_driver(inst, algo="bruteforce")

@@ -83,6 +83,11 @@ def test_state_cap_boundary():
         assert info.value.size == cap + 1
 
 
+def test_a_negative_state_cap_is_a_value_error():
+    with pytest.raises(ValueError, match="non-negative"):
+        build(Graph(0), [], cap=-5)
+
+
 def test_a_huge_state_space_is_refused_before_any_enumeration():
     g, lists = path_graph(30), [frozenset(range(10))] * 30
     start = time.perf_counter()
@@ -112,6 +117,20 @@ def test_mixed_edge_yields_a_three_node_path():
     rg = build(inst.graph, inst.lists)
     assert rg.nodes == ((1, 2), (1, 3), (2, 3))
     assert rg.adj == ((1,), (0, 2), (1,))
+
+
+def test_a_carry_is_not_a_recoloring():
+    # codes 0..3 are 00, 01, 10, 11: 1 + 1 = 2 is a proper coloring, but it
+    # differs from 01 in both digits
+    rg = build(Graph(2), [frozenset({0, 1})] * 2)
+    assert rg.adj == ((1, 2), (0, 3), (0, 3), (1, 2))
+
+
+def test_the_edgeless_hypercube_has_every_edge():
+    rg = build(Graph(10), [frozenset({0, 1})] * 10)
+    assert rg.num_nodes == 2**10
+    assert rg.num_edges == 10 * 2**9
+    assert all(len(a) == 10 for a in rg.adj)
 
 
 def test_edges_are_single_vertex_differences():
