@@ -19,28 +19,28 @@ import io
 import time
 
 from . import oracle, rerouting
-from .driver import solve_driver
+from .driver import ALGORITHMS, solve_driver
 from .errors import ParseError, StateSpaceTooLarge
 from .generators import gen_caterpillar, gen_layered_spr
 from .reduction import compile_spr
 
 _DEFAULTS = {
     "kind": "caterpillar",
-    "count": "0",
-    "seed": "0",
+    "count": 0,
+    "seed": 0,
     "algos": "",
-    "spine_min": "2",
-    "spine_max": "6",
-    "leaf_prob": "0.6",
-    "colors": "4",
-    "list_min": "2",
-    "list_max": "3",
-    "depth_min": "2",
-    "depth_max": "4",
-    "max_width": "3",
-    "density_min": "0.5",
-    "density_max": "0.9",
-    "state_cap": str(oracle.DEFAULT_STATE_CAP),
+    "spine_min": 2,
+    "spine_max": 6,
+    "leaf_prob": 0.6,
+    "colors": 4,
+    "list_min": 2,
+    "list_max": 3,
+    "depth_min": 2,
+    "depth_max": 4,
+    "max_width": 3,
+    "density_min": 0.5,
+    "density_max": 0.9,
+    "state_cap": oracle.DEFAULT_STATE_CAP,
 }
 
 CSV_FIELDS = [
@@ -49,7 +49,9 @@ CSV_FIELDS = [
 ]
 
 
-def parse_config(text: str) -> dict[str, str]:
+def parse_config(text: str) -> dict:
+    """Every setting converted to its default's type and checked, so a bad
+    config fails before any instance is generated; ``algos`` becomes a list."""
     config = dict(_DEFAULTS)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -60,7 +62,21 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ParseError(f"unknown config key: {key}")
-        config[key] = value
+        try:
+            config[key] = type(_DEFAULTS[key])(value)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {value}") from None
+    kind = config["kind"]
+    if kind not in _KINDS:
+        raise ParseError(f"unknown kind: {kind}")
+    for key in ("count", "state_cap"):
+        if config[key] < 0:
+            raise ParseError(f"{key.replace('_', ' ')} must be non-negative, not {config[key]}")
+    _, known, default = _KINDS[kind]
+    config["algos"] = [a for a in config["algos"].split(",") if a] or list(default)
+    for algo in config["algos"]:
+        if algo not in known:
+            raise ParseError(f"unknown {kind} algorithm: {algo}")
     return config
 
 
@@ -73,20 +89,19 @@ def _answer(answer) -> str:
 
 
 def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
-    spine = rng_params.randint(int(config["spine_min"]), int(config["spine_max"]))
+    spine = rng_params.randint(config["spine_min"], config["spine_max"])
     inst = gen_caterpillar(
         spine,
-        leaf_prob=float(config["leaf_prob"]),
-        colors=int(config["colors"]),
-        list_range=(int(config["list_min"]), int(config["list_max"])),
+        leaf_prob=config["leaf_prob"],
+        colors=config["colors"],
+        list_range=(config["list_min"], config["list_max"]),
         seed=seed,
     )
-    algos = [a for a in config["algos"].split(",") if a] or ["caterpillar", "bruteforce"]
     rows = []
-    for algo in algos:
+    for algo in config["algos"]:
         start = time.perf_counter()
         try:
-            report = solve_driver(inst, algo=algo, state_cap=int(config["state_cap"]))
+            report = solve_driver(inst, algo=algo, state_cap=config["state_cap"])
         except StateSpaceTooLarge:
             report = None
         wall = time.perf_counter() - start
@@ -109,16 +124,11 @@ def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
 
 
 def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
-    depth = rng_params.randint(int(config["depth_min"]), int(config["depth_max"]))
-    density = rng_params.uniform(
-        float(config["density_min"]), float(config["density_max"])
-    )
-    spr = gen_layered_spr(
-        depth, max_width=int(config["max_width"]), density=density, seed=seed
-    )
-    algos = [a for a in config["algos"].split(",") if a] or ["spr", "reduction"]
+    depth = rng_params.randint(config["depth_min"], config["depth_max"])
+    density = rng_params.uniform(config["density_min"], config["density_max"])
+    spr = gen_layered_spr(depth, max_width=config["max_width"], density=density, seed=seed)
     rows = []
-    for algo in algos:
+    for algo in config["algos"]:
         start = time.perf_counter()
         answer, nodes = None, ""
         if algo == "spr":
@@ -127,17 +137,15 @@ def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
                 answer = rerouting.brute_solve(spr) is not None
             except StateSpaceTooLarge:
                 pass
-        elif algo == "reduction":
+        else:
             red = compile_spr(spr)
             graph = red.lcr.graph
             try:
-                rg = oracle.build(graph, red.lcr.lists, int(config["state_cap"]))
+                rg = oracle.build(graph, red.lcr.lists, config["state_cap"])
                 answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
                 nodes = rg.num_nodes
             except StateSpaceTooLarge:
                 pass
-        else:
-            raise ParseError(f"unknown layered algorithm: {algo}")
         wall = time.perf_counter() - start
         # the encoding columns stay empty: DictWriter fills them with ""
         rows.append({
@@ -148,27 +156,28 @@ def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
     return rows
 
 
+# each kind's runner, its known algorithms, and those run when a config names none
+_KINDS = {
+    "caterpillar": (_run_caterpillar, ALGORITHMS, ("caterpillar", "bruteforce")),
+    "layered": (_run_layered, ("spr", "reduction"), ("spr", "reduction")),
+}
+
+
 def run_experiments(config_text: str) -> str:
     """Run the configured experiment and return the CSV text."""
     import random
 
     config = parse_config(config_text)
-    kind = config["kind"]
-    if kind not in ("caterpillar", "layered"):
-        raise ParseError(f"unknown kind: {kind}")
-    count = int(config["count"])
-    base_seed = int(config["seed"])
+    run = _KINDS[config["kind"]][0]
+    base_seed = config["seed"]
     rng_params = random.Random(base_seed)
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()
-    for i in range(count):
+    for i in range(config["count"]):
         seed = base_seed + 1 + i
-        if kind == "caterpillar":
-            rows = _run_caterpillar(config, i, seed, rng_params)
-        else:
-            rows = _run_layered(config, i, seed, rng_params)
+        rows = run(config, i, seed, rng_params)
         decided = {r["answer"] for r in rows} - {REFUSED}
         agree = "yes" if len(decided) <= 1 else "no"
         for r in rows:

@@ -25,12 +25,13 @@ from .reduction import ReducedInstance, ThresholdWitness
 from .rerouting import SprInstance, build_spr_instance
 
 MAX_GRAPH_VERTICES = 1_000_000
-"""Largest vertex count a ``p graph`` header may ask for.
+"""Largest vertex count a ``p graph`` header or a rerouting graph may ask for.
 
 Isolated vertices are legal in a bare graph, so its body cannot bound the
 header; this limit does, before ``Graph`` allocates per-vertex storage
-(about 0.8 s and 100 MiB at the limit).  Instance and rerouting headers
-are bounded by their bodies instead.
+(about 0.8 s and 100 MiB at the limit).  A rerouting graph stops at its
+largest named vertex, which a large header lets through, so the limit
+bounds that too.  Instance headers are bounded by their bodies.
 """
 
 
@@ -363,6 +364,10 @@ def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
     # largest named vertex rather than at the untrusted header's n.  Names
     # outside 0..n-1 stay outside the graph and fail in build_spr_instance.
     size = 1 + max([*us, *vs, *(v for v in (src, dst, *p0, *pr) if 0 <= v < n)], default=-1)
+    if size > MAX_GRAPH_VERTICES:
+        if len({(min(e), max(e)) for e in zip(us, vs) if e[0] != e[1]}) < m:
+            return None  # a self-loop or a repeated edge is reported first
+        raise ParseError(f"graph needs {size} vertices, above the limit of {MAX_GRAPH_VERTICES}")
     try:
         graph = Graph(size, zip(us, vs))
     except ValueError:  # a self-loop or a repeated edge

@@ -7,13 +7,13 @@ through this module.
 
 An instance whose product of list sizes passes the state cap is refused
 before any other work.  Otherwise an iterative backtracker enumerates the
-proper colorings, placing the vertices in a constraint-first order
-(maximum-cardinality search, so each vertex meets its placed neighbours as
-early as possible).  Each coloring carries an integer code, one mixed-radix
-digit per vertex, and sorting the codes numbers the nodes in lexicographic
-order.  Recoloring one vertex adds a multiple of its place value to the
-code, so one set intersection per vertex and shift finds every edge, once
-the hits whose addition carried into a higher digit are dropped.
+proper colorings, placing the vertices in breadth-first order, so each
+vertex after the first of its component meets a placed neighbour.  Each
+coloring carries an integer code, one mixed-radix digit per vertex, and
+sorting the codes numbers the nodes in lexicographic order.  Recoloring
+one vertex adds a multiple of its place value to the code, so one set
+intersection per vertex and shift finds every edge, once the hits whose
+addition carried into a higher digit are dropped.
 """
 
 from __future__ import annotations
@@ -55,41 +55,6 @@ def _strides(sorted_lists: Sequence[Sequence[int]]) -> list[int]:
     return strides
 
 
-def _constraint_first_order(g: Graph) -> list[int]:
-    """Vertices in maximum-cardinality-search order, in O(n + m).
-
-    Each next vertex has the most neighbours already placed (the latest one
-    to reach that count first, the smallest id when none has any), so the
-    backtracker meets an edge as soon as both ends can clash.  Bucket w is a
-    stack of the unplaced vertices that reached w placed neighbours; stale
-    entries are skipped when popped.
-    """
-    weight = [0] * g.n
-    placed = [False] * g.n
-    buckets = [list(range(g.n - 1, -1, -1))]
-    top = 0
-    order = []
-    for _ in range(g.n):
-        while True:
-            bucket = buckets[top]
-            if not bucket:
-                top -= 1
-                continue
-            v = bucket.pop()
-            if not placed[v] and weight[v] == top:
-                break
-        placed[v] = True
-        order.append(v)
-        for u in g.neighbors(v):
-            if not placed[u]:
-                w = weight[u] = weight[u] + 1
-                if w == len(buckets):
-                    buckets.append([])
-                buckets[w].append(u)
-                top = max(top, w)
-    return order
-
-
 def _proper_colorings(
     g: Graph, sorted_lists: Sequence[Sequence[int]], strides: Sequence[int]
 ) -> tuple[list[int], list[Coloring]]:
@@ -98,16 +63,17 @@ def _proper_colorings(
     A coloring's code is the mixed-radix number whose digit for v is the
     position of its color in ``sorted_lists[v]``, vertex 0 most significant,
     so code order is lexicographic order.  An explicit-stack backtracker
-    places the vertices in constraint-first order and offers each one only
-    the colors that no placed neighbour holds.
+    places the vertices in breadth-first order, component by component
+    from the lowest unplaced vertex, and offers each one only the colors
+    that no placed neighbour holds.
     """
     if g.n == 0:
         return [0], [()]
-    order = _constraint_first_order(g)
-    rank = [0] * g.n
-    for d, v in enumerate(order):
-        rank[v] = d
-    earlier = [[u for u in g.neighbors(v) if rank[u] < d] for d, v in enumerate(order)]
+    adj = tuple(map(g.neighbors, range(g.n)))
+    seen = [False] * g.n
+    order = [v for s in range(g.n) if not seen[s] for v in reach(adj, s, seen)]
+    rank = {v: d for d, v in enumerate(order)}
+    earlier = [[u for u in adj[v] if rank[u] < d] for d, v in enumerate(order)]
     options = [
         [(c, p * strides[v]) for p, c in enumerate(sorted_lists[v])] for v in order
     ]

@@ -16,6 +16,7 @@ import random
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
+from lcr import fileio
 from lcr.caterpillar_dp import (
     EncodingGraph,
     SizeRecord,
@@ -781,6 +782,11 @@ def row_parse_spr(text: str) -> SprInstance:
     size = 1 + max(
         [max(e) for e in edges] + [v for v in ends if 0 <= v < n], default=-1
     )
+    if size > fileio.MAX_GRAPH_VERTICES:
+        raise ParseError(
+            f"graph needs {size} vertices, "
+            f"above the limit of {fileio.MAX_GRAPH_VERTICES}"
+        )
     try:
         return build_spr_instance(
             Graph(size, edges), single["src"], single["dst"], paths["p0"], paths["pr"]

@@ -24,9 +24,11 @@ def test_empty_config_yields_a_bare_header():
 
 def test_config_defaults_and_comments():
     config = parse_config("# tune the corpus\ncount = 4\n\nseed=9\n")
-    assert config["count"] == "4"
-    assert config["seed"] == "9"
+    assert config["count"] == 4
+    assert config["seed"] == 9
     assert config["kind"] == "caterpillar"
+    assert config["leaf_prob"] == 0.6
+    assert config["algos"] == ["caterpillar", "bruteforce"]
 
 
 @pytest.mark.parametrize(
@@ -36,6 +38,14 @@ def test_config_defaults_and_comments():
         "mystery=1\n",
         "kind=starfish\ncount=1\n",
         "kind=layered\ncount=1\nalgos=warp\n",
+        # each value is checked before any instance is generated
+        "kind=layered\ncount=2\nalgos=spr\nstate_cap=-1\n",
+        "count=0\nstate_cap=-1\n",
+        "count=0\nalgos=warp\n",
+        "kind=layered\ncount=0\nalgos=warp\n",
+        "count=-3\n",
+        "count=two\n",
+        "leaf_prob=often\n",
     ],
 )
 def test_bad_configs_are_rejected(text):

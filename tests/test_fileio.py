@@ -10,7 +10,7 @@ import pytest
 
 import lcr.fileio
 from lcr import Graph, make_instance
-from lcr.errors import GenerationFailed, LcrError, ParseError
+from lcr.errors import Disconnected, GenerationFailed, LcrError, ParseError
 from lcr.fileio import (
     MAX_GRAPH_VERTICES,
     format_colormap,
@@ -108,6 +108,32 @@ def test_graph_vertex_limit_is_inclusive(monkeypatch):
     assert parse_graph("p graph 10 1\ne 0 9\n") == Graph(10, [(0, 9)])
     with pytest.raises(ParseError, match="above the limit of 10"):
         parse_graph("p graph 11 1\ne 0 9\n")
+
+
+def _far_dst(dst: int) -> str:
+    return f"p spr 1000000000000 0\nsrc 0\ndst {dst}\np0 0\npr 0\n"
+
+
+def test_rerouting_vertex_limit_counts_named_ids(monkeypatch):
+    monkeypatch.setattr(lcr.fileio, "MAX_GRAPH_VERTICES", 10)
+    with pytest.raises(Disconnected):
+        parse_spr(_far_dst(9))
+    with pytest.raises(ParseError, match="needs 11 vertices, above the limit of 10"):
+        parse_spr(_far_dst(10))
+    assert _outcome(parse_spr, _far_dst(10)) == _outcome(row_parse_spr, _far_dst(10))
+    # an edge fault is reported first, as in the row reference
+    for edges, fault in (("2\ne 0 1\ne 1 0\n", "duplicate edge"), ("1\ne 3 3\n", "self-loop")):
+        text = _far_dst(10).replace("0\n", edges, 1)
+        with pytest.raises(ParseError, match=fault):
+            parse_spr(text)
+        assert _outcome(parse_spr, text) == _outcome(row_parse_spr, text)
+
+
+def test_rerouting_id_past_the_vertex_limit_fails_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="needs 1000001 vertices"):
+        parse_spr(_far_dst(1_000_000))
+    assert time.perf_counter() - start < 0.01
 
 
 # -- instances -----------------------------------------------------------------
