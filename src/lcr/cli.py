@@ -77,9 +77,7 @@ def _cmd_solve(args) -> int:
         observer=trace_step if args.trace else None,
     )
     print("YES" if report.answer else "NO")
-    if report.witness:
-        for v, c in report.witness:
-            print(f"r {v} {c}")
+    sys.stdout.write(fileio.format_sequence(report.witness or ()))
     if args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
     elif trace:
@@ -97,6 +95,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.emit_witness and not args.threshold:
+        raise ParseError("--emit-witness needs --threshold")
     spr = fileio.parse_spr(_read(args.file))
     red = compile_spr(spr)
     inst = red.lcr

@@ -9,7 +9,6 @@ oracle and are lifted back through the normalization trace.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,7 +47,6 @@ class SolveReport:
     algorithm: str  # "trivial" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
-    seconds: float
 
 
 def solve_driver(
@@ -75,7 +73,6 @@ def solve_driver(
         raise ValueError("the caterpillar sweep is decision-only; no witnesses")
     if state_cap < 0:
         raise ValueError(f"state cap must be non-negative, not {state_cap}")
-    started = time.perf_counter()
 
     if not is_proper_list_coloring(inst, inst.f0):
         raise ImproperEndpoints("f0 is not a proper list coloring")
@@ -83,10 +80,7 @@ def solve_driver(
         raise ImproperEndpoints("fr is not a proper list coloring")
 
     if inst.f0 == inst.fr:
-        return SolveReport(
-            True, "trivial", [] if want_witness else None, [],
-            time.perf_counter() - started,
-        )
+        return SolveReport(True, "trivial", [] if want_witness else None, [])
 
     trimmed, trace = normalize(inst)
     # a witness request sends auto to the oracle without recognizing anything
@@ -139,6 +133,4 @@ def solve_driver(
     if want_witness and answer:
         witness = lift_sequence(trace, inst, witness_steps)
 
-    return SolveReport(
-        answer, chosen, witness, reports, time.perf_counter() - started
-    )
+    return SolveReport(answer, chosen, witness, reports)

@@ -72,6 +72,10 @@ def parse_config(text: str) -> dict:
     for key in ("count", "state_cap"):
         if config[key] < 0:
             raise ParseError(f"{key.replace('_', ' ')} must be non-negative, not {config[key]}")
+    for knob in ("spine", "list", "depth", "density"):
+        lo, hi = config[f"{knob}_min"], config[f"{knob}_max"]
+        if lo > hi:
+            raise ParseError(f"{knob}_min {lo} exceeds {knob}_max {hi}")
     _, known, default = _KINDS[kind]
     config["algos"] = [a for a in config["algos"].split(",") if a] or list(default)
     for algo in config["algos"]:

@@ -10,7 +10,6 @@ encoding and s-path graphs share them with ``Graph``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -273,10 +272,9 @@ def is_partial_two_tree(g: Graph) -> bool:
     """
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] <= 2)
+    queue = [v for v in range(g.n) if deg[v] <= 2]
     removed = 0
-    while queue:
-        v = queue.popleft()
+    for v in queue:  # the list grows as it is read: first in, first out
         if not alive[v] or deg[v] > 2:
             continue
         alive[v] = False
@@ -300,9 +298,8 @@ def is_bipartite(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         if side[start] != -1:
             continue
         side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        queue = [start]
+        for u in queue:  # the list grows as it is read: breadth first
             for w in g.neighbors(u):
                 if side[w] == -1:
                     side[w] = side[u] ^ 1

@@ -58,11 +58,12 @@ def compile_spr(spr: SprInstance) -> ReducedInstance:
     """Build the equivalent list coloring reconfiguration instance.
 
     Layer vertex u_i takes id i-1; forbidden vertices follow, ordered by
-    (layer, x, y).  Color ids are dense, layer by layer.  The start coloring
-    paints u_i with p0's pick in layer i; each forbidden vertex then takes
-    the lowest list color on neither neighbor (one of the two is always
-    free, because its pair cannot sit on a path).  The target coloring comes
-    from pr the same way.
+    (layer, x, y), each joined only to its two layer vertices and listing
+    just its missing pair; the rest of this module relies on that.  Color
+    ids are dense, layer by layer.  The start coloring paints u_i with p0's
+    pick in layer i; each forbidden vertex then takes the lowest list color
+    on neither neighbor (one of the two is always free, because its pair
+    cannot sit on a path).  The target coloring comes from pr the same way.
     """
     d = spr.d
     if d <= 1:
@@ -102,17 +103,9 @@ def compile_spr(spr: SprInstance) -> ReducedInstance:
     g = Graph(num_layer + len(forbidden), edges)
 
     def endpoint(path: SPath) -> Coloring:
-        f = [0] * g.n
-        for i in range(1, d):
-            f[i - 1] = color_of[(i, index_in_layer[i][path[i]])]
-        for fv in forbidden:
-            a = color_of[(fv.layer, fv.x)]
-            b = color_of[(fv.layer + 1, fv.y)]
-            choices = [
-                c for c in sorted((a, b))
-                if c != f[fv.layer - 1] and c != f[fv.layer]
-            ]
-            f[fv.vertex] = choices[0]
+        f = [color_of[(i, index_in_layer[i][path[i]])] for i in range(1, d)]
+        for w in range(num_layer, g.n):
+            f.append(min(lists[w] - {f[u] for u in g.neighbors(w)}))
         return tuple(f)
 
     inst = LcrInstance(g, tuple(lists), endpoint(spr.p0), endpoint(spr.pr))
@@ -157,24 +150,17 @@ class ThresholdWitness:
 def to_threshold(red: ReducedInstance) -> tuple[LcrInstance, ThresholdWitness]:
     """Complete the layer vertices into a clique and join them to the rest.
 
-    Layer vertices weigh 1, forbidden vertices 0, bound 1.  Every edge this
-    adds joins vertices whose lists are disjoint, so the proper list
-    colorings, and hence the reconfiguration answer, are untouched.
+    The edges are every pair (a, b) with a < k and a < b < n, for the k
+    layer vertices (ids 0..k-1) among n; they include the compiled edges.
+    Layer vertices weigh 1, forbidden vertices 0, bound 1.  Every added edge
+    joins vertices whose lists are disjoint, so the proper list colorings,
+    and hence the reconfiguration answer, are untouched.
     """
     base = red.lcr
-    edges = set(base.graph.edges)
-    for a in red.layer_vertices:
-        for b in red.layer_vertices:
-            if a < b:
-                edges.add((a, b))
-        for fv in red.forbidden:
-            pair = (a, fv.vertex) if a < fv.vertex else (fv.vertex, a)
-            edges.add(pair)
-    g = Graph(base.graph.n, sorted(edges))
-    layer_set = set(red.layer_vertices)
-    weights = tuple(1 if v in layer_set else 0 for v in range(g.n))
+    n, k = base.graph.n, len(red.layer_vertices)
+    g = Graph(n, [(a, b) for a in range(k) for b in range(a + 1, n)])
     inst = LcrInstance(g, base.lists, base.f0, base.fr)
-    return inst, ThresholdWitness(weights, 1)
+    return inst, ThresholdWitness((1,) * k + (0,) * (n - k), 1)
 
 
 def emit_path_decomposition(red: ReducedInstance) -> PathDecomposition:
@@ -236,13 +222,6 @@ def spath_sequence_to_recoloring(
     index_in_layer = [
         {v: j for j, v in enumerate(layer)} for layer in spr.layers
     ]
-    nbr_forbidden: dict[int, list[ForbiddenVertex]] = {
-        u: [] for u in red.layer_vertices
-    }
-    for fv in red.forbidden:
-        nbr_forbidden[fv.layer - 1].append(fv)
-        nbr_forbidden[fv.layer].append(fv)
-
     cur = list(red.lcr.f0)
     steps: list[Step] = []
 
@@ -255,14 +234,13 @@ def spath_sequence_to_recoloring(
         (i,) = [k for k in range(1, spr.d) if p[k] != q[k]]
         u = i - 1
         target = red.color_of[(i, index_in_layer[i][q[i]])]
-        for fv in nbr_forbidden[u]:
-            if cur[fv.vertex] == target:
-                a = red.color_of[(fv.layer, fv.x)]
-                b = red.color_of[(fv.layer + 1, fv.y)]
-                recolor(fv.vertex, b if cur[fv.vertex] == a else a)
+        for w in red.lcr.graph.neighbors(u):  # u's forbidden vertices
+            if cur[w] == target:
+                (other,) = red.lcr.lists[w] - {target}
+                recolor(w, other)
         recolor(u, target)
-    for fv in red.forbidden:
-        recolor(fv.vertex, red.lcr.fr[fv.vertex])
+    for w in range(len(red.layer_vertices), red.lcr.graph.n):
+        recolor(w, red.lcr.fr[w])
     return steps
 
 
@@ -276,12 +254,11 @@ def recoloring_to_spath_sequence(
     """
     if not is_valid_sequence(red.lcr, steps):
         raise InvalidSequence("not a valid recoloring sequence for the instance")
-    layer_set = set(red.layer_vertices)
     cur = list(red.lcr.f0)
     seq = [coloring_to_spath(red, cur)]
     for v, c in steps:
         cur[v] = c
-        if v in layer_set:
+        if v < len(red.layer_vertices):
             p = coloring_to_spath(red, cur)
             if p != seq[-1]:
                 seq.append(p)

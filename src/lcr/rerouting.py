@@ -10,7 +10,6 @@ shortest path, so instances are pruned down to the layered part up front.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,9 +24,8 @@ DEFAULT_PATH_CAP = 100_000
 def _bfs_dist(g: Graph, start: int) -> list[int]:
     dist = [-1] * g.n
     dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    queue = [start]
+    for u in queue:  # the list grows as it is read: breadth first
         for w in g.neighbors(u):
             if dist[w] == -1:
                 dist[w] = dist[u] + 1

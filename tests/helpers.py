@@ -29,6 +29,7 @@ from lcr.errors import (
     GenerationFailed,
     IniLost,
     InfeasibleList,
+    InvalidRerouting,
     NotNormalized,
     ParseError,
     StateSpaceTooLarge,
@@ -57,13 +58,20 @@ from lcr.oracle import (
     build,
     state_space_size,
 )
-from lcr.reduction import ReducedInstance, ThresholdWitness, compile_spr
+from lcr.reduction import (
+    ForbiddenVertex,
+    ReducedInstance,
+    ThresholdWitness,
+    compile_spr,
+)
 from lcr.rerouting import (
     DEFAULT_PATH_CAP,
     SPath,
     SprInstance,
+    adjacent_s_paths,
     build_spr_instance,
     enumerate_s_paths,
+    is_s_path,
 )
 
 from .reference import adjacency
@@ -1024,3 +1032,95 @@ def bag_scan_check_path_decomposition(g: Graph, pd: PathDecomposition) -> Decomp
             return DecompositionCheck(False, width)
 
     return DecompositionCheck(True, width)
+
+
+# -- the reduction's gadgets rebuilt from the ForbiddenVertex side table --------
+
+
+def side_table_endpoint(red: ReducedInstance, path: SPath) -> Coloring:
+    """Endpoint coloring by the side-table rule: each forbidden vertex sorts
+    its pair and takes the first color that neither layer neighbor holds."""
+    spr = red.spr
+    d, color_of, g = spr.d, red.color_of, red.lcr.graph
+    index_in_layer = [
+        {v: j for j, v in enumerate(layer)} for layer in spr.layers
+    ]
+    f = [0] * g.n
+    for i in range(1, d):
+        f[i - 1] = color_of[(i, index_in_layer[i][path[i]])]
+    for fv in red.forbidden:
+        a = color_of[(fv.layer, fv.x)]
+        b = color_of[(fv.layer + 1, fv.y)]
+        choices = [
+            c for c in sorted((a, b))
+            if c != f[fv.layer - 1] and c != f[fv.layer]
+        ]
+        f[fv.vertex] = choices[0]
+    return tuple(f)
+
+
+def union_to_threshold(red: ReducedInstance) -> tuple[LcrInstance, ThresholdWitness]:
+    """Edge-set union reference for ``lcr.reduction.to_threshold``."""
+    base = red.lcr
+    edges = set(base.graph.edges)
+    for a in red.layer_vertices:
+        for b in red.layer_vertices:
+            if a < b:
+                edges.add((a, b))
+        for fv in red.forbidden:
+            pair = (a, fv.vertex) if a < fv.vertex else (fv.vertex, a)
+            edges.add(pair)
+    g = Graph(base.graph.n, sorted(edges))
+    layer_set = set(red.layer_vertices)
+    weights = tuple(1 if v in layer_set else 0 for v in range(g.n))
+    inst = LcrInstance(g, base.lists, base.f0, base.fr)
+    return inst, ThresholdWitness(weights, 1)
+
+
+def side_table_spath_sequence_to_recoloring(
+    red: ReducedInstance, seq: Sequence[SPath]
+) -> list[Step]:
+    """Side-table reference for ``lcr.reduction.spath_sequence_to_recoloring``."""
+    spr = red.spr
+    if (
+        not seq
+        or tuple(seq[0]) != spr.p0
+        or tuple(seq[-1]) != spr.pr
+        or any(not is_s_path(spr, p) for p in seq)
+        or any(
+            not adjacent_s_paths(p, q) for p, q in zip(seq, seq[1:])
+        )
+    ):
+        raise InvalidRerouting("not a rerouting sequence between p0 and pr")
+
+    index_in_layer = [
+        {v: j for j, v in enumerate(layer)} for layer in spr.layers
+    ]
+    nbr_forbidden: dict[int, list[ForbiddenVertex]] = {
+        u: [] for u in red.layer_vertices
+    }
+    for fv in red.forbidden:
+        nbr_forbidden[fv.layer - 1].append(fv)
+        nbr_forbidden[fv.layer].append(fv)
+
+    cur = list(red.lcr.f0)
+    steps: list[Step] = []
+
+    def recolor(v: int, c: int):
+        if cur[v] != c:
+            cur[v] = c
+            steps.append((v, c))
+
+    for p, q in zip(seq, seq[1:]):
+        (i,) = [k for k in range(1, spr.d) if p[k] != q[k]]
+        u = i - 1
+        target = red.color_of[(i, index_in_layer[i][q[i]])]
+        for fv in nbr_forbidden[u]:
+            if cur[fv.vertex] == target:
+                a = red.color_of[(fv.layer, fv.x)]
+                b = red.color_of[(fv.layer + 1, fv.y)]
+                recolor(fv.vertex, b if cur[fv.vertex] == a else a)
+        recolor(u, target)
+    for fv in red.forbidden:
+        recolor(fv.vertex, red.lcr.fr[fv.vertex])
+    return steps

@@ -285,6 +285,18 @@ def test_reduce_with_certificates(tmp_path, capsys):
     ]
 
 
+def test_reduce_emit_witness_without_threshold_is_a_usage_error(tmp_path, capsys):
+    text, _ = one_gap_spr_text()
+    spr_path = tmp_path / "inst.spr"
+    spr_path.write_text(text)
+    out, wit = tmp_path / "compiled.lcr", tmp_path / "weights.thr"
+    code = main(["reduce", str(spr_path), "-o", str(out), "--emit-witness", str(wit)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--emit-witness" in err and "--threshold" in err
+    assert not out.exists() and not wit.exists()
+
+
 # -- verify ---------------------------------------------------------------------
 
 

@@ -184,7 +184,6 @@ def test_component_reports_track_their_algorithms():
     assert all(
         (c.enode_peak, c.slack_min, c.slack_max) == (None,) * 3 for c in report.components
     )
-    assert report.seconds >= 0
 
     cat = solve_driver(inst, algo="caterpillar")
     assert cat.answer is False

@@ -46,6 +46,10 @@ def test_config_defaults_and_comments():
         "count=-3\n",
         "count=two\n",
         "leaf_prob=often\n",
+        # a range whose minimum exceeds its maximum
+        "kind=layered\ncount=3\ndensity_min=0.9\ndensity_max=0.2\n",
+        "kind=layered\ncount=3\ndepth_min=5\ndepth_max=2\n",
+        "count=3\nspine_min=6\nspine_max=3\n",
     ],
 )
 def test_bad_configs_are_rejected(text):

@@ -21,7 +21,14 @@ from lcr.reduction import (
 )
 from lcr.rerouting import brute_solve, build_spr_instance, is_s_path
 
-from .helpers import all_colorings, layered_corpus, pairwise_threshold_verify
+from .helpers import (
+    all_colorings,
+    layered_corpus,
+    pairwise_threshold_verify,
+    side_table_endpoint,
+    side_table_spath_sequence_to_recoloring,
+    union_to_threshold,
+)
 
 
 def diamond_spr():
@@ -281,3 +288,29 @@ def test_compilation_preserves_the_answer():
         seen_yes |= recoloring
         seen_no |= not recoloring
     assert seen_yes and seen_no
+
+
+# -- gadgets read off the compiled instance ---------------------------------------
+
+
+def test_gadgets_read_off_the_instance_match_the_side_table_references():
+    draws = (
+        layered_corpus(60, base_seed=5001)
+        + layered_corpus(5, base_seed=5101, depth_range=(2, 2))
+        + layered_corpus(5, base_seed=5201, density_range=(1.0, 1.0))
+    )
+    assert any(spr.d == 2 for spr, _ in draws)
+    assert any(spr.d > 2 and not red.forbidden for spr, red in draws)
+    dodges = 0
+    for spr, red in draws:
+        assert red.lcr.f0 == side_table_endpoint(red, spr.p0)
+        assert red.lcr.fr == side_table_endpoint(red, spr.pr)
+        assert to_threshold(red) == union_to_threshold(red)
+        seq = brute_solve(spr)
+        if seq is not None:
+            steps = spath_sequence_to_recoloring(red, seq)
+            assert steps == side_table_spath_sequence_to_recoloring(red, seq)
+            # forbidden-vertex moves before the last layer move are dodges
+            last = max((k for k, (v, _) in enumerate(steps) if v < spr.d - 1), default=0)
+            dodges += sum(v >= spr.d - 1 for v, _ in steps[:last])
+    assert dodges > 0
