@@ -3,7 +3,7 @@
 Decision output protocol: the first stdout line is YES or NO; witness steps
 follow as ``r <vertex> <color>`` lines.  Exit code 0 covers any successful
 decision (including FAIL verdicts from ``verify``), 2 flags usage or parse
-problems, and 3 flags a state-space cap overflow.
+problems, and 3 flags a state-space cap overflow that leaves the answer open.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import caterpillar_dp, oracle
 from .caterpillar_dp import SizeRecord, Sweep
-from .errors import ImproperEndpoints, NotCaterpillar
+from .errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from .graph import recognize_caterpillar
 from .instance import (
     LcrInstance,
@@ -66,6 +66,8 @@ def solve_driver(
     is an error.  Each component is recognized at most once; the sweep
     reuses that structure.  ``observer``, if given, sees each sweep step as
     (live ``Sweep``, size record); each swept component opens with ``init``.
+    A component whose oracle would pass ``state_cap`` is skipped, and its
+    ``StateSpaceTooLarge`` raised at the end only if no component said NO.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -85,7 +87,7 @@ def solve_driver(
     trimmed, trace = normalize(inst)
     # a witness request sends auto to the oracle without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
-    answer = True
+    answer, refusal = True, None
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
@@ -113,7 +115,11 @@ def solve_driver(
                 enode_peak=peak, slack_min=lo, slack_max=hi,
             )
         else:
-            rg = oracle.build(sub.graph, sub.lists, state_cap)
+            try:
+                rg = oracle.build(sub.graph, sub.lists, state_cap)
+            except StateSpaceTooLarge as exc:
+                refusal = refusal or exc  # another component may answer NO
+                continue
             steps = oracle.reachable(rg, sub.f0, sub.fr)
             report = ComponentReport(
                 tuple(comp), "bruteforce", steps is not None,
@@ -124,6 +130,8 @@ def solve_driver(
                 witness_steps.extend((back[v], c) for v, c in steps)
         reports.append(report)
         answer = answer and report.answer
+    if refusal is not None and answer:
+        raise refusal
     # with no component left, the algorithm names the one that was asked for
     used = {r.algorithm for r in reports}
     used = used or {"caterpillar" if sweep else "bruteforce"}

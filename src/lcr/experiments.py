@@ -8,8 +8,11 @@ with ``answer=REFUSED`` and left out of ``agree``; the other runs go on.
 Reruns with the same config are identical except for the wall-time column.
 
 Caterpillar configs compare the incremental sweep against the exhaustive
-oracle; layered configs compare direct rerouting search against the oracle
-run on the compiled instance.
+oracle; layered configs compare direct rerouting search (``spr``) against
+``solve_driver``'s oracle on the compiled instance (``reduction``).  Driver
+runs read their size columns off the ``SolveReport``, so ``oracle_nodes``
+sums the trimmed components in both kinds.  Values below the generators'
+limits are refused up front, as is ``depth_min`` 1 when ``reduction`` runs.
 """
 
 from __future__ import annotations
@@ -81,89 +84,62 @@ def parse_config(text: str) -> dict:
     for algo in config["algos"]:
         if algo not in known:
             raise ParseError(f"unknown {kind} algorithm: {algo}")
+    # the generators' own limits; compiling needs an s-t distance of 2 or more
+    depth_least = 2 if "reduction" in config["algos"] else 1
+    for key, least in (("spine_min", 1), ("colors", 2), ("list_min", 2),
+                       ("max_width", 1), ("depth_min", depth_least)):
+        if config[key] < least:
+            raise ParseError(f"{key} must be at least {least}, not {config[key]}")
     return config
 
 
 REFUSED = "REFUSED"
 
 
-def _answer(answer) -> str:
-    """CSV answer for True, False, or None when the oracle refused."""
-    return REFUSED if answer is None else "YES" if answer else "NO"
+def _run(instance, algo: str, cap: int) -> dict:
+    """The graph size, answer and size columns of one run of ``algo``; a run
+    whose oracle would pass ``cap`` answers REFUSED with blank sizes."""
+    if algo == "reduction":
+        instance, algo = compile_spr(instance).lcr, "bruteforce"
+    row = {"n": instance.graph.n, "m": instance.graph.m, "answer": REFUSED}
+    try:
+        if algo == "spr":
+            found = rerouting.brute_solve(instance) is not None
+            return {**row, "answer": "YES" if found else "NO"}
+        report = solve_driver(instance, algo=algo, state_cap=cap)
+    except StateSpaceTooLarge:
+        return row
+    swept = [c for c in report.components if c.enode_peak is not None]
+    return {
+        **row, "answer": "YES" if report.answer else "NO",
+        "oracle_nodes": sum(c.oracle_nodes or 0 for c in report.components) or "",
+        "enode_peak": max((c.enode_peak for c in swept), default=""),
+        "slack_min": min((c.slack_min for c in swept), default=""),
+        "slack_max": max((c.slack_max for c in swept), default=""),
+    }
 
 
-def _run_caterpillar(config, instance_id, seed, rng_params) -> list[dict]:
+def _caterpillar(config, seed, rng_params):
     spine = rng_params.randint(config["spine_min"], config["spine_max"])
-    inst = gen_caterpillar(
+    return gen_caterpillar(
         spine,
         leaf_prob=config["leaf_prob"],
         colors=config["colors"],
         list_range=(config["list_min"], config["list_max"]),
         seed=seed,
     )
-    rows = []
-    for algo in config["algos"]:
-        start = time.perf_counter()
-        try:
-            report = solve_driver(inst, algo=algo, state_cap=config["state_cap"])
-        except StateSpaceTooLarge:
-            report = None
-        wall = time.perf_counter() - start
-        row = {
-            "instance": instance_id, "kind": "caterpillar", "seed": seed,
-            "n": inst.graph.n, "m": inst.graph.m, "algo": algo,
-            "answer": REFUSED, "wall_s": f"{wall:.6f}",
-        }
-        if report is not None:
-            nodes = sum(c.oracle_nodes or 0 for c in report.components) or ""
-            swept = [c for c in report.components if c.enode_peak is not None]
-            row.update({
-                "answer": _answer(report.answer), "oracle_nodes": nodes,
-                "enode_peak": max((c.enode_peak for c in swept), default=""),
-                "slack_min": min((c.slack_min for c in swept), default=""),
-                "slack_max": max((c.slack_max for c in swept), default=""),
-            })
-        rows.append(row)
-    return rows
 
 
-def _run_layered(config, instance_id, seed, rng_params) -> list[dict]:
+def _layered(config, seed, rng_params):
     depth = rng_params.randint(config["depth_min"], config["depth_max"])
     density = rng_params.uniform(config["density_min"], config["density_max"])
-    spr = gen_layered_spr(depth, max_width=config["max_width"], density=density, seed=seed)
-    rows = []
-    for algo in config["algos"]:
-        start = time.perf_counter()
-        answer, nodes = None, ""
-        if algo == "spr":
-            graph = spr.graph
-            try:
-                answer = rerouting.brute_solve(spr) is not None
-            except StateSpaceTooLarge:
-                pass
-        else:
-            red = compile_spr(spr)
-            graph = red.lcr.graph
-            try:
-                rg = oracle.build(graph, red.lcr.lists, config["state_cap"])
-                answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
-                nodes = rg.num_nodes
-            except StateSpaceTooLarge:
-                pass
-        wall = time.perf_counter() - start
-        # the encoding columns stay empty: DictWriter fills them with ""
-        rows.append({
-            "instance": instance_id, "kind": "layered", "seed": seed,
-            "n": graph.n, "m": graph.m, "algo": algo, "answer": _answer(answer),
-            "oracle_nodes": nodes, "wall_s": f"{wall:.6f}",
-        })
-    return rows
+    return gen_layered_spr(depth, max_width=config["max_width"], density=density, seed=seed)
 
 
-# each kind's runner, its known algorithms, and those run when a config names none
+# each kind's generator, its known algorithms, and those run when a config names none
 _KINDS = {
-    "caterpillar": (_run_caterpillar, ALGORITHMS, ("caterpillar", "bruteforce")),
-    "layered": (_run_layered, ("spr", "reduction"), ("spr", "reduction")),
+    "caterpillar": (_caterpillar, ALGORITHMS, ("caterpillar", "bruteforce")),
+    "layered": (_layered, ("spr", "reduction"), ("spr", "reduction")),
 }
 
 
@@ -172,7 +148,8 @@ def run_experiments(config_text: str) -> str:
     import random
 
     config = parse_config(config_text)
-    run = _KINDS[config["kind"]][0]
+    kind = config["kind"]
+    generate = _KINDS[kind][0]
     base_seed = config["seed"]
     rng_params = random.Random(base_seed)
 
@@ -181,7 +158,15 @@ def run_experiments(config_text: str) -> str:
     writer.writeheader()
     for i in range(config["count"]):
         seed = base_seed + 1 + i
-        rows = run(config, i, seed, rng_params)
+        instance = generate(config, seed, rng_params)
+        rows = []
+        for algo in config["algos"]:
+            start = time.perf_counter()
+            row = _run(instance, algo, config["state_cap"])
+            wall = time.perf_counter() - start
+            # columns a run leaves out stay empty: DictWriter fills them with ""
+            rows.append({**row, "instance": i, "kind": kind, "seed": seed,
+                         "algo": algo, "wall_s": f"{wall:.6f}"})
         decided = {r["answer"] for r in rows} - {REFUSED}
         agree = "yes" if len(decided) <= 1 else "no"
         for r in rows:

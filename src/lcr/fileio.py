@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Collection, NoReturn, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import ParseError
 from .graph import Graph, PathDecomposition
@@ -150,6 +150,17 @@ def _graph_fault(body: list[list[str]], n: int, m: int) -> NoReturn:
     _no_fault_found("graph")
 
 
+def _edge_graph(n: int, m: int, groups: dict[str, list[str]]) -> Optional[Graph]:
+    """The graph of the ``e`` lines popped from ``groups``, or None on a fault."""
+    edges = _pairs(groups.pop("e", []))
+    if edges is None or len(edges[0]) != m:
+        return None
+    try:
+        return Graph(n, zip(*edges))
+    except ValueError:  # an endpoint out of range, a self-loop or a repeat
+        return None
+
+
 def parse_graph(text: str) -> Graph:
     head, groups = _grouped(text)
     n, m = _header(head, "graph", 2)
@@ -159,22 +170,25 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(
             f"header promises {n} vertices, above the limit of {MAX_GRAPH_VERTICES}"
         )
-    edges = _pairs(groups.pop("e", []))
-    if not groups and edges is not None and len(edges[0]) == m:
-        try:
-            return Graph(n, zip(*edges))
-        except ValueError:
-            pass
-    _graph_fault(_rows(text)[1:], n, m)
+    graph = _edge_graph(n, m, groups)
+    if graph is None or groups:
+        _graph_fault(_rows(text)[1:], n, m)
+    return graph
+
+
+def _text(comment: Optional[str], lines: Iterable[str]) -> str:
+    """``lines`` under an optional ``# comment`` line; no line at all is ''."""
+    out = [f"# {comment}"] if comment else []
+    out.extend(lines)
+    return "\n".join(out) + "\n" if out else ""
+
+
+def _edge_lines(g: Graph) -> Iterator[str]:
+    return (f"e {u} {v}" for u, v in sorted(g.edges))
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"p graph {g.n} {g.m}")
-    out.extend(f"e {u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(out) + "\n"
+    return _text(comment, [f"p graph {g.n} {g.m}", *_edge_lines(g)])
 
 
 def _color_lists(
@@ -248,12 +262,8 @@ def _lcr_body(
     n: int, m: int, k: int, groups: dict[str, list[str]]
 ) -> Optional[LcrInstance]:
     """The instance a grouped body describes, or None if a check fails."""
-    edges = _pairs(groups.pop("e", []))
-    if edges is None or len(edges[0]) != m:
-        return None
-    try:
-        graph = Graph(n, zip(*edges))
-    except ValueError:  # an endpoint out of range, a self-loop or a repeat
+    graph = _edge_graph(n, m, groups)
+    if graph is None:
         return None
     read = _color_lists(groups.pop("l", []), k)
     lists = None if read is None else _by_vertex(n, *read)
@@ -286,32 +296,30 @@ def parse_lcr(text: str) -> LcrInstance:
 
 def format_lcr(inst: LcrInstance, comment: str | None = None) -> str:
     g = inst.graph
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"p lcr {g.n} {g.m} {inst.num_colors}")
-    out.extend(f"e {u} {v}" for u, v in sorted(g.edges))
-    for v in range(g.n):
-        out.append("l " + " ".join(str(c) for c in [v] + sorted(inst.lists[v])))
-    out.extend(f"s {v} {inst.f0[v]}" for v in range(g.n))
-    out.extend(f"t {v} {inst.fr[v]}" for v in range(g.n))
-    return "\n".join(out) + "\n"
+    return _text(comment, [
+        f"p lcr {g.n} {g.m} {inst.num_colors}", *_edge_lines(g),
+        *("l " + " ".join(map(str, [v, *sorted(inst.lists[v])])) for v in range(g.n)),
+        *(f"s {v} {c}" for v, c in enumerate(inst.f0)),
+        *(f"t {v} {c}" for v, c in enumerate(inst.fr)),
+    ])
+
+
+def _tagged(text: str, usage: str, what: str) -> Iterator[list[int]]:
+    """Each row's integers, checked in file order as it is read; ``usage``
+    names the tag and the fields, any count of them if it ends in ``...>``."""
+    tag, *fields = usage.split()
+    for row in _rows(text):
+        if row[0] != tag or (len(row) != 1 + len(fields) and not usage.endswith("...>")):
+            raise ParseError(f"expected '{usage}': {' '.join(row)}")
+        yield _ints(row[1:], what)
 
 
 def parse_sequence(text: str) -> list[Step]:
-    steps = []
-    for row in _rows(text):
-        if row[0] != "r" or len(row) != 3:
-            raise ParseError(f"expected 'r <vertex> <color>': {' '.join(row)}")
-        v, c = _ints(row[1:], "step")
-        steps.append((v, c))
-    return steps
+    return [(v, c) for v, c in _tagged(text, "r <vertex> <color>", "step")]
 
 
 def format_sequence(steps: Sequence[Step], comment: str | None = None) -> str:
-    out = [f"# {comment}"] if comment else []
-    out.extend(f"r {v} {c}" for v, c in steps)
-    return "\n".join(out) + "\n" if out else ""
+    return _text(comment, (f"r {v} {c}" for v, c in steps))
 
 
 def _spr_fault(body: list[list[str]], n: int, m: int) -> NoReturn:
@@ -389,39 +397,24 @@ def parse_spr(text: str) -> SprInstance:
 
 def format_spr(inst: SprInstance, comment: str | None = None) -> str:
     g = inst.graph
-    out = []
-    if comment:
-        out.append(f"# {comment}")
-    out.append(f"p spr {g.n} {g.m}")
-    out.extend(f"e {u} {v}" for u, v in sorted(g.edges))
-    out.append(f"src {inst.s}")
-    out.append(f"dst {inst.t}")
-    out.append("p0 " + " ".join(map(str, inst.p0)))
-    out.append("pr " + " ".join(map(str, inst.pr)))
-    return "\n".join(out) + "\n"
+    return _text(comment, [
+        f"p spr {g.n} {g.m}", *_edge_lines(g), f"src {inst.s}", f"dst {inst.t}",
+        "p0 " + " ".join(map(str, inst.p0)), "pr " + " ".join(map(str, inst.pr)),
+    ])
 
 
 def parse_decomposition(text: str) -> PathDecomposition:
-    bags = []
-    for row in _rows(text):
-        if row[0] != "b":
-            raise ParseError(f"expected 'b <vertices...>': {' '.join(row)}")
-        bags.append(frozenset(_ints(row[1:], "bag")))
-    return PathDecomposition(tuple(bags))
+    bags = _tagged(text, "b <vertices...>", "bag")
+    return PathDecomposition(tuple(map(frozenset, bags)))
 
 
 def format_decomposition(pd: PathDecomposition, comment: str | None = None) -> str:
-    out = [f"# {comment}"] if comment else []
-    out.extend("b " + " ".join(map(str, sorted(bag))) for bag in pd.bags)
-    return "\n".join(out) + "\n" if out else ""
+    return _text(comment, ("b " + " ".join(map(str, sorted(bag))) for bag in pd.bags))
 
 
 def parse_colormap(text: str) -> dict[int, tuple[int, int]]:
     pair_of = {}
-    for row in _rows(text):
-        if row[0] != "c" or len(row) != 4:
-            raise ParseError(f"expected 'c <color> <layer> <index>': {' '.join(row)}")
-        c, layer, idx = _ints(row[1:], "colormap")
+    for c, layer, idx in _tagged(text, "c <color> <layer> <index>", "colormap"):
         if c in pair_of:
             raise ParseError(f"color {c} mapped twice")
         pair_of[c] = (layer, idx)
@@ -429,11 +422,8 @@ def parse_colormap(text: str) -> dict[int, tuple[int, int]]:
 
 
 def format_colormap(red: ReducedInstance, comment: str | None = None) -> str:
-    out = [f"# {comment}"] if comment else []
-    out.extend(
-        f"c {c} {layer} {idx}" for c, (layer, idx) in sorted(red.pair_of.items())
-    )
-    return "\n".join(out) + "\n" if out else ""
+    pairs = sorted(red.pair_of.items())
+    return _text(comment, (f"c {c} {layer} {idx}" for c, (layer, idx) in pairs))
 
 
 def parse_threshold_witness(text: str) -> ThresholdWitness:
@@ -460,7 +450,5 @@ def parse_threshold_witness(text: str) -> ThresholdWitness:
 
 
 def format_threshold_witness(w: ThresholdWitness, comment: str | None = None) -> str:
-    out = [f"# {comment}"] if comment else []
-    out.append(f"thr {w.bound}")
-    out.extend(f"w {v} {weight}" for v, weight in enumerate(w.weights))
-    return "\n".join(out) + "\n"
+    weights = (f"w {v} {weight}" for v, weight in enumerate(w.weights))
+    return _text(comment, [f"thr {w.bound}", *weights])

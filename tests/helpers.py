@@ -16,7 +16,7 @@ import random
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from lcr import fileio
+from lcr import fileio, oracle
 from lcr.caterpillar_dp import (
     EncodingGraph,
     SizeRecord,
@@ -991,6 +991,20 @@ def layered_corpus(
     return out
 
 
+def beside_a_huge_cycle(edge: LcrInstance, cycle_first: bool = False) -> LcrInstance:
+    """The two-vertex instance ``edge`` next to a 30-cycle with lists {0,1,2}
+    and f0 = fr = i mod 3, whose 3^30 colourings pass any usable state cap;
+    ``cycle_first`` numbers the cycle 0..29 and the edge 30, 31."""
+    c0, e0 = (0, 30) if cycle_first else (2, 0)
+    edges = [(e0, e0 + 1)] + [(c0 + i, c0 + (i + 1) % 30) for i in range(30)]
+    lists, f0, fr = [None] * 32, [0] * 32, [0] * 32
+    for i in range(30):
+        lists[c0 + i], f0[c0 + i], fr[c0 + i] = {0, 1, 2}, i % 3, i % 3
+    for j in range(2):
+        lists[e0 + j], f0[e0 + j], fr[e0 + j] = edge.lists[j], edge.f0[j], edge.fr[j]
+    return LcrInstance(Graph(32, edges), tuple(map(frozenset, lists)), tuple(f0), tuple(fr))
+
+
 # -- quadratic references for the certificate checkers ------------------------------
 
 
@@ -1124,3 +1138,21 @@ def side_table_spath_sequence_to_recoloring(
     for fv in red.forbidden:
         recolor(fv.vertex, red.lcr.fr[fv.vertex])
     return steps
+
+
+# -- the layered experiments' reduction run without the driver ------------------
+
+
+def direct_oracle_reduction(spr: SprInstance, state_cap: int) -> Optional[bool]:
+    """The layered experiments' ``reduction`` answer as it was before the run
+    went through ``solve_driver``: the oracle on the whole compiled graph, with
+    no normalization and one cap over every component; None when it refused."""
+    answer = None
+    red = compile_spr(spr)
+    graph = red.lcr.graph
+    try:
+        rg = oracle.build(graph, red.lcr.lists, state_cap)
+        answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
+    except StateSpaceTooLarge:
+        pass
+    return answer

@@ -22,7 +22,7 @@ from lcr.fileio import (
 from lcr.reduction import ThresholdWitness, compile_spr
 from lcr.rerouting import build_spr_instance
 
-from .helpers import one_color_path
+from .helpers import beside_a_huge_cycle, one_color_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -192,6 +192,23 @@ def test_solve_state_cap_exits_3(tmp_path, capsys):
     argv = ["solve", path, "--algo", "bruteforce", "--state-cap", "1"]
     assert main(argv) == EXIT_CAP
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_answers_a_no_beside_a_refused_component(tmp_path, capsys):
+    frozen = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {0, 1}], (0, 1), (1, 0))
+    for cycle_first in (False, True):
+        path = write_lcr(tmp_path, beside_a_huge_cycle(frozen, cycle_first))
+        for extra in ([], ["--witness"]):
+            assert main(["solve", path, *extra]) == EXIT_OK
+            assert capsys.readouterr().out == "NO\n"
+
+
+def test_solve_refusal_beside_yes_components_exits_3(tmp_path, capsys):
+    mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
+    for cycle_first in (False, True):
+        path = write_lcr(tmp_path, beside_a_huge_cycle(mixed, cycle_first))
+        assert main(["solve", path]) == EXIT_CAP
+        assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_solve_negative_state_cap_exits_2(tmp_path, capsys):

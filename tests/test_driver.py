@@ -10,7 +10,12 @@ from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from lcr.instance import induced_instance, normalize
 
-from .helpers import caterpillar_corpus, cycle_graph, gen_random_instance
+from .helpers import (
+    beside_a_huge_cycle,
+    caterpillar_corpus,
+    cycle_graph,
+    gen_random_instance,
+)
 
 
 def two_component_instance():
@@ -166,6 +171,25 @@ def test_tiny_state_cap_trips_the_guard():
     inst = two_component_instance()
     with pytest.raises(StateSpaceTooLarge):
         solve_driver(inst, algo="bruteforce", state_cap=1)
+
+
+@pytest.mark.parametrize("cycle_first", [False, True])
+@pytest.mark.parametrize("algo, want_witness", [
+    ("auto", False), ("auto", True), ("bruteforce", False), ("bruteforce", True),
+])
+def test_a_refused_component_does_not_hide_a_no(cycle_first, algo, want_witness):
+    frozen = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {0, 1}], (0, 1), (1, 0))
+    inst = beside_a_huge_cycle(frozen, cycle_first)
+    report = solve_driver(inst, algo=algo, want_witness=want_witness)
+    assert report.answer is False and report.witness is None
+    assert [len(c.vertices) for c in report.components] == [2]
+
+
+@pytest.mark.parametrize("cycle_first", [False, True])
+def test_a_refusal_beside_only_yes_components_still_raises(cycle_first):
+    mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
+    with pytest.raises(StateSpaceTooLarge):
+        solve_driver(beside_a_huge_cycle(mixed, cycle_first))
 
 
 def test_a_negative_state_cap_is_a_value_error():

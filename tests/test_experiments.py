@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 
 import pytest
 
 from lcr.errors import ParseError
 from lcr.experiments import CSV_FIELDS, parse_config, run_experiments
+from lcr.generators import gen_layered_spr
+from lcr.oracle import DEFAULT_STATE_CAP
+from lcr.reduction import compile_spr
+
+from .helpers import direct_oracle_reduction
 
 
 def rows_of(text):
@@ -50,11 +56,25 @@ def test_config_defaults_and_comments():
         "kind=layered\ncount=3\ndensity_min=0.9\ndensity_max=0.2\n",
         "kind=layered\ncount=3\ndepth_min=5\ndepth_max=2\n",
         "count=3\nspine_min=6\nspine_max=3\n",
+        # a value below what the generators or the compiler accept
+        "kind=layered\ncount=3\ndepth_min=1\ndepth_max=1\n",
+        "kind=layered\ncount=0\ndepth_min=0\nalgos=spr\n",
+        "count=30\nspine_min=0\nspine_max=1\n",
+        "count=0\ncolors=1\n",
+        "count=0\nlist_min=1\n",
+        "kind=layered\ncount=0\nmax_width=0\n",
     ],
 )
 def test_bad_configs_are_rejected(text):
     with pytest.raises(ParseError):
         run_experiments(text)
+
+
+def test_distance_one_runs_without_the_reduction():
+    rows = rows_of(run_experiments(
+        "kind=layered\ncount=6\nseed=2\ndepth_min=1\ndepth_max=2\nalgos=spr\n"
+    ))
+    assert len(rows) == 6 and all(r["answer"] in ("YES", "NO") for r in rows)
 
 
 def test_caterpillar_runs_compare_both_algorithms():
@@ -123,3 +143,28 @@ def test_a_refused_oracle_run_keeps_the_experiment_going(config, count, algos):
     assert refused and all(r["oracle_nodes"] == "" for r in refused)
     # refused runs are left out of agree; the decided answers still match
     assert all(r["agree"] == "yes" for r in rows)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_STATE_CAP, 30])
+def test_reduction_rows_agree_with_the_direct_oracle_reference(cap):
+    seed, count = 10, 40
+    config = f"kind=layered\ncount={count}\nseed={seed}\nstate_cap={cap}\n"
+    rows = rows_of(run_experiments(config + "depth_max=6\nmax_width=4\n"))
+    reduction = [r for r in rows if r["algo"] == "reduction"]
+    assert len(reduction) == count
+    # the runner's draws: depth, then density, from one generator seeded by seed
+    rng = random.Random(seed)
+    rescued = 0
+    for i, row in enumerate(reduction):
+        depth, density = rng.randint(2, 6), rng.uniform(0.5, 0.9)
+        spr = gen_layered_spr(depth, max_width=4, density=density, seed=seed + 1 + i)
+        graph = compile_spr(spr).lcr.graph
+        assert (row["n"], row["m"]) == (str(graph.n), str(graph.m))
+        answer = direct_oracle_reduction(spr, cap)
+        if answer is None:
+            rescued += row["answer"] != "REFUSED"
+        else:
+            # the driver refuses only what the whole-graph oracle refuses
+            assert row["answer"] == ("YES" if answer else "NO")
+    # normalizing and splitting decide some instances the reference refuses
+    assert rescued > 0
