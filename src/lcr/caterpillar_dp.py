@@ -19,7 +19,8 @@ counted before component extraction, so the final graph has at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IniLost, NotCaterpillar, NotConnected, NotNormalized
 from .graph import CaterpillarStructure, reach, recognize_caterpillar
@@ -47,9 +48,12 @@ class EncodingGraph:
         return len(self.cols)
 
 
-@dataclass(frozen=True)
-class SizeRecord:
-    """Size accounting for one step, taken before component extraction."""
+class SizeRecord(NamedTuple):
+    """Size accounting for one step, taken before component extraction.
+
+    A tuple rather than a frozen dataclass: the sweep builds one per step,
+    stats or not, and a tuple costs a fraction of a dataclass to make.
+    """
 
     step: int
     vertex: int
@@ -165,16 +169,23 @@ class Sweep:
                 new_cols.append(c)
                 new_adj.append(mine)
         # an old e-node of col d has an owner of every color of C but d, so a
-        # pair {a, b} of C carries an edge exactly when some old col is neither
+        # pair {a, b} of C carries an edge exactly when some old col is neither;
+        # three old cols or more leave one outside every pair
         present = set(cols)
-        pairs = {(a, b) for a in colors for b in colors if a < b and present - {a, b}}
+        many = len(present) > 2
+        pairs = {(a, b) for a, b in combinations(colors, 2) if many or present - {a, b}}
         # both ends of an old edge share the new e-node of a third color, so
         # the state stays connected unless C is the col pair of an old edge
         cut = len(colors) == 2 and tuple(colors) in self.pairs
-        ini = {new_cols[p]: p for p in owners[self.ini]}.get(f0_color)
-        tar = None
+        # an old e-node has at most one owner of each color
+        ini = tar = None
+        for p in owners[self.ini]:
+            if new_cols[p] == f0_color:
+                ini = p
         if self.tar is not None:
-            tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
+            for p in owners[self.tar]:
+                if new_cols[p] == fr_color:
+                    tar = p
         self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
         self.ini, self.tar = ini, tar
         if cut or ini is None:
@@ -224,22 +235,24 @@ def encoding_history(
     """
     structure = structure or _recognize(inst)
     _check_normalized(inst)
+    lists, f0, fr = inst.lists, inst.f0, inst.fr
+    degree = inst.graph.degree
     v1 = structure.ordering[0]
-    cols = sorted(inst.lists[v1])
-    tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
-    sweep = Sweep(cols, ((0, 1),), cols.index(inst.f0[v1]), tar)
-    k = len(sweep)
-    yield sweep, SizeRecord(1, v1, "init", inst.graph.degree(v1), k, 0, k)
+    cols = sorted(lists[v1])
+    tar = cols.index(fr[v1]) if fr[v1] in cols else None
+    sweep = Sweep(cols, ((0, 1),), cols.index(f0[v1]), tar)
+    spine, leaf, record = sweep.spine, sweep.leaf, SizeRecord._make
+    prev_size = len(sweep.cols)
+    yield sweep, record((1, v1, "init", degree(v1), prev_size, 0, prev_size))
     spine_set = set(structure.spine)
     for i, v in enumerate(structure.ordering[1:], start=2):
-        prev_size = len(sweep)
         if v in spine_set:
-            kind, pre = "spine", sweep.spine(inst.lists[v], inst.f0[v], inst.fr[v])
+            kind, pre = "spine", spine(lists[v], f0[v], fr[v])
         else:
-            kind, pre = "leaf", sweep.leaf(inst.lists[v])
-        yield sweep, SizeRecord(
-            i, v, kind, inst.graph.degree(v), pre, prev_size, len(sweep)
-        )
+            kind, pre = "leaf", leaf(lists[v])
+        size = len(sweep.cols)
+        yield sweep, record((i, v, kind, degree(v), pre, prev_size, size))
+        prev_size = size
 
 
 def check_size_bound(history: Sequence[SizeRecord]) -> Optional[int]:

@@ -101,9 +101,11 @@ def solve_driver(
         if structure is not None:
             peak, lo, hi = 0, math.inf, -math.inf
             for state, rec in caterpillar_dp.encoding_history(sub, structure):
-                slack = rec.bound - rec.pre_extraction
-                if rec.pre_extraction > peak:
-                    peak = rec.pre_extraction
+                pre = rec.pre_extraction
+                # rec.bound, read off the fields without a property call
+                slack = (2 if rec.step == 1 else rec.prev_size + rec.degree) - pre
+                if pre > peak:
+                    peak = pre
                 if slack < lo:
                     lo = slack
                 if slack > hi:

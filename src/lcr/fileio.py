@@ -29,9 +29,9 @@ MAX_GRAPH_VERTICES = 1_000_000
 
 Isolated vertices are legal in a bare graph, so its body cannot bound the
 header; this limit does, before ``Graph`` allocates per-vertex storage
-(about 0.8 s and 100 MiB at the limit).  A rerouting graph stops at its
-largest named vertex, which a large header lets through, so the limit
-bounds that too.  Instance headers are bounded by their bodies.
+(about 0.8 s and 100 MiB at the limit).  A rerouting graph holds only the
+vertices its text names, and the limit bounds the largest of their ids.
+Instance headers are bounded by their bodies.
 """
 
 
@@ -349,7 +349,8 @@ def _spr_fault(body: list[list[str]], n: int, m: int) -> NoReturn:
 
 
 def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
-    """(graph, src, dst, p0, pr) of a grouped body, or None if a check fails."""
+    """(graph, src, dst, p0, pr, names) of a grouped body, or None if a check
+    fails; ``names`` is as in ``build_spr_instance``."""
     edges = _pairs(groups.pop("e", []))
     if n < 0 or edges is None or len(edges[0]) != m:
         return None
@@ -368,19 +369,27 @@ def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
         return None
     (us, vs), (src,), (dst,), p0, pr = edges, *named
     # A vertex that no line names is isolated, and compute_layers prunes it
-    # with everything else off the shortest paths, so the graph stops at the
-    # largest named vertex rather than at the untrusted header's n.  Names
-    # outside 0..n-1 stay outside the graph and fail in build_spr_instance.
-    size = 1 + max([*us, *vs, *(v for v in (src, dst, *p0, *pr) if 0 <= v < n)], default=-1)
+    # with everything else off the shortest paths, so the untrusted header's
+    # n sizes nothing.  When the largest id passes the count of ids named,
+    # the named vertices are numbered in increasing order, and
+    # build_spr_instance keeps the text's ids in its messages and id map.
+    # Names outside 0..n-1 stay outside the graph and fail there.
+    ids = [*us, *vs, *(v for v in (src, dst, *p0, *pr) if 0 <= v < n)]
+    size = 1 + max(ids, default=-1)
     if size > MAX_GRAPH_VERTICES:
         if len({(min(e), max(e)) for e in zip(us, vs) if e[0] != e[1]}) < m:
             return None  # a self-loop or a repeated edge is reported first
         raise ParseError(f"graph needs {size} vertices, above the limit of {MAX_GRAPH_VERTICES}")
+    names = None
+    if size > len(ids):
+        names = sorted(set(ids))
+        local = {v: i for i, v in enumerate(names)}
+        us, vs, size = [local[u] for u in us], [local[v] for v in vs], len(names)
     try:
         graph = Graph(size, zip(us, vs))
     except ValueError:  # a self-loop or a repeated edge
         return None
-    return graph, src, dst, p0, pr
+    return graph, src, dst, p0, pr, names
 
 
 def parse_spr(text: str) -> SprInstance:

@@ -110,15 +110,19 @@ class Graph:
         Returns the new graph plus the old-to-new id map; new ids follow the
         sorted order of the kept old ids.  Vertices that cover the graph give
         back the graph itself, which is immutable, with the identity map.
+        The edges come from the kept vertices' adjacency, so the cost follows
+        the subgraph's size and degrees, not the whole graph's.
         """
         kept = sorted(set(vertices))
+        if kept and not (0 <= kept[0] and kept[-1] < self.n):
+            raise ValueError(f"vertex out of range for n={self.n}")
         id_map = {v: i for i, v in enumerate(kept)}
-        if kept == list(range(self.n)):
+        if len(kept) == self.n:
             return self, id_map
+        adj = self._adj
         edges = [
-            (id_map[u], id_map[v])
-            for u, v in self.edges
-            if u in id_map and v in id_map
+            (i, id_map[w]) for i, u in enumerate(kept) for w in adj[u]
+            if u < w and w in id_map
         ]
         return Graph(len(kept), edges), id_map
 

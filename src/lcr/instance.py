@@ -270,8 +270,10 @@ def induced_instance(
     does, give the instance itself back with an identity map, as
     ``normalize`` does when it removes nothing.
     """
-    kept = sorted(set(vertices))
-    if kept == list(range(inst.graph.n)):
+    kept, n = sorted(set(vertices)), inst.graph.n
+    # n distinct ids from 0 to n - 1 are all of them; an id out of range
+    # goes on to induced_subgraph, which refuses it
+    if len(kept) == n and (n == 0 or (kept[0] == 0 and kept[-1] == n - 1)):
         return inst, {v: v for v in kept}
     sub, id_map = inst.graph.induced_subgraph(kept)
     return (

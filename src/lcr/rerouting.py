@@ -10,6 +10,7 @@ shortest path, so instances are pruned down to the layered part up front.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,26 +35,33 @@ def _bfs_dist(g: Graph, start: int) -> list[int]:
 
 
 def compute_layers(
-    g: Graph, s: int, t: int
+    g: Graph, s: int, t: int, names: Optional[Sequence[int]] = None
 ) -> tuple[int, tuple[tuple[int, ...], ...], Graph, dict[int, int]]:
     """Distance, layers, and the graph pruned to the layered vertices.
 
     Layer i collects the vertices at distance i from s and d-i from t; only
     those can lie on a shortest s-t path.  Returns (d, layers, pruned graph,
-    old-to-new id map) with the layers in pruned ids.
+    old-to-new id map) with the layers in pruned ids.  ``names``, if given,
+    lists in increasing order the id each vertex of g stands for, as when a
+    parser relabels a sparse text; s, t, the messages and the map's old ids
+    are then those ids.
     """
-    if not (0 <= s < g.n and 0 <= t < g.n):
+    label = range(g.n) if names is None else names
+    a, b = bisect_left(label, s), bisect_left(label, t)  # the ends' vertices
+    if s not in label[a:a + 1] or t not in label[b:b + 1]:
         raise ValueError("endpoint out of range")
-    dist_s = _bfs_dist(g, s)
-    if dist_s[t] == -1:
+    dist_s = _bfs_dist(g, a)
+    if dist_s[b] == -1:
         raise Disconnected(f"no path between {s} and {t}")
-    d = dist_s[t]
-    dist_t = _bfs_dist(g, t)
+    d = dist_s[b]
+    dist_t = _bfs_dist(g, b)
     keep = [v for v in range(g.n) if dist_s[v] != -1 and dist_s[v] + dist_t[v] == d]
     pruned, id_map = g.induced_subgraph(keep)
     layers: list[list[int]] = [[] for _ in range(d + 1)]
     for v in keep:
         layers[dist_s[v]].append(id_map[v])
+    if names is not None:
+        id_map = {names[v]: i for v, i in id_map.items()}
     return d, tuple(tuple(sorted(layer)) for layer in layers), pruned, id_map
 
 
@@ -72,10 +80,14 @@ class SprInstance:
 
 
 def build_spr_instance(
-    g: Graph, s: int, t: int, p0: Sequence[int], pr: Sequence[int]
+    g: Graph, s: int, t: int, p0: Sequence[int], pr: Sequence[int],
+    names: Optional[Sequence[int]] = None,
 ) -> SprInstance:
-    """Prune to the layered vertices and validate the two endpoint paths."""
-    d, layers, pruned, id_map = compute_layers(g, s, t)
+    """Prune to the layered vertices and validate the two endpoint paths.
+
+    ``names`` is as in ``compute_layers``; the paths use those ids too.
+    """
+    d, layers, pruned, id_map = compute_layers(g, s, t, names)
     try:
         new_p0 = tuple(id_map[v] for v in p0)
         new_pr = tuple(id_map[v] for v in pr)

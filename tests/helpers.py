@@ -783,21 +783,22 @@ def row_parse_spr(text: str) -> SprInstance:
     if n < 0:
         raise ParseError("vertex count must be non-negative")
     # A vertex that no line names is isolated, and compute_layers prunes it
-    # with everything else off the shortest paths, so the graph stops at the
-    # largest named vertex rather than at the untrusted header's n.  Names
-    # outside 0..n-1 stay outside the graph and fail there as before.
+    # with everything else off the shortest paths, so the graph holds only
+    # the named vertices, renumbered in increasing order.  Names outside
+    # 0..n-1 stay outside the graph and fail there as before.
     ends = [single["src"], single["dst"], *paths["p0"], *paths["pr"]]
-    size = 1 + max(
-        [max(e) for e in edges] + [v for v in ends if 0 <= v < n], default=-1
-    )
+    names = sorted({v for e in edges for v in e} | {v for v in ends if 0 <= v < n})
+    size = 1 + max(names, default=-1)
     if size > fileio.MAX_GRAPH_VERTICES:
         raise ParseError(
             f"graph needs {size} vertices, "
             f"above the limit of {fileio.MAX_GRAPH_VERTICES}"
         )
+    local = {v: i for i, v in enumerate(names)}
+    graph = Graph(len(names), [(local[u], local[v]) for u, v in edges])
     try:
         return build_spr_instance(
-            Graph(size, edges), single["src"], single["dst"], paths["p0"], paths["pr"]
+            graph, single["src"], single["dst"], paths["p0"], paths["pr"], names
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -134,6 +134,14 @@ def test_leaf_list_must_hold_two_colors():
             step_leaf(prev, [1, 2, 3])
 
 
+def test_leaf_list_is_read_as_a_set():
+    prev = EncodingGraph(cols=(1, 2, 1), edges=((0, 1), (1, 2)), ini=1, tar=0)
+    for step_leaf in LEAF_STEPS:
+        with pytest.raises(NotNormalized):  # one color, twice
+            step_leaf(prev, [1, 1])
+        assert step_leaf(prev, [1, 2, 2]) == step_leaf(prev, [1, 2])
+
+
 # -- spine steps ------------------------------------------------------------------
 
 
@@ -184,6 +192,15 @@ def test_spine_step_records_component_members():
         )
         with pytest.raises(IniLost):  # old ini 0 is not in the col-1 e-node
             step_spine(prev, [1, 3], 1, 1)
+
+
+def test_spine_list_is_read_as_a_set():
+    prev = EncodingGraph(cols=(1, 2), edges=((0, 1),), ini=0, tar=1)
+    for step_spine in SPINE_STEPS:
+        for f0_color, fr_color in ((2, 1), (3, 1), (3, 3)):
+            assert step_spine(prev, [2, 2, 1, 3], f0_color, fr_color) == step_spine(
+                prev, [1, 2, 3], f0_color, fr_color
+            )
 
 
 def test_spine_endpoint_colors_must_come_from_the_list():

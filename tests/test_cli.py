@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import lcr.caterpillar_dp
@@ -312,6 +313,22 @@ def test_reduce_emit_witness_without_threshold_is_a_usage_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert "--emit-witness" in err and "--threshold" in err
     assert not out.exists() and not wit.exists()
+
+
+def test_reduce_of_a_sparse_text_is_sized_by_its_named_vertices(tmp_path, capsys):
+    # two named ids a million apart: a graph sized by the largest id would
+    # take about 90 MiB before finding no path
+    spr_path = tmp_path / "far.spr"
+    spr_path.write_text("p spr 1000000000000 0\nsrc 0\ndst 999999\np0 0\npr 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["reduce", str(spr_path), "-o", str(tmp_path / "out.lcr")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: no path between 0 and 999999\n"
+    assert peak < 2**20
 
 
 # -- verify ---------------------------------------------------------------------

@@ -249,6 +249,11 @@ def test_spr_graph_is_sized_by_the_named_vertices():
     assert time.perf_counter() - start < 0.1
     assert loose == tight
     assert loose.graph.n == 5 and loose.d == 3
+    # ids spread a thousand apart give the same graph, under the text's ids
+    spread = re.sub(r"\d+", lambda v: str(1000 * int(v.group())), body)
+    sparse = parse_spr("p spr 4001 5\n" + spread)
+    assert sparse == dataclasses.replace(tight, id_map={1000 * v: i for v, i in tight.id_map.items()})
+    assert sparse == row_parse_spr("p spr 4001 5\n" + spread)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +270,12 @@ def test_spr_graph_is_sized_by_the_named_vertices():
          "path vertex -3 is on no shortest path"),
         ("p spr 1000000000000 1\ne 0 1\nsrc 0\ndst 1\np0 0 1\npr 1 0\n",
          "pr is not a shortest s-t path"),
+        ("p spr 99 2\ne 0 10\ne 10 20\nsrc 0\ndst 20\np0 0 10 20\npr 0 15 20\n",
+         "path vertex 15 is on no shortest path"),
+        ("p spr 99 1\ne 10 20\nsrc 10\ndst 20\np0 10 20\npr 10 99\n",
+         "path vertex 99 is on no shortest path"),
+        ("p spr 99 1\ne 10 20\nsrc 10\ndst 99\np0 10 20\npr 10 20\n",
+         "endpoint out of range"),
     ],
 )
 def test_spr_named_vertices_are_checked_against_the_header(text, message):

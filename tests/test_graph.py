@@ -117,6 +117,36 @@ def test_induced_subgraph_on_every_vertex_is_the_graph_itself():
     assert sub is not g and sub.n == 3 and id_map == {0: 0, 1: 1, 2: 2}
 
 
+def test_induced_subgraph_refuses_vertices_outside_the_graph():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for vertices in ([0, 4], [-1, 0, 1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="out of range"):
+            g.induced_subgraph(vertices)
+
+
+def test_inducing_each_component_of_a_forest_reads_each_edge_once():
+    # 300 disjoint three-vertex paths; scanning the whole edge set for each
+    # component would read 300 * 600 edges
+    k = 300
+    g = Graph(3 * k, [(3 * i + j, 3 * i + j + 1) for i in range(k) for j in (0, 1)])
+    comps = g.connected_components()
+    reads = 0
+
+    def counted(kind):
+        class Counted(kind):
+            def __iter__(self):
+                nonlocal reads
+                reads += len(self)
+                return super().__iter__()
+        return Counted
+
+    g.edges = counted(frozenset)(g.edges)
+    g._adj = tuple(map(counted(tuple), g._adj))
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert all(g.induced_subgraph(comp)[0] == path for comp in comps)
+    assert reads == 2 * g.m  # one adjacency entry per edge end
+
+
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(1, 2), (0, 1)])
