@@ -6,9 +6,12 @@ the start restriction, contracted over colorings that agree on the active
 spine vertex and interconvert without recoloring it.  ``Sweep`` holds that
 graph as one working state that its leaf and spine steps change in place;
 the instance is reconfigurable exactly when the final state keeps the tar
-label.  A leaf whose two colors join no pair of e-nodes costs O(1); a spine
-step costs time linear in the encoding size, so the sweep is quadratic on
-3-colour paths, where the encoding gains one e-node per step.
+label.  A leaf whose two colors join no pair of e-nodes costs O(1).  A spine
+step runs in two phases: one breadth-first search per new e-node that only
+lists it as an owner of each old e-node it reaches, then one pass over those
+owner lists that links the new e-nodes sharing an old one.  Both phases are
+linear in the encoding size, so the sweep is quadratic on 3-colour paths,
+where the encoding gains one e-node per step.
 
 Per-step growth obeys
     |V(E'_1)| <= 2   and   |V(E'_i)| <= |V(E_{i-1})| + d(v_i)
@@ -137,10 +140,13 @@ class Sweep:
         c; each leftover component can be held fixed while the new vertex
         sits on c, so it becomes one new e-node.  Two new e-nodes sharing an
         old e-node are adjacent (recolor the new vertex while the rest stays
-        put), so each component's one search links the new e-node to the
-        earlier owners of every member it reaches.  The ini and tar marks land
-        on the new e-nodes that extend the old ones with the matching endpoint
-        color.  New e-nodes come out by color, then by smallest old member.
+        put).  So the search phase only appends each component's new e-node
+        to the owner list of every member it reaches, and the link phase then
+        joins the owners of each old e-node: one edge both ways for two, the
+        clique for more (an old e-node has at most one owner per color).  The
+        ini and tar marks land on the new e-nodes that extend the old ones
+        with the matching endpoint color.  New e-nodes come out by color,
+        then by smallest old member.
         Returns the e-node count before component extraction.
         """
         colors = sorted(set(spine_list))
@@ -154,26 +160,34 @@ class Sweep:
             for start, done in enumerate(seen):
                 if done:
                     continue
-                p, mine, seen[start], reached = len(new_cols), set(), True, [start]
-                for x in reached:  # breadth first, as in ``reach``
-                    own = owners[x]
-                    if own:
-                        mine.update(own)  # they share x with p
-                    own.append(p)
+                p, seen[start], reached = len(new_cols), True, [start]
+                for x in reached:  # search phase, breadth first as in ``reach``
+                    owners[x].append(p)
                     for y in adj[x]:
                         if not seen[y]:
                             seen[y] = True
                             reached.append(y)
-                for q in mine:
-                    new_adj[q].add(p)
                 new_cols.append(c)
-                new_adj.append(mine)
+                new_adj.append(set())
+        for own in owners:  # link phase
+            k = len(own)
+            if k == 2:
+                p, q = own
+                new_adj[p].add(q)
+                new_adj[q].add(p)
+            elif k > 2:
+                for p in own:
+                    mine = new_adj[p]
+                    mine.update(own)
+                    mine.discard(p)
         # an old e-node of col d has an owner of every color of C but d, so a
         # pair {a, b} of C carries an edge exactly when some old col is neither;
         # three old cols or more leave one outside every pair
         present = set(cols)
-        many = len(present) > 2
-        pairs = {(a, b) for a, b in combinations(colors, 2) if many or present - {a, b}}
+        if len(present) > 2:
+            pairs = set(combinations(colors, 2))
+        else:
+            pairs = {(a, b) for a, b in combinations(colors, 2) if present - {a, b}}
         # both ends of an old edge share the new e-node of a third color, so
         # the state stays connected unless C is the col pair of an old edge
         cut = len(colors) == 2 and tuple(colors) in self.pairs

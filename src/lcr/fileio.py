@@ -379,7 +379,9 @@ def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
     if size > MAX_GRAPH_VERTICES:
         if len({(min(e), max(e)) for e in zip(us, vs) if e[0] != e[1]}) < m:
             return None  # a self-loop or a repeated edge is reported first
-        raise ParseError(f"graph needs {size} vertices, above the limit of {MAX_GRAPH_VERTICES}")
+        raise ParseError(
+            f"vertex id {size - 1} is out of range: ids must be below {MAX_GRAPH_VERTICES}"
+        )
     names = None
     if size > len(ids):
         names = sorted(set(ids))

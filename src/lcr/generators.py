@@ -19,16 +19,13 @@ def _greedy_coloring(
     g: Graph, lists, rng: random.Random, order
 ) -> Optional[tuple[int, ...]]:
     """Random proper list coloring, greedily along the given vertex order."""
-    coloring: dict[int, int] = {}
+    coloring: list[Optional[int]] = [None] * g.n
     for v in order:
-        free = sorted(
-            c for c in lists[v]
-            if all(coloring.get(u) != c for u in g.neighbors(v))
-        )
+        free = sorted(lists[v].difference(map(coloring.__getitem__, g.neighbors(v))))
         if not free:
             return None
         coloring[v] = rng.choice(free)
-    return tuple(coloring[v] for v in range(g.n))
+    return tuple(coloring)
 
 
 def gen_caterpillar(

@@ -422,29 +422,38 @@ def load_sweep(eg: EncodingGraph) -> Sweep:
     return Sweep(eg.cols, eg.edges, eg.ini, eg.tar)
 
 
+def owner_lists(cols, adj, colors) -> tuple[list[int], list[list[int]]]:
+    """A spine step's new cols and the new e-nodes owning each old e-node.
+
+    One ``reach`` per component of the old state less one color, in the
+    order ``Sweep.spine`` numbers its new e-nodes.
+    """
+    new_cols = []
+    owners = [[] for _ in cols]
+    for c in colors:
+        seen = [col == c for col in cols]
+        for start, done in enumerate(seen):
+            if not done:
+                for x in reach(adj, start, seen):
+                    owners[x].append(len(new_cols))
+                new_cols.append(c)
+    return new_cols, owners
+
+
 class OwnerListSweep(Sweep):
-    """The working state with the earlier two-pass spine step, kept verbatim.
+    """The working state with the earlier two-pass spine step.
 
     Its spine step lists each old e-node's new owners by one ``reach`` per
-    component, builds the edges and their col pairs from those lists in a
-    second pass, and always extracts.  ``Sweep.spine`` must give the same
-    states and the same ``pairs``.
+    component (``owner_lists``), builds the edges and their col pairs from
+    those lists in a second pass, and always extracts.  ``Sweep.spine``
+    must give the same states and the same ``pairs``.
     """
 
     def spine(self, spine_list: Sequence[int], f0_color: int, fr_color: int) -> int:
         colors = sorted(set(spine_list))
         if f0_color not in colors or fr_color not in colors:
             raise ValueError("endpoint colors must come from the spine list")
-        cols, adj = self.cols, self.adj
-        new_cols = []
-        owners = [[] for _ in cols]  # the new e-nodes holding each old one
-        for c in colors:
-            seen = [col == c for col in cols]
-            for start, done in enumerate(seen):
-                if not done:
-                    for x in reach(adj, start, seen):
-                        owners[x].append(len(new_cols))
-                    new_cols.append(c)
+        new_cols, owners = owner_lists(self.cols, self.adj, colors)
         new_adj, pairs = [set() for _ in new_cols], set()
         for own in owners:
             for i, p in enumerate(own):
@@ -791,8 +800,8 @@ def row_parse_spr(text: str) -> SprInstance:
     size = 1 + max(names, default=-1)
     if size > fileio.MAX_GRAPH_VERTICES:
         raise ParseError(
-            f"graph needs {size} vertices, "
-            f"above the limit of {fileio.MAX_GRAPH_VERTICES}"
+            f"vertex id {size - 1} is out of range: "
+            f"ids must be below {fileio.MAX_GRAPH_VERTICES}"
         )
     local = {v: i for i, v in enumerate(names)}
     graph = Graph(len(names), [(local[u], local[v]) for u, v in edges])
@@ -891,6 +900,24 @@ def ref_count_s_paths(inst: SprInstance) -> int:
             for v in inst.layers[i]
         }
     return counts.get(inst.t, 0)
+
+
+def scanning_greedy_coloring(
+    g: Graph, lists, rng: random.Random, order
+) -> Optional[Coloring]:
+    """Reference for ``lcr.generators._greedy_coloring``: its earlier body,
+    which scans every neighbour once per list color.  Both must make the
+    same draws and return the same coloring."""
+    coloring: dict[int, int] = {}
+    for v in order:
+        free = sorted(
+            c for c in lists[v]
+            if all(coloring.get(u) != c for u in g.neighbors(v))
+        )
+        if not free:
+            return None
+        coloring[v] = rng.choice(free)
+    return tuple(coloring[v] for v in range(g.n))
 
 
 MAX_TRIES = 200

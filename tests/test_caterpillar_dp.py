@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 import lcr.caterpillar_dp
@@ -304,6 +307,42 @@ def test_pairs_match_the_owner_lists_and_skipped_extractions_stay_connected(
                     assert len(reached) == len(sweep)
             prev_pairs = set(sweep.pairs)
     assert seen == {"extracted", "extraction skipped"}
+
+
+def test_link_phase_joins_the_owners_of_each_old_enode():
+    arms = Counter()
+    for inst in engine_corpus():
+        history = [(s.snapshot(), rec) for s, rec in encoding_history(inst)]
+        for (prev, _), (_, rec) in zip(history, history[1:]):
+            if rec.kind != "spine":
+                continue
+            v = rec.vertex
+            step = (inst.lists[v], inst.f0[v], inst.fr[v])
+            sweep = load_sweep(prev)
+            ref = helpers.OwnerListSweep(prev.cols, prev.edges, prev.ini, prev.tar)
+            sweep.spine(*step)
+            ref.spine(*step)
+            assert (sweep.snapshot(), sweep.pairs) == (ref.snapshot(), ref.pairs)
+            # before extraction the new edges are exactly the owners' cliques
+            whole = load_sweep(prev)
+            new_cols, owners = helpers.owner_lists(
+                whole.cols, whole.adj, sorted(set(step[0]))
+            )
+            whole._extract = lambda: None
+            whole.spine(*step)
+            cliques, linked = [set() for _ in new_cols], Counter()
+            for own in owners:
+                if len(own) > 1:
+                    arms["two owners" if len(own) == 2 else "three or more"] += 1
+                for p, q in combinations(own, 2):
+                    cliques[p].add(q)
+                    cliques[q].add(p)
+                    linked[p, q] += 1
+            assert (whole.cols, whole.adj) == (new_cols, cliques)
+            if max(linked.values(), default=0) > 1:
+                arms["repeated owner pair"] += 1
+    # 37,583 and 268 old e-nodes take the two arms; 363 steps repeat a pair
+    assert set(arms) == {"two owners", "three or more", "repeated owner pair"}
 
 
 def test_sweep_agrees_with_the_oracle_on_three_color_paths():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from lcr.fileio import (
     parse_lcr,
     parse_sequence,
 )
+from lcr.generators import gen_caterpillar
 from lcr.reduction import ThresholdWitness, compile_spr
 from lcr.rerouting import build_spr_instance
 
@@ -147,6 +149,29 @@ def test_solve_trace_sweeps_each_component_once(tmp_path, monkeypatch, capsys):
     assert main(["solve", path, "--trace"]) == EXIT_OK
     assert capsys.readouterr().out.count("component ") == 2
     assert calls == [2, 5]
+
+
+# digests of the whole ``solve --trace`` output at commit 0c5927b, whose spine
+# step linked new e-nodes during its search; both answers are YES
+TRACE_DIGESTS = (
+    (
+        dict(spine_len=80, leaf_prob=0, colors=3, list_range=(3, 3), seed=14),
+        "a24084b8a769b50655102aa96eedc2a5d0070b7f15ab310732c01b882214195f",
+    ),
+    (
+        dict(spine_len=40, colors=5, list_range=(2, 4), seed=14),
+        "568cf357bf948aa52bf2036dd4d26e3f8cfaf82ad9c1d5f36efe69eadbf59aaf",
+    ),
+)
+
+
+def test_solve_trace_of_seeded_caterpillars_is_pinned(tmp_path, capsys):
+    for params, digest in TRACE_DIGESTS:
+        path = write_lcr(tmp_path, gen_caterpillar(**params))
+        assert main(["solve", path, "--trace"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("YES\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_solve_trace_is_caterpillar_only(tmp_path, capsys):

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lcr.errors import GenerationFailed
 from lcr.fileio import format_lcr, format_spr
-from lcr.generators import gen_caterpillar, gen_layered_spr
-from lcr.graph import recognize_caterpillar
+from lcr.generators import _greedy_coloring, gen_caterpillar, gen_layered_spr
+from lcr.graph import Graph, recognize_caterpillar
 from lcr.instance import is_proper_list_coloring
 from lcr.reduction import compile_spr
 from lcr.rerouting import is_s_path
 
-from .helpers import gen_random_instance, ref_is_caterpillar
+from .helpers import (
+    gen_random_instance,
+    ref_is_caterpillar,
+    scanning_greedy_coloring,
+)
 
 
 def test_caterpillar_generation_is_deterministic():
@@ -77,6 +83,25 @@ def test_random_instances_cover_unnormalized_lists():
             seen_small |= size < 2
             seen_large |= size > inst.graph.degree(v) + 1
     assert seen_small and seen_large
+
+
+def test_greedy_coloring_matches_the_scanning_reference():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = Graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+        ])
+        lists = [frozenset(rng.sample(range(5), rng.randint(1, 4))) for _ in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        fast, slow = random.Random(seed), random.Random(seed)
+        coloring = _greedy_coloring(g, lists, fast, order)
+        assert coloring == scanning_greedy_coloring(g, lists, slow, order)
+        assert fast.getstate() == slow.getstate()  # the same draws
+        outcomes.add(coloring is None)
+    assert outcomes == {True, False}
 
 
 def test_layered_generation_is_deterministic():
