@@ -2,8 +2,9 @@
 
 Order of business: check the endpoints, shortcut f0 = fr, normalize, split
 the trimmed graph into components, then run the caterpillar sweep or the
-exhaustive oracle on each component in turn.  Witnesses only come from the
-oracle and are lifted back through the normalization trace.
+exhaustive oracle on each component in turn; an oracle-bound component whose
+endpoints agree needs neither.  Witnesses only come from the oracle and are
+lifted back through the normalization trace.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ ALGORITHMS = ("auto", "caterpillar", "bruteforce")
 @dataclass
 class ComponentReport:
     vertices: tuple[int, ...]  # ids in the normalized instance
-    algorithm: str
+    algorithm: str  # "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
     answer: bool
     oracle_nodes: Optional[int] = None
     # a swept run's summary over its size records (None for the oracle): the
@@ -66,8 +67,11 @@ def solve_driver(
     is an error.  Each component is recognized at most once; the sweep
     reuses that structure.  ``observer``, if given, sees each sweep step as
     (live ``Sweep``, size record); each swept component opens with ``init``.
-    A component whose oracle would pass ``state_cap`` is skipped, and its
-    ``StateSpaceTooLarge`` raised at the end only if no component said NO.
+    A component bound for the oracle whose endpoints agree answers YES as
+    ``"trivial"`` and builds nothing; the run's algorithm is named by the
+    other components, if any.  A component whose oracle would pass
+    ``state_cap`` is skipped, and its ``StateSpaceTooLarge`` raised at the
+    end only if no component said NO.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -116,6 +120,9 @@ def solve_driver(
                 tuple(comp), "caterpillar", state.tar is not None,
                 enode_peak=peak, slack_min=lo, slack_max=hi,
             )
+        elif sub.f0 == sub.fr:
+            # YES with no steps: no state space to build, however large
+            report = ComponentReport(tuple(comp), "trivial", True)
         else:
             try:
                 rg = oracle.build(sub.graph, sub.lists, state_cap)
@@ -134,8 +141,11 @@ def solve_driver(
         answer = answer and report.answer
     if refusal is not None and answer:
         raise refusal
-    # with no component left, the algorithm names the one that was asked for
+    # trivial components name the algorithm only when no other is left; with
+    # no component at all, it names the one that was asked for
     used = {r.algorithm for r in reports}
+    if len(used) > 1:
+        used.discard("trivial")
     used = used or {"caterpillar" if sweep else "bruteforce"}
     chosen = used.pop() if len(used) == 1 else "mixed"
 

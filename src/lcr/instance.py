@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InfeasibleList, InvalidSequence, PartialColoring
 from .graph import Graph
@@ -62,22 +62,27 @@ def is_proper_list_coloring(inst: LcrInstance, f: Sequence[int]) -> bool:
     return all(f[u] != f[v] for u, v in inst.graph.edges)
 
 
-@dataclass(frozen=True)
-class SingletonRemoval:
+class SingletonRemoval(NamedTuple):
     """Vertex with a one-color list was deleted; that color left the
-    neighbors' lists.  ``affected`` holds the neighbors whose lists shrank."""
+    neighbors' lists.  ``affected`` holds the neighbors whose lists shrank.
+
+    Removal records are tuples, so tuple equality applies: a
+    ``SingletonRemoval`` equals a ``RichListRemoval`` with equal fields.  Its
+    ``color`` is an int where the other has a tuple of ``colors``, so no real
+    trace holds such a pair; ``isinstance`` tells the two kinds apart.
+    """
 
     vertex: int
     color: int
     affected: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RichListRemoval:
+class RichListRemoval(NamedTuple):
     """Vertex with at least degree+2 list colors was deleted; lists unchanged.
 
     ``colors`` is the vertex's list and ``neighbors`` its live neighbors at
-    removal time, which is all that lifting needs to dodge around it.
+    removal time, which is all that lifting needs to dodge around it.  Like
+    ``SingletonRemoval``, the record is a tuple.
     """
 
     vertex: int
@@ -112,16 +117,18 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     instance be lifted back.  Raises InfeasibleList when a list empties,
     which certifies that f0 and fr could not both have been proper.
 
-    Two heaps of candidates replace rescans, so the pass costs
-    O((n + m + sum of list sizes) log n).
+    Two heaps of candidates replace rescans, and each vertex enters each
+    heap at most once, so the pass costs O((n + m + sum of list sizes) log n).
     """
     n, degree = inst.graph.n, inst.graph.degree
     # A vertex turns single only when a singleton removal trims its list,
     # and is never rich, so it stays live until popped.  A neighbor's
     # removal lowers the degree by one and the list by at most one, so list
-    # size minus degree never drops: a rich vertex stays rich, and its heap
-    # entries go stale only once it is removed.  Both seeds are in vertex
-    # order, hence already heaps; with both empty nothing is removable.
+    # size minus degree never drops: a rich vertex stays rich until it is
+    # removed, and no heap entry goes stale.  So each vertex is pushed at
+    # most once, into one heap: ``queued`` marks the rich ones.  Both seeds
+    # are in vertex order, hence already heaps; with both empty nothing is
+    # removable.
     sizes = [len(lst) for lst in inst.lists]
     singles = [v for v, k in enumerate(sizes) if k == 1]
     rich = [v for v, k in enumerate(sizes) if k >= degree(v) + 2]
@@ -130,20 +137,13 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
 
     lists = {v: set(inst.lists[v]) for v in range(n)}  # live vertices only
     adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
+    queued = [False] * n
+    for v in rich:
+        queued[v] = True
     removals: list[Removal] = []
 
-    def is_rich(v: int) -> bool:
-        return len(lists[v]) >= len(adj[v]) + 2
-
-    def remove_vertex(v: int):
-        for u in adj[v]:
-            adj[u].discard(v)
-            if is_rich(u):
-                heapq.heappush(rich, u)
-        del adj[v], lists[v]
-
     while True:
-        while singles:
+        if singles:
             v = heapq.heappop(singles)
             (c,) = lists[v]
             if inst.f0[v] != c or inst.fr[v] != c:
@@ -159,17 +159,22 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
                     )
                 if len(lists[u]) == 1:
                     heapq.heappush(singles, u)
-            remove_vertex(v)
             removals.append(SingletonRemoval(v, c, tuple(affected)))
-        while rich and rich[0] not in lists:
-            heapq.heappop(rich)
-        if not rich:
+        elif rich:
+            # rich vertices go only once no singleton is left
+            v = heapq.heappop(rich)
+            removals.append(
+                RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
+            )
+        else:
             break
-        v = heapq.heappop(rich)
-        removals.append(
-            RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
-        )
-        remove_vertex(v)
+        for u in adj.pop(v):
+            nbrs = adj[u]
+            nbrs.discard(v)
+            if not queued[u] and len(lists[u]) >= len(nbrs) + 2:
+                queued[u] = True
+                heapq.heappush(rich, u)
+        del lists[v]
 
     kept = sorted(lists)
     id_map = {v: i for i, v in enumerate(kept)}

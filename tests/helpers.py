@@ -1019,15 +1019,20 @@ def layered_corpus(
     return out
 
 
-def beside_a_huge_cycle(edge: LcrInstance, cycle_first: bool = False) -> LcrInstance:
-    """The two-vertex instance ``edge`` next to a 30-cycle with lists {0,1,2}
-    and f0 = fr = i mod 3, whose 3^30 colourings pass any usable state cap;
-    ``cycle_first`` numbers the cycle 0..29 and the edge 30, 31."""
+def beside_a_huge_cycle(
+    edge: LcrInstance, cycle_first: bool = False, still: bool = False
+) -> LcrInstance:
+    """The two-vertex instance ``edge`` next to a 30-cycle with lists {0,1,2},
+    whose 3^30 colourings pass any usable state cap; ``cycle_first`` numbers
+    the cycle 0..29 and the edge 30, 31.  The cycle goes from f0 = i mod 3 to
+    fr = (i + 1) mod 3, so only the oracle can answer it, or with ``still``
+    keeps f0 = fr = i mod 2."""
     c0, e0 = (0, 30) if cycle_first else (2, 0)
     edges = [(e0, e0 + 1)] + [(c0 + i, c0 + (i + 1) % 30) for i in range(30)]
     lists, f0, fr = [None] * 32, [0] * 32, [0] * 32
     for i in range(30):
-        lists[c0 + i], f0[c0 + i], fr[c0 + i] = {0, 1, 2}, i % 3, i % 3
+        start, end = (i % 2, i % 2) if still else (i % 3, (i + 1) % 3)
+        lists[c0 + i], f0[c0 + i], fr[c0 + i] = {0, 1, 2}, start, end
     for j in range(2):
         lists[e0 + j], f0[e0 + j], fr[e0 + j] = edge.lists[j], edge.f0[j], edge.fr[j]
     return LcrInstance(Graph(32, edges), tuple(map(frozenset, lists)), tuple(f0), tuple(fr))

@@ -183,12 +183,13 @@ def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
 
 
 def test_solve_trace_of_a_mixed_run_prints_only_the_notice(tmp_path, capsys):
-    # the path is swept, the triangle goes to the oracle: no partial trace
+    # the path is swept, the triangle (vertex 4 moves) goes to the oracle:
+    # no partial trace
     inst = make_instance(
         Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
-        [{1, 2}, {2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}],
+        [{1, 2}, {2, 3}, {1, 2, 3}, {1, 2, 3}, {2, 3, 4}],
         (1, 2, 1, 2, 3),
-        (2, 3, 1, 2, 3),
+        (2, 3, 1, 2, 4),
     )
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
@@ -235,6 +236,15 @@ def test_solve_refusal_beside_yes_components_exits_3(tmp_path, capsys):
         path = write_lcr(tmp_path, beside_a_huge_cycle(mixed, cycle_first))
         assert main(["solve", path]) == EXIT_CAP
         assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_solve_answers_yes_beside_a_still_huge_cycle(tmp_path, capsys):
+    edge = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (0, 2))
+    path = write_lcr(tmp_path, beside_a_huge_cycle(edge, True, still=True))
+    assert main(["solve", path]) == EXIT_OK
+    assert capsys.readouterr().out == "YES\n"
+    assert main(["solve", path, "--witness"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("YES\n")
 
 
 def test_solve_negative_state_cap_exits_2(tmp_path, capsys):

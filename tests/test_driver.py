@@ -54,12 +54,13 @@ def test_auto_recognizes_each_component_once(monkeypatch):
 
 def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
     # an 8-vertex path (2916 colorings) is past the cap of 100 and must be
-    # swept; the 3-colour triangle (27 colorings) goes to the oracle
+    # swept; the triangle (27 colorings), whose last vertex moves, goes to
+    # the oracle
     inst = make_instance(
         Graph(11, [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]),
-        [{1, 2}] + [{1, 2, 3}] * 6 + [{1, 2}] + [{1, 2, 3}] * 3,
+        [{1, 2}] + [{1, 2, 3}] * 6 + [{1, 2}] + [{1, 2, 3}] * 2 + [{2, 3, 4}],
         (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3),
-        (1, 3, 1, 3, 1, 3, 1, 2, 1, 2, 3),
+        (1, 3, 1, 3, 1, 3, 1, 2, 1, 2, 4),
     )
     report = solve_driver(inst, "auto", state_cap=100)
     assert report.answer == solve_driver(inst, "bruteforce").answer
@@ -190,6 +191,45 @@ def test_a_refusal_beside_only_yes_components_still_raises(cycle_first):
     mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
     with pytest.raises(StateSpaceTooLarge):
         solve_driver(beside_a_huge_cycle(mixed, cycle_first))
+
+
+@pytest.mark.parametrize("cycle_first", [False, True])
+@pytest.mark.parametrize("algo, want_witness", [
+    ("auto", False), ("auto", True), ("bruteforce", False), ("bruteforce", True),
+])
+def test_a_component_whose_endpoints_agree_needs_no_oracle(
+    cycle_first, algo, want_witness
+):
+    # the still cycle's 3^30 colourings pass the cap, but nothing on it moves
+    edge = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (0, 2))
+    inst = beside_a_huge_cycle(edge, cycle_first, still=True)
+    report = solve_driver(inst, algo=algo, want_witness=want_witness)
+    assert report.answer is True
+    cycle, pair = report.components[::1 if cycle_first else -1]
+    assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (30, "trivial", True)
+    assert cycle.oracle_nodes is None
+    # the run is named by the edge alone, as it would be without the cycle
+    swept = algo == "auto" and not want_witness
+    assert pair.algorithm == report.algorithm
+    assert report.algorithm == ("caterpillar" if swept else "bruteforce")
+    if want_witness:
+        assert report.witness == [(31 if cycle_first else 1, 2)]
+        assert is_valid_sequence(inst, report.witness)
+
+
+def test_a_run_of_only_trivial_components_is_named_trivial():
+    # the isolated vertex is rich and goes; the triangle left keeps its colours
+    inst = make_instance(
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),
+        [{1, 2, 3}] * 3 + [{1, 2}],
+        (1, 2, 3, 1),
+        (1, 2, 3, 2),
+    )
+    for algo, want_witness in (("auto", False), ("auto", True), ("bruteforce", False)):
+        report = solve_driver(inst, algo=algo, want_witness=want_witness)
+        assert (report.answer, report.algorithm) == (True, "trivial")
+        assert [c.algorithm for c in report.components] == ["trivial"]
+        assert report.witness == ([(3, 2)] if want_witness else None)
 
 
 def test_a_negative_state_cap_is_a_value_error():

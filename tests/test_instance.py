@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import lcr.instance
 from lcr import (
     Graph,
     RichListRemoval,
@@ -217,11 +220,10 @@ def test_normalize_matches_the_rescanning_reference():
     }
 
 
-def test_normalize_scales_on_a_long_rich_path():
-    # rich_case's shape: a one-colour head and 8 two-colour links go as
-    # singletons; the 4-colour lists after them are rich from the start and
-    # go one by one in vertex order
-    n, chain = 20_000, 8
+def long_rich_path(n: int, chain: int) -> LcrInstance:
+    """rich_case's shape: a one-colour head and ``chain`` two-colour links go
+    as singletons; the 4-colour lists after them are rich from the start and
+    go one by one in vertex order."""
     rng = random.Random(11)
     forced = [0]
     for _ in range(chain):
@@ -231,14 +233,60 @@ def test_normalize_scales_on_a_long_rich_path():
     f = list(forced)
     for v in range(chain + 1, n):
         f.append(min(lists[v] - {f[-1]}))
-    inst = make_instance(path_graph(n), lists, f, f)
-    trimmed, trace = normalize(inst)
+    return make_instance(path_graph(n), lists, f, f)
+
+
+def test_normalize_scales_on_a_long_rich_path():
+    n, chain = 20_000, 8
+    trimmed, trace = normalize(long_rich_path(n, chain))
     kinds = [type(rem) for rem in trace.removals]
     assert kinds == [SingletonRemoval] * (chain + 1) + [RichListRemoval] * (
         n - chain - 1
     )
     assert [rem.vertex for rem in trace.removals] == list(range(n))
     assert trimmed.graph.n == 0 and trace.id_map == {}
+
+
+def test_normalize_pops_once_per_removal_and_pushes_each_vertex_once(monkeypatch):
+    # no heap entry goes stale, and no vertex is queued twice
+    calls = {"heappop": 0, "heappush": 0}
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return getattr(heapq, name)(*args)
+
+        return call
+
+    n = 20_000
+    inst = long_rich_path(n, 8)
+    monkeypatch.setattr(
+        lcr.instance, "heapq", SimpleNamespace(**{k: counted(k) for k in calls})
+    )
+    _, trace = normalize(inst)
+    assert len(trace.removals) == n
+    assert calls["heappop"] == n
+    assert calls["heappush"] <= n
+
+
+def test_removal_records_are_named_immutable_tuples():
+    single = SingletonRemoval(3, 1, (2, 4))
+    rich = RichListRemoval(5, (0, 1, 2), (4, 6))
+    assert (single.vertex, single.color, single.affected) == (3, 1, (2, 4))
+    assert (rich.vertex, rich.colors, rich.neighbors) == (5, (0, 1, 2), (4, 6))
+    assert isinstance(single, tuple) and tuple(rich) == (5, (0, 1, 2), (4, 6))
+    # lifting and demo 03 tell the kinds apart by isinstance
+    assert isinstance(single, SingletonRemoval)
+    assert not isinstance(single, RichListRemoval)
+    assert isinstance(rich, RichListRemoval)
+    assert not isinstance(rich, SingletonRemoval)
+    with pytest.raises(AttributeError):
+        single.vertex = 0
+    with pytest.raises(AttributeError):
+        rich.colors = ()
+    seen = {single: "single", rich: "rich"}
+    assert seen[SingletonRemoval(3, 1, (2, 4))] == "single"
+    assert seen[RichListRemoval(5, (0, 1, 2), (4, 6))] == "rich"
 
 
 def test_normalize_preserves_the_answer():
