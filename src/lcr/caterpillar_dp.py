@@ -103,7 +103,7 @@ class Sweep:
         if self.ini is None:
             raise IniLost("start e-node vanished; the step preconditions were broken")
         adj = self.adj
-        reached = reach(adj, self.ini, [False] * len(adj))
+        reached = reach(adj, self.ini, [-1] * len(adj))
         if len(reached) < len(adj):
             keep = sorted(reached)
             renum = {old: new for new, old in enumerate(keep)}

@@ -2,10 +2,12 @@
 
 Vertices are dense integers 0..n-1.  Graphs are immutable; inducing
 returns a graph (the graph itself when every vertex is kept) together with
-an old-to-new id map so callers can translate witnesses back.  The three
-breadth-first helpers, ``reach``, ``components`` and ``shortest_path``, take
-any adjacency sequence (vertex ids 0..len(adj)-1), so the reconfiguration,
-encoding and s-path graphs share them with ``Graph``.
+an old-to-new id map so callers can translate witnesses back.  One
+breadth-first search, ``reach``, records which vertex discovered each one;
+``components``, ``shortest_path``, ``is_bipartite``, the caterpillar spine
+walk and the rerouting layer distances read its order and discoverers.  It
+takes any adjacency sequence (vertex ids 0..len(adj)-1), so the
+reconfiguration, encoding and s-path graphs share it with ``Graph``.
 """
 
 from __future__ import annotations
@@ -15,22 +17,28 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotConnected
 
-def reach(adj: Sequence[Iterable[int]], start: int, seen: list[bool]) -> list[int]:
-    """Mark and list every vertex reachable from start through unmarked ones."""
-    seen[start] = True
+def reach(adj: Sequence[Iterable[int]], start: int, parent: list[int]) -> list[int]:
+    """Every vertex reachable from start through open ones, breadth first.
+
+    A vertex is open while its ``parent`` entry is -1.  Each vertex reached
+    gets the vertex that discovered it, earlier in the returned order, and
+    start gets itself; so a caller closes vertices in advance by giving them
+    any value >= 0, and they are neither reached nor overwritten.
+    """
+    parent[start] = start
     reached = [start]
     for u in reached:  # the list grows as it is read: breadth first
         for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
+            if parent[w] < 0:
+                parent[w] = u
                 reached.append(w)
     return reached
 
 
 def components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
     """Vertex sets of the components, each sorted, ordered by smallest vertex."""
-    seen = [False] * len(adj)
-    return [sorted(reach(adj, v, seen)) for v in range(len(adj)) if not seen[v]]
+    parent = [-1] * len(adj)
+    return [sorted(reach(adj, v, parent)) for v in range(len(adj)) if parent[v] < 0]
 
 
 def shortest_path(
@@ -38,19 +46,13 @@ def shortest_path(
 ) -> Optional[list[int]]:
     """Vertices of a shortest src-dst path, or None when dst is out of reach.
 
-    Breadth first in adjacency order: a vertex's parent is the vertex that
-    discovered it, and the search stops once dst has a parent.
+    One ``reach`` from src, in adjacency order, with the discoverers read
+    back from dst.  The search covers src's whole component, not only the
+    part up to dst.
     """
-    parent = {src: src}
-    queue = [src]
-    for u in queue:  # the list grows as it is read: breadth first
-        if dst in parent:
-            break
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if dst not in parent:
+    parent = [-1] * len(adj)
+    reach(adj, src, parent)
+    if parent[dst] < 0:
         return None
     path = [dst]
     while path[-1] != src:
@@ -98,7 +100,7 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(reach(self._adj, 0, [False] * self.n)) == self.n
+        return self.n > 0 and len(reach(self._adj, 0, [-1] * self.n)) == self.n
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""
@@ -161,6 +163,8 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
 
     A connected graph qualifies exactly when it is a tree whose non-leaf
     vertices induce a path.  A single vertex counts, with a one-vertex spine.
+    The spine is one ``reach`` from the lower-id end of that path, with the
+    leaves closed in advance, plus a leaf promoted onto each end.
     Deterministic tie-breaks: the promoted endpoint leaves are the lowest-id
     candidates, the spine runs from its lower-id endpoint, and leaves of a
     spine vertex are ordered by increasing id.
@@ -174,47 +178,26 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     if g.n == 2:
         return CaterpillarStructure((0, 1), (0, 1))
 
-    internal = [v for v in range(g.n) if g.degree(v) >= 2]
-    internal_set = set(internal)
     # In a tree the internal vertices induce a subtree; it is a path exactly
-    # when no internal vertex has three internal neighbors.
-    int_deg = {}
-    for v in internal:
-        d = sum(1 for w in g.neighbors(v) if w in internal_set)
-        if d > 2:
-            return None
-        int_deg[v] = d
+    # when no internal vertex has three internal neighbors, and breadth
+    # first from one of its ends is then the path's own order.  The leaves
+    # are closed in advance, so only internal vertices are open.
+    parent = [-1 if g.degree(v) >= 2 else v for v in range(g.n)]
+    ends = []
+    for v in range(g.n):
+        if parent[v] < 0:
+            d = sum(1 for w in g.neighbors(v) if parent[w] < 0)
+            if d > 2:
+                return None
+            if d < 2:
+                ends.append(v)
+    path = reach(g._adj, ends[0], parent)
 
-    if len(internal) == 1:
-        path = [internal[0]]
-    else:
-        ends = sorted(v for v in internal if int_deg[v] <= 1)
-        path = [ends[0]]
-        prev = -1
-        while True:
-            nxt = [
-                w for w in g.neighbors(path[-1])
-                if w in internal_set and w != prev
-            ]
-            if not nxt:
-                break
-            prev = path[-1]
-            path.append(nxt[0])
-        if len(path) != len(internal):
-            return None
-
-    spine = list(path)
-    def lowest_leaf(v: int, taken: set[int]) -> int:
-        return min(
-            w for w in g.neighbors(v)
-            if w not in internal_set and w not in taken
-        )
-
-    if g.degree(spine[0]) >= 2:
-        spine.insert(0, lowest_leaf(spine[0], set()))
-    if g.degree(spine[-1]) >= 2:
-        spine.append(lowest_leaf(spine[-1], {spine[0]}))
-    if spine[0] > spine[-1]:
+    # both path ends are internal, so each has a leaf to promote
+    first = next(w for w in g.neighbors(path[0]) if g.degree(w) == 1)
+    last = next(w for w in g.neighbors(path[-1]) if g.degree(w) == 1 and w != first)
+    spine = [first, *path, last]
+    if first > last:
         spine.reverse()
 
     # every vertex off the spine is a leaf of its one neighbour, and the
@@ -294,22 +277,17 @@ def is_partial_two_tree(g: Graph) -> bool:
 def is_bipartite(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Bipartition of g, or None if some component has an odd cycle.
 
-    Each component is two-colored starting from its lowest vertex, which
-    lands in the first part.
+    Each component is two-colored by one ``reach`` from its lowest vertex,
+    which lands in the first part: every other vertex takes the side
+    opposite its discoverer's.  Then every edge is checked once.
     """
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = [start]
-        for u in queue:  # the list grows as it is read: breadth first
-            for w in g.neighbors(u):
-                if side[w] == -1:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
+    adj, parent = g._adj, [-1] * g.n
+    order = [v for s in range(g.n) if parent[s] < 0 for v in reach(adj, s, parent)]
+    side = [1] * g.n
+    for v in order:  # a start is its own discoverer: 1 ^ 1 puts it on side 0
+        side[v] = side[parent[v]] ^ 1
+    if any(side[u] == side[v] for u, v in g.edges):
+        return None
     return (
         frozenset(v for v in range(g.n) if side[v] == 0),
         frozenset(v for v in range(g.n) if side[v] == 1),

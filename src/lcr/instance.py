@@ -135,8 +135,8 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     if not singles and not rich:
         return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
 
-    lists = {v: set(inst.lists[v]) for v in range(n)}  # live vertices only
-    adj = {v: set(inst.graph.neighbors(v)) for v in range(n)}
+    lists = [set(lst) for lst in inst.lists]  # None once the vertex is removed
+    adj = [set(inst.graph.neighbors(v)) for v in range(n)]  # live neighbours
     queued = [False] * n
     for v in rich:
         queued[v] = True
@@ -168,15 +168,15 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
             )
         else:
             break
-        for u in adj.pop(v):
+        for u in adj[v]:
             nbrs = adj[u]
             nbrs.discard(v)
             if not queued[u] and len(lists[u]) >= len(nbrs) + 2:
                 queued[u] = True
                 heapq.heappush(rich, u)
-        del lists[v]
+        lists[v] = None
 
-    kept = sorted(lists)
+    kept = [v for v, lst in enumerate(lists) if lst is not None]
     id_map = {v: i for i, v in enumerate(kept)}
     sub, _ = inst.graph.induced_subgraph(kept)
     trimmed = LcrInstance(

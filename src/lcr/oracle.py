@@ -18,6 +18,7 @@ addition carried into a higher digit are dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
@@ -70,8 +71,8 @@ def _proper_colorings(
     if g.n == 0:
         return [0], [()]
     adj = tuple(map(g.neighbors, range(g.n)))
-    seen = [False] * g.n
-    order = [v for s in range(g.n) if not seen[s] for v in reach(adj, s, seen)]
+    parent = [-1] * g.n
+    order = [v for s in range(g.n) if parent[s] < 0 for v in reach(adj, s, parent)]
     rank = {v: d for d, v in enumerate(order)}
     earlier = [[u for u in adj[v] if rank[u] < d] for d, v in enumerate(order)]
     options = [
@@ -115,7 +116,6 @@ class ReconfigurationGraph:
     graph: Graph
     lists: tuple[frozenset[int], ...]
     nodes: tuple[Coloring, ...]
-    index: dict[Coloring, int]
     adj: tuple[tuple[int, ...], ...]
 
     @property
@@ -150,10 +150,9 @@ def build(
     strides = _strides(sorted_lists)
     codes, colorings = _proper_colorings(g, sorted_lists, strides)
     nodes = tuple(colorings)
-    index = dict(zip(nodes, range(len(nodes))))
-    # adjacency entries reuse the index's own id objects rather than a fresh
+    # adjacency entries reuse the map's own id objects rather than a fresh
     # int each, which would add about 32 bytes per edge end
-    id_of_code = dict(zip(codes, index.values()))
+    id_of_code = dict(zip(codes, range(len(codes))))
     proper = id_of_code.keys()
     adj: list[list[int]] = [[] for _ in nodes]
     for stride, lst in zip(strides, sorted_lists):
@@ -165,12 +164,12 @@ def build(
                     adj[i].append(j)
                     adj[j].append(i)
     rows = tuple(map(tuple, map(sorted, adj)))
-    return ReconfigurationGraph(g, lists, nodes, index, rows)
+    return ReconfigurationGraph(g, lists, nodes, rows)
 
 
 def _node_id(rg: ReconfigurationGraph, f: Sequence[int]) -> int:
-    i = rg.index.get(tuple(f))
-    if i is None:
+    i = bisect_left(rg.nodes, tuple(f))  # the nodes are in lexicographic order
+    if rg.nodes[i:i + 1] != (tuple(f),):
         raise UnknownNode(f"{tuple(f)} is not a proper list coloring here")
     return i
 
@@ -192,7 +191,7 @@ def reachable(
 
 def component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
     """Node ids of the component containing f."""
-    return frozenset(reach(rg.adj, _node_id(rg, f), [False] * len(rg.adj)))
+    return frozenset(reach(rg.adj, _node_id(rg, f), [-1] * len(rg.adj)))
 
 
 def oracle_decide(inst: LcrInstance, cap: int = DEFAULT_STATE_CAP) -> bool:

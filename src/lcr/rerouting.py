@@ -15,22 +15,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import Disconnected, StateSpaceTooLarge
-from .graph import Graph, shortest_path
+from .graph import Graph, reach, shortest_path
 
 SPath = tuple[int, ...]
 
 DEFAULT_PATH_CAP = 100_000
 
 
-def _bfs_dist(g: Graph, start: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[start] = 0
-    queue = [start]
-    for u in queue:  # the list grows as it is read: breadth first
-        for w in g.neighbors(u):
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+def _distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
+    """Breadth-first distance of each vertex from start; -1 out of reach."""
+    parent, dist = [-1] * len(adj), [-1] * len(adj)
+    for v in reach(adj, start, parent):  # start, its own parent, gets -1 + 1
+        dist[v] = dist[parent[v]] + 1
     return dist
 
 
@@ -50,11 +46,12 @@ def compute_layers(
     a, b = bisect_left(label, s), bisect_left(label, t)  # the ends' vertices
     if s not in label[a:a + 1] or t not in label[b:b + 1]:
         raise ValueError("endpoint out of range")
-    dist_s = _bfs_dist(g, a)
+    adj = tuple(map(g.neighbors, range(g.n)))
+    dist_s = _distances(adj, a)
     if dist_s[b] == -1:
         raise Disconnected(f"no path between {s} and {t}")
     d = dist_s[b]
-    dist_t = _bfs_dist(g, b)
+    dist_t = _distances(adj, b)
     keep = [v for v in range(g.n) if dist_s[v] != -1 and dist_s[v] + dist_t[v] == d]
     pruned, id_map = g.induced_subgraph(keep)
     layers: list[list[int]] = [[] for _ in range(d + 1)]

@@ -30,6 +30,7 @@ from lcr.errors import (
     IniLost,
     InfeasibleList,
     InvalidRerouting,
+    NotConnected,
     NotNormalized,
     ParseError,
     StateSpaceTooLarge,
@@ -259,9 +260,7 @@ def splicing_build(
                 if j is not None and j > i:
                     adj[i].append(j)
                     adj[j].append(i)
-    return ReconfigurationGraph(
-        g, lists, nodes, index, tuple(tuple(sorted(a)) for a in adj)
-    )
+    return ReconfigurationGraph(g, lists, nodes, tuple(tuple(sorted(a)) for a in adj))
 
 
 # -- rebuilding reference for the caterpillar sweep ---------------------------------
@@ -431,9 +430,9 @@ def owner_lists(cols, adj, colors) -> tuple[list[int], list[list[int]]]:
     new_cols = []
     owners = [[] for _ in cols]
     for c in colors:
-        seen = [col == c for col in cols]
-        for start, done in enumerate(seen):
-            if not done:
+        seen = [0 if col == c else -1 for col in cols]
+        for start, mark in enumerate(seen):
+            if mark < 0:
                 for x in reach(adj, start, seen):
                     owners[x].append(len(new_cols))
                 new_cols.append(c)
@@ -499,10 +498,11 @@ def recursive_s_paths(inst: SprInstance, cap: int = DEFAULT_PATH_CAP) -> list[SP
 
 # -- per-module references for the breadth-first helpers --------------------------
 #
-# ``lcr.graph.reach``, ``components`` and ``shortest_path`` answer every
-# reachability question in the package.  Before them each module ran its own
-# deque search; those bodies are kept here verbatim, and the helpers must
-# give the same outputs, shortest paths included.
+# ``lcr.graph.reach`` is the package's one breadth-first search, and every
+# walk reads its order and the discoverer it records per vertex.  Before it
+# each module ran its own deque or list-queue search; those bodies are kept
+# here verbatim, and the package must give the same outputs, shortest paths,
+# distances, bipartitions and caterpillar spines included.
 
 
 def deque_connected_components(self: Graph) -> list[list[int]]:
@@ -633,6 +633,100 @@ def deque_brute_solve(
         chain.append(parent[chain[-1]])
     chain.reverse()
     return [paths[i] for i in chain]
+
+
+def queue_bfs_dist(g: Graph, start: int) -> list[int]:
+    """Queue reference for ``lcr.rerouting._distances``."""
+    dist = [-1] * g.n
+    dist[start] = 0
+    queue = [start]
+    for u in queue:  # the list grows as it is read: breadth first
+        for w in g.neighbors(u):
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def queue_is_bipartite(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """Queue reference for ``lcr.graph.is_bipartite``."""
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        queue = [start]
+        for u in queue:  # the list grows as it is read: breadth first
+            for w in g.neighbors(u):
+                if side[w] == -1:
+                    side[w] = side[u] ^ 1
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return (
+        frozenset(v for v in range(g.n) if side[v] == 0),
+        frozenset(v for v in range(g.n) if side[v] == 1),
+    )
+
+
+def walking_recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
+    """Step-by-step spine walk reference for ``lcr.graph.recognize_caterpillar``."""
+    if not g.is_connected():
+        raise NotConnected("caterpillar recognition requires a connected graph")
+    if g.n == 1:
+        return CaterpillarStructure((0,), (0,))
+    if g.m != g.n - 1:
+        return None  # has a cycle
+    if g.n == 2:
+        return CaterpillarStructure((0, 1), (0, 1))
+
+    internal = [v for v in range(g.n) if g.degree(v) >= 2]
+    internal_set = set(internal)
+    int_deg = {}
+    for v in internal:
+        d = sum(1 for w in g.neighbors(v) if w in internal_set)
+        if d > 2:
+            return None
+        int_deg[v] = d
+
+    if len(internal) == 1:
+        path = [internal[0]]
+    else:
+        ends = sorted(v for v in internal if int_deg[v] <= 1)
+        path = [ends[0]]
+        prev = -1
+        while True:
+            nxt = [
+                w for w in g.neighbors(path[-1])
+                if w in internal_set and w != prev
+            ]
+            if not nxt:
+                break
+            prev = path[-1]
+            path.append(nxt[0])
+        if len(path) != len(internal):
+            return None
+
+    spine = list(path)
+    def lowest_leaf(v: int, taken: set[int]) -> int:
+        return min(
+            w for w in g.neighbors(v)
+            if w not in internal_set and w not in taken
+        )
+
+    if g.degree(spine[0]) >= 2:
+        spine.insert(0, lowest_leaf(spine[0], set()))
+    if g.degree(spine[-1]) >= 2:
+        spine.append(lowest_leaf(spine[-1], {spine[0]}))
+    if spine[0] > spine[-1]:
+        spine.reverse()
+
+    spine_set = set(spine)
+    ordering = [spine[0]]
+    for s in spine[1:]:
+        ordering.append(s)
+        ordering.extend(w for w in g.neighbors(s) if w not in spine_set)
+    return CaterpillarStructure(tuple(spine), tuple(ordering))
 
 
 # -- row-by-row reference for the text readers ---------------------------------------
@@ -963,6 +1057,19 @@ def gen_random_instance(
         if f0 is not None and fr is not None:
             return LcrInstance(g, tuple(lists), f0, fr)
     raise GenerationFailed("could not find proper endpoint colorings")
+
+
+def spr_samples(count: int, base_seed: int) -> list[SprInstance]:
+    """Deterministic stream of small layered rerouting instances."""
+    out = []
+    seed = base_seed
+    while len(out) < count:
+        try:
+            out.append(gen_layered_spr(2 + seed % 4, max_width=3, density=0.5, seed=seed))
+        except GenerationFailed:
+            pass
+        seed += 1
+    return out
 
 
 def caterpillar_corpus(

@@ -56,7 +56,7 @@ def validate_encoding(eg: EncodingGraph, spine_list=None) -> None:
         bad = [c for c in eg.cols if c not in spine_list]
         if bad:
             raise ValueError(f"cols {bad} outside the spine list")
-    if k and len(reach(adjacency(eg), 0, [False] * k)) != k:
+    if k and len(reach(adjacency(eg), 0, [-1] * k)) != k:
         raise ValueError("encoding graph is disconnected")
 
 
@@ -178,8 +178,9 @@ def contract_encoding(
                 ew = enode_of[w]
                 edges.add((eu, ew) if eu < ew else (ew, eu))
 
-    f0_id = rg.index.get(tuple(f0))
-    fr_id = rg.index.get(tuple(fr))
+    index = {f: i for i, f in enumerate(rg.nodes)}
+    f0_id = index.get(tuple(f0))
+    fr_id = index.get(tuple(fr))
     ini = enode_of.get(f0_id) if f0_id is not None else None
     tar = enode_of.get(fr_id) if fr_id is not None else None
     return EncodingGraph(cols, tuple(sorted(edges)), ini, tar)

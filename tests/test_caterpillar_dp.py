@@ -303,7 +303,7 @@ def test_pairs_match_the_owner_lists_and_skipped_extractions_stay_connected(
                     seen.add("extracted")
                 else:
                     seen.add("extraction skipped")
-                    reached = reach(sweep.adj, sweep.ini, [False] * len(sweep))
+                    reached = reach(sweep.adj, sweep.ini, [-1] * len(sweep))
                     assert len(reached) == len(sweep)
             prev_pairs = set(sweep.pairs)
     assert seen == {"extracted", "extraction skipped"}

@@ -10,7 +10,7 @@ import pytest
 
 import lcr.fileio
 from lcr import Graph, make_instance
-from lcr.errors import Disconnected, GenerationFailed, LcrError, ParseError
+from lcr.errors import Disconnected, LcrError, ParseError
 from lcr.fileio import (
     MAX_GRAPH_VERTICES,
     format_colormap,
@@ -28,24 +28,18 @@ from lcr.fileio import (
     parse_spr,
     parse_threshold_witness,
 )
-from lcr.generators import gen_caterpillar, gen_layered_spr
+from lcr.generators import gen_caterpillar
 from lcr.graph import PathDecomposition
 from lcr.reduction import ThresholdWitness, compile_spr, to_threshold
 from lcr.rerouting import build_spr_instance
 
-from .helpers import gen_random_instance, row_parse_graph, row_parse_lcr, row_parse_spr
-
-
-def spr_samples(count, base_seed):
-    out = []
-    seed = base_seed
-    while len(out) < count:
-        try:
-            out.append(gen_layered_spr(2 + seed % 4, max_width=3, density=0.5, seed=seed))
-        except GenerationFailed:
-            pass
-        seed += 1
-    return out
+from .helpers import (
+    gen_random_instance,
+    row_parse_graph,
+    row_parse_lcr,
+    row_parse_spr,
+    spr_samples,
+)
 
 
 # -- graphs -------------------------------------------------------------------

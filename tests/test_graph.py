@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -16,8 +16,8 @@ from lcr import (
 from lcr import build, component_of, reachable
 from lcr.errors import NotConnected
 from lcr.generators import gen_caterpillar, gen_layered_spr
-from lcr.graph import PathDecomposition
-from lcr.rerouting import brute_solve
+from lcr.graph import PathDecomposition, reach
+from lcr.rerouting import _distances, brute_solve
 
 from .helpers import (
     all_labeled_trees,
@@ -33,10 +33,19 @@ from .helpers import (
     gen_random_instance,
     leaf_attachment,
     path_graph,
+    queue_bfs_dist,
+    queue_is_bipartite,
     ref_is_caterpillar,
     spine_of_prefix,
+    spr_samples,
     star_graph,
+    tree_from_prufer,
+    walking_recognize_caterpillar,
 )
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def test_graph_basic_accessors():
@@ -66,6 +75,37 @@ def test_graph_connectivity_and_components():
     g = Graph(5, [(0, 1), (3, 4)])
     assert not g.is_connected()
     assert g.connected_components() == [[0, 1], [2], [3, 4]]
+
+
+def test_reach_lists_breadth_first_and_records_each_discoverer():
+    rng = random.Random(8111)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice((0.15, 0.3)))
+        adj = [g.neighbors(v) for v in range(n)]
+        start = rng.randrange(n)
+        closed = {v: rng.randrange(n) for v in range(n) if v != start and rng.random() < 0.2}
+        parent = [closed.get(v, -1) for v in range(n)]
+        order = reach(adj, start, parent)
+        expected, queue, found = [start], deque([start]), {start, *closed}
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in found:
+                    found.add(w)
+                    expected.append(w)
+                    queue.append(w)
+        assert order == expected
+        rank = {v: i for i, v in enumerate(order)}
+        assert parent[start] == start
+        for v in order[1:]:
+            # the discoverer is v's neighbour that comes first in the order
+            assert parent[v] == min((u for u in adj[v] if u in rank), key=rank.get)
+            assert rank[parent[v]] < rank[v]
+        for v in range(n):
+            if v in closed:
+                assert parent[v] == closed[v] and v not in rank
+            elif v not in rank:
+                assert parent[v] == -1
 
 
 def test_breadth_first_helpers_match_the_per_module_searches():
@@ -196,6 +236,25 @@ def test_recognition_matches_reference_on_all_small_trees():
         for g in all_labeled_trees(n):
             got = recognize_caterpillar(g)
             assert (got is not None) == ref_is_caterpillar(g), g.edges
+            assert got == walking_recognize_caterpillar(g), g.edges
+
+
+def test_recognition_matches_the_spine_walk_reference():
+    # every labelled tree on 8 vertices agrees too (262,144 of them), but
+    # that takes longer than the rest of the suite, so a seeded sample here
+    rng = random.Random(8141)
+    graphs = [
+        tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
+        for n in (8, 9, 10, 12) for _ in range(1000)
+    ]
+    graphs += [inst.graph for inst in caterpillar_corpus(200, base_seed=8142, max_n=40)]
+    graphs += [gen_caterpillar(200, leaf_prob=0.7, seed=seed).graph for seed in range(5)]
+    kinds = Counter()
+    for g in graphs:
+        got = recognize_caterpillar(g)
+        assert got == walking_recognize_caterpillar(g), g.edges
+        kinds["not a caterpillar" if got is None else len(got.spine) > 3] += 1
+    assert set(kinds) == {"not a caterpillar", True, False}
 
 
 def test_recognition_rejects_connected_non_trees():
@@ -364,9 +423,48 @@ def test_triangle_has_no_bipartition():
     assert is_bipartite(cycle_graph(3)) is None
 
 
+def test_bipartition_matches_the_queue_reference():
+    rng = random.Random(8121)
+    seen = Counter()
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice((0.08, 0.15, 0.3)))
+        parts = is_bipartite(g)
+        assert parts == queue_is_bipartite(g), g.edges
+        seen["odd cycle"] += parts is None
+        seen["bipartite with edges"] += parts is not None and g.m > 0
+        seen["isolated vertex"] += any(g.degree(v) == 0 for v in range(g.n))
+        seen["several components"] += len(g.connected_components()) > 1
+        seen["odd cycle beside another component"] += (
+            parts is None and len(g.connected_components()) > 1
+        )
+    assert all(count >= 20 for count in seen.values()) and len(seen) == 5, seen
+
+
 def test_bipartition_covers_isolated_vertices():
     g = Graph(3, [(1, 2)])
     parts = is_bipartite(g)
     assert parts is not None
     assert parts[0] | parts[1] == {0, 1, 2}
     assert parts[0] & parts[1] == frozenset()
+
+
+# -- layer distances ----------------------------------------------------------------
+
+
+def test_layer_distances_match_the_queue_reference():
+    rng = random.Random(8131)
+    graphs = [inst.graph for inst in spr_samples(60, base_seed=8132)]
+    graphs += [
+        gen_layered_spr(rng.randint(2, 6), density=rng.uniform(0.3, 0.9), seed=seed).graph
+        for seed in range(100)
+    ]
+    # disconnected graphs leave vertices out of reach
+    graphs += [random_graph(rng, rng.randint(1, 12), 0.15) for _ in range(100)]
+    unreached = 0
+    for g in graphs:
+        adj = tuple(map(g.neighbors, range(g.n)))
+        for v in range(g.n):
+            dist = _distances(adj, v)
+            assert dist == queue_bfs_dist(g, v)
+            unreached += -1 in dist
+    assert unreached > 0

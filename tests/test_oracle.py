@@ -16,7 +16,7 @@ from lcr import (
     reachable,
 )
 from lcr.errors import StateSpaceTooLarge, UnknownNode
-from lcr.oracle import state_space_size
+from lcr.oracle import _node_id, state_space_size
 
 from .helpers import (
     all_colorings,
@@ -181,7 +181,7 @@ def test_build_matches_the_splicing_reference():
             continue
         rg = build(g, lists, cap)
         assert rg.nodes == ref.nodes
-        assert rg.index == ref.index
+        assert [_node_id(rg, f) for f in rg.nodes] == list(range(rg.num_nodes))
         assert rg.adj == ref.adj
         assert rg.lists == ref.lists
         seen["built"] += 1
@@ -209,7 +209,7 @@ def test_oracle_decide_needs_no_recursion_on_a_long_path():
 def test_equal_endpoints_reach_in_zero_steps():
     inst = mixed_edge()
     rg = build(inst.graph, inst.lists)
-    assert rg.index[(1, 2)] == 0
+    assert _node_id(rg, (1, 2)) == 0
     assert reachable(rg, (1, 2), (1, 2)) == []
 
 
@@ -232,6 +232,11 @@ def test_unknown_endpoint_is_an_error():
     rg = build(inst.graph, inst.lists)
     with pytest.raises(UnknownNode):
         reachable(rg, (2, 2), (1, 2))
+    # improper, outside every list (bisecting to either end of the node
+    # order), or of the wrong length
+    for f in ((2, 2), (0, 0), (3, 3), (1,), (1, 2, 3)):
+        with pytest.raises(UnknownNode):
+            _node_id(rg, f)
 
 
 def test_witnesses_validate_on_random_instances():
