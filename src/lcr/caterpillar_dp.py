@@ -217,17 +217,15 @@ def _recognize(inst: LcrInstance) -> CaterpillarStructure:
     return structure
 
 
-def _check_normalized(inst: LcrInstance) -> None:
+def _check_normalized(inst: LcrInstance, degree: Sequence[int]) -> None:
     n = inst.graph.n
-    for v in range(n):
-        size = len(inst.lists[v])
+    for v, (lst, d) in enumerate(zip(inst.lists, degree)):
+        size = len(lst)
         if size < 2:
             raise NotNormalized(f"vertex {v} has a list of size {size}")
         # a lone vertex with a 2-color list is accepted as is
-        if n > 1 and size > inst.graph.degree(v) + 1:
-            raise NotNormalized(
-                f"vertex {v} has {size} colors but degree {inst.graph.degree(v)}"
-            )
+        if n > 1 and size > d + 1:
+            raise NotNormalized(f"vertex {v} has {size} colors but degree {d}")
         if n == 1 and size != 2:
             raise NotNormalized(f"lone vertex needs exactly 2 colors, has {size}")
 
@@ -248,16 +246,16 @@ def encoding_history(
     it has degree at most 1 and the normalization check pins its list to 2.
     """
     structure = structure or _recognize(inst)
-    _check_normalized(inst)
+    degree = list(map(len, inst.graph.adjacency))
+    _check_normalized(inst, degree)
     lists, f0, fr = inst.lists, inst.f0, inst.fr
-    degree = inst.graph.degree
     v1 = structure.ordering[0]
     cols = sorted(lists[v1])
     tar = cols.index(fr[v1]) if fr[v1] in cols else None
     sweep = Sweep(cols, ((0, 1),), cols.index(f0[v1]), tar)
     spine, leaf, record = sweep.spine, sweep.leaf, SizeRecord._make
     prev_size = len(sweep.cols)
-    yield sweep, record((1, v1, "init", degree(v1), prev_size, 0, prev_size))
+    yield sweep, record((1, v1, "init", degree[v1], prev_size, 0, prev_size))
     spine_set = set(structure.spine)
     for i, v in enumerate(structure.ordering[1:], start=2):
         if v in spine_set:
@@ -265,7 +263,7 @@ def encoding_history(
         else:
             kind, pre = "leaf", leaf(lists[v])
         size = len(sweep.cols)
-        yield sweep, record((i, v, kind, degree(v), pre, prev_size, size))
+        yield sweep, record((i, v, kind, degree[v], pre, prev_size, size))
         prev_size = size
 
 

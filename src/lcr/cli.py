@@ -127,7 +127,11 @@ def _cmd_verify(args) -> int:
         print("OK" if ok0 and okr else f"FAIL f0={'ok' if ok0 else 'bad'} fr={'ok' if okr else 'bad'}")
     elif args.what == "sequence":
         inst = fileio.parse_lcr(_read(args.file))
-        steps = fileio.parse_sequence(_read(args.extra))
+        text = _read(args.extra)
+        answer, _, rest = text.partition("\n")
+        if answer.strip() == "NO":
+            raise ParseError("the answer line is NO: a NO answer has no sequence to verify")
+        steps = fileio.parse_sequence(rest if answer.strip() == "YES" else text)
         print("OK" if is_valid_sequence(inst, steps) else "FAIL")
     elif args.what == "decomposition":
         g = _parse_instance_or_graph(_read(args.file))

@@ -13,7 +13,9 @@ reconfiguration, encoding and s-path graphs share it with ``Graph``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import starmap
+from operator import eq, itemgetter
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import NotConnected
 
@@ -61,50 +63,69 @@ def shortest_path(
     return path
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+def _first_fault(n: int, edges: Iterable[tuple[int, int]]) -> NoReturn:
+    """Raise the first fault among the edges, in input order."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    raise AssertionError("a bulk check refused edges with no fault")
 
-    __slots__ = ("n", "edges", "_adj")
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    ``adjacency`` holds each vertex's neighbours as a sorted tuple, read off
+    one sort of the (low, high) pairs, the input's own tuples where they
+    already are.  Bulk checks run over that list; a failed one rescans the
+    input in order to name the first fault.  Cost: one sort plus O(n + m).
+    """
+
+    __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # read again, in order, if a check fails
+        pairs = [e if e[0] < e[1] else (e[1], e[0]) for e in map(tuple, edges)]
+        pairs.sort()
+        self.edges = frozenset(set(pairs))  # from a list, its table grows to twice the size
+        if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= n
+                      or any(starmap(eq, pairs)) or len(self.edges) < len(pairs)):
+            _first_fault(n, edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+        for u, v in pairs:  # a row gets its lower neighbours, then its higher
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = frozenset(seen)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adjacency = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(reach(self._adj, 0, [-1] * self.n)) == self.n
+        return self.n > 0 and len(reach(self.adjacency, 0, [-1] * self.n)) == self.n
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""
-        return components(self._adj)
+        return components(self.adjacency)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph induced on the given vertices.
@@ -121,7 +142,7 @@ class Graph:
         id_map = {v: i for i, v in enumerate(kept)}
         if len(kept) == self.n:
             return self, id_map
-        adj = self._adj
+        adj = self.adjacency
         edges = [
             (i, id_map[w]) for i, u in enumerate(kept) for w in adj[u]
             if u < w and w in id_map
@@ -182,20 +203,21 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     # when no internal vertex has three internal neighbors, and breadth
     # first from one of its ends is then the path's own order.  The leaves
     # are closed in advance, so only internal vertices are open.
-    parent = [-1 if g.degree(v) >= 2 else v for v in range(g.n)]
+    adj, degree = g.adjacency, list(map(len, g.adjacency))
+    parent = [-1 if d >= 2 else v for v, d in enumerate(degree)]
     ends = []
     for v in range(g.n):
         if parent[v] < 0:
-            d = sum(1 for w in g.neighbors(v) if parent[w] < 0)
+            d = sum(1 for w in adj[v] if parent[w] < 0)
             if d > 2:
                 return None
             if d < 2:
                 ends.append(v)
-    path = reach(g._adj, ends[0], parent)
+    path = reach(adj, ends[0], parent)
 
     # both path ends are internal, so each has a leaf to promote
-    first = next(w for w in g.neighbors(path[0]) if g.degree(w) == 1)
-    last = next(w for w in g.neighbors(path[-1]) if g.degree(w) == 1 and w != first)
+    first = next(w for w in adj[path[0]] if degree[w] == 1)
+    last = next(w for w in adj[path[-1]] if degree[w] == 1 and w != first)
     spine = [first, *path, last]
     if first > last:
         spine.reverse()
@@ -206,7 +228,7 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     ordering = [spine[0]]
     for s in spine[1:]:
         ordering.append(s)
-        ordering.extend(w for w in g.neighbors(s) if w not in spine_set)
+        ordering.extend(w for w in adj[s] if w not in spine_set)
     return CaterpillarStructure(tuple(spine), tuple(ordering))
 
 
@@ -257,7 +279,7 @@ def is_partial_two_tree(g: Graph) -> bool:
     answer is the structural sanity certificate used for compiled instances;
     the width-2 claim itself is certified by an explicit decomposition.
     """
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = list(map(len, g.adjacency))
     alive = [True] * g.n
     queue = [v for v in range(g.n) if deg[v] <= 2]
     removed = 0
@@ -281,7 +303,7 @@ def is_bipartite(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     which lands in the first part: every other vertex takes the side
     opposite its discoverer's.  Then every edge is checked once.
     """
-    adj, parent = g._adj, [-1] * g.n
+    adj, parent = g.adjacency, [-1] * g.n
     order = [v for s in range(g.n) if parent[s] < 0 for v in reach(adj, s, parent)]
     side = [1] * g.n
     for v in order:  # a start is its own discoverer: 1 ^ 1 puts it on side 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import contains
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InfeasibleList, InvalidSequence, PartialColoring
@@ -30,7 +31,7 @@ class LcrInstance:
         n = self.graph.n
         if len(self.lists) != n:
             raise ValueError("need exactly one color list per vertex")
-        if any(not lst for lst in self.lists):
+        if not all(self.lists):
             raise ValueError("color lists must be nonempty")
         if len(self.f0) != n or len(self.fr) != n:
             raise ValueError("endpoint colorings must be total")
@@ -57,7 +58,7 @@ def is_proper_list_coloring(inst: LcrInstance, f: Sequence[int]) -> bool:
         raise PartialColoring(
             f"coloring assigns {len(f)} of {inst.graph.n} vertices"
         )
-    if any(f[v] not in inst.lists[v] for v in range(inst.graph.n)):
+    if not all(map(contains, inst.lists, f)):
         return False
     return all(f[u] != f[v] for u, v in inst.graph.edges)
 
@@ -119,29 +120,29 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
 
     Two heaps of candidates replace rescans, and each vertex enters each
     heap at most once, so the pass costs O((n + m + sum of list sizes) log n).
+    It reads the graph's sorted rows and the input's own lists, copying
+    neither; a trimmed list is a new, smaller frozenset.
     """
-    n, degree = inst.graph.n, inst.graph.degree
+    g, lists = inst.graph, list(inst.lists)  # None once the vertex is removed
+    n, rows = g.n, g.adjacency
     # A vertex turns single only when a singleton removal trims its list,
     # and is never rich, so it stays live until popped.  A neighbor's
     # removal lowers the degree by one and the list by at most one, so list
     # size minus degree never drops: a rich vertex stays rich until it is
     # removed, and no heap entry goes stale.  So each vertex is pushed at
-    # most once, into one heap: ``queued`` marks the rich ones.  Both seeds
-    # are in vertex order, hence already heaps; with both empty nothing is
-    # removable.
-    sizes = [len(lst) for lst in inst.lists]
+    # most once, into one heap: ``queued`` marks the rich ones, whose live
+    # degree is then no longer kept.  Both seeds are in vertex order, hence
+    # already heaps; with both empty nothing is removable.
+    sizes, degree = list(map(len, lists)), list(map(len, rows))
     singles = [v for v, k in enumerate(sizes) if k == 1]
-    rich = [v for v, k in enumerate(sizes) if k >= degree(v) + 2]
+    rich = [v for v, k, d in zip(range(n), sizes, degree) if k >= d + 2]
     if not singles and not rich:
         return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
 
-    lists = [set(lst) for lst in inst.lists]  # None once the vertex is removed
-    adj = [set(inst.graph.neighbors(v)) for v in range(n)]  # live neighbours
     queued = [False] * n
     for v in rich:
         queued[v] = True
     removals: list[Removal] = []
-
     while True:
         if singles:
             v = heapq.heappop(singles)
@@ -150,38 +151,40 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
                 raise InfeasibleList(
                     f"vertex {v} is pinned to color {c} but an endpoint differs"
                 )
-            affected = sorted(u for u in adj[v] if c in lists[u])
+            affected = tuple([
+                u for u in rows[v] if lists[u] is not None and c in lists[u]
+            ])
             for u in affected:
-                lists[u].discard(c)
-                if not lists[u]:
+                lst = lists[u] = lists[u] - {c}
+                if not lst:
                     raise InfeasibleList(
                         f"list of vertex {u} emptied while trimming"
                     )
-                if len(lists[u]) == 1:
+                if len(lst) == 1:
                     heapq.heappush(singles, u)
-            removals.append(SingletonRemoval(v, c, tuple(affected)))
+            removals.append(SingletonRemoval(v, c, affected))
         elif rich:
             # rich vertices go only once no singleton is left
             v = heapq.heappop(rich)
-            removals.append(
-                RichListRemoval(v, tuple(sorted(lists[v])), tuple(sorted(adj[v])))
-            )
+            live = tuple([u for u in rows[v] if lists[u] is not None])
+            removals.append(RichListRemoval(v, tuple(sorted(lists[v])), live))
         else:
             break
-        for u in adj[v]:
-            nbrs = adj[u]
-            nbrs.discard(v)
-            if not queued[u] and len(lists[u]) >= len(nbrs) + 2:
-                queued[u] = True
-                heapq.heappush(rich, u)
         lists[v] = None
+        for u in rows[v]:
+            lst = lists[u]
+            if lst is not None and not queued[u]:
+                degree[u] -= 1
+                if len(lst) >= degree[u] + 2:
+                    queued[u] = True
+                    heapq.heappush(rich, u)
 
     kept = [v for v, lst in enumerate(lists) if lst is not None]
     id_map = {v: i for i, v in enumerate(kept)}
-    sub, _ = inst.graph.induced_subgraph(kept)
+    sub, _ = g.induced_subgraph(kept)
     trimmed = LcrInstance(
         sub,
-        tuple(frozenset(lists[v]) for v in kept),
+        tuple(lists[v] for v in kept),
         tuple(inst.f0[v] for v in kept),
         tuple(inst.fr[v] for v in kept),
     )

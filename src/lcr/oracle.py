@@ -70,7 +70,7 @@ def _proper_colorings(
     """
     if g.n == 0:
         return [0], [()]
-    adj = tuple(map(g.neighbors, range(g.n)))
+    adj = g.adjacency
     parent = [-1] * g.n
     order = [v for s in range(g.n) if parent[s] < 0 for v in reach(adj, s, parent)]
     rank = {v: d for d, v in enumerate(order)}

@@ -46,7 +46,7 @@ def compute_layers(
     a, b = bisect_left(label, s), bisect_left(label, t)  # the ends' vertices
     if s not in label[a:a + 1] or t not in label[b:b + 1]:
         raise ValueError("endpoint out of range")
-    adj = tuple(map(g.neighbors, range(g.n)))
+    adj = g.adjacency
     dist_s = _distances(adj, a)
     if dist_s[b] == -1:
         raise Disconnected(f"no path between {s} and {t}")

@@ -394,7 +394,7 @@ def reference_history(
 ) -> list[tuple[EncodingGraph, SizeRecord]]:
     """Every step's frozen encoding graph and size record, by rebuilding."""
     structure = structure or _recognize(inst)
-    _check_normalized(inst)
+    _check_normalized(inst, [inst.graph.degree(v) for v in range(inst.graph.n)])
     v1 = structure.ordering[0]
     cols = tuple(sorted(inst.lists[v1]))
     tar = cols.index(inst.fr[v1]) if inst.fr[v1] in cols else None
@@ -517,7 +517,7 @@ def deque_connected_components(self: Graph) -> list[list[int]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in self._adj[u]:
+            for w in self.adjacency[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -667,6 +667,33 @@ def queue_is_bipartite(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int
         frozenset(v for v in range(g.n) if side[v] == 0),
         frozenset(v for v in range(g.n) if side[v] == 1),
     )
+
+
+def per_row_graph(
+    n: int, edges
+) -> tuple[frozenset[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """Edge set and neighbour rows as ``Graph`` built them pair by pair.
+
+    The reference for ``Graph.__init__``: every pair is checked in input
+    order, so a ``ValueError`` names the first fault, and each row is
+    sorted on its own.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    return frozenset(seen), tuple(tuple(sorted(a)) for a in adj)
 
 
 def walking_recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:

@@ -390,6 +390,23 @@ def test_verify_sequence(tmp_path, capsys):
     assert capsys.readouterr().out == "FAIL\n"
 
 
+def test_verify_sequence_reads_the_solver_witness_file(tmp_path, capsys):
+    # the file 'lcr solve --witness' writes opens with its answer line
+    for inst, answer in ((mixed_edge(), "YES"), (frozen_edge(), "NO")):
+        inst_path = write_lcr(tmp_path, inst)
+        assert main(["solve", "--witness", inst_path]) == EXIT_OK
+        witness = tmp_path / "witness.txt"
+        witness.write_text(capsys.readouterr().out)
+        assert witness.read_text().splitlines()[0] == answer
+        code = main(["verify", "sequence", inst_path, str(witness)])
+        out, err = capsys.readouterr()
+        if answer == "YES":
+            assert (code, out, err) == (EXIT_OK, "OK\n", "")
+        else:
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: the answer line is NO: a NO answer has no sequence to verify\n"
+
+
 def test_verify_decomposition_against_a_bare_graph(tmp_path, capsys):
     graph_path = tmp_path / "path.graph"
     graph_path.write_text(format_graph(Graph(3, [(0, 1), (1, 2)])))

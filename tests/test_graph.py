@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import lcr.graph
 from lcr import (
     Graph,
     check_path_decomposition,
@@ -33,6 +34,7 @@ from .helpers import (
     gen_random_instance,
     leaf_attachment,
     path_graph,
+    per_row_graph,
     queue_bfs_dist,
     queue_is_bipartite,
     ref_is_caterpillar,
@@ -67,6 +69,76 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+def seeded_edge_lists(rng: random.Random):
+    """Edge lists in shuffled order with mixed orientation: tuples, lists,
+    isolated vertices and the empty graph."""
+    yield 0, []
+    yield 5, []
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        if rng.random() < 0.3:
+            pairs = [list(e) for e in pairs]
+        yield n, pairs
+
+
+def test_graph_rows_and_edges_match_the_per_row_reference():
+    kinds = set()
+    for n, pairs in seeded_edge_lists(random.Random(20)):
+        edges, rows = per_row_graph(n, pairs)
+        for given in (pairs, iter(pairs), tuple(pairs)):
+            g = Graph(n, given)
+            assert (g.n, g.edges, g.adjacency) == (n, edges, rows)
+            assert tuple(map(g.neighbors, range(n))) == rows
+            assert all(type(row) is tuple for row in rows)
+        kinds.add(type(pairs[0]).__name__ if pairs else "empty")
+        kinds.update("isolated" for row in rows if not row)
+    assert kinds == {"empty", "isolated", "tuple", "list"}
+
+
+def test_graph_faults_are_named_in_input_order():
+    # in each case the sorted edge order would meet another fault first
+    cases = [
+        (3, [(2, 2), (0, 9)], "self-loop at vertex 2"),
+        (3, [(5, 0), (1, 1)], "edge (5, 0) out of range for n=3"),
+        (3, [(2, 1), (0, -1)], "edge (0, -1) out of range for n=3"),
+        (4, [(2, 3), (3, 2), (0, 0)], "duplicate edge (2, 3)"),
+        (4, [(3, 1), [1, 3], (0, 7)], "duplicate edge (1, 3)"),
+        (0, [(0, 1)], "edge (0, 1) out of range for n=0"),
+    ]
+    rng = random.Random(21)
+    for n, pairs in seeded_edge_lists(rng):
+        if n and pairs:
+            bad = [rng.choice([(n, 0), (-1, 0), (0, 0), tuple(pairs[0])]) for _ in range(2)]
+            for e in bad:
+                pairs.insert(rng.randrange(len(pairs) + 1), e)
+            cases.append((n, pairs, None))
+    for n, pairs, message in cases:
+        with pytest.raises(ValueError) as want:
+            per_row_graph(n, pairs)
+        assert message in (None, str(want.value))
+        with pytest.raises(ValueError) as got:
+            Graph(n, iter(pairs))
+        assert str(got.value) == str(want.value)
+
+
+def test_building_a_graph_sorts_at_most_once(monkeypatch):
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(lcr.graph, "sorted", counted, raising=False)
+    for n, pairs in seeded_edge_lists(random.Random(22)):
+        calls = 0
+        Graph(n, pairs)
+        assert calls <= 1, n
 
 
 def test_graph_connectivity_and_components():
@@ -181,7 +253,7 @@ def test_inducing_each_component_of_a_forest_reads_each_edge_once():
         return Counted
 
     g.edges = counted(frozenset)(g.edges)
-    g._adj = tuple(map(counted(tuple), g._adj))
+    g.adjacency = tuple(map(counted(tuple), g.adjacency))
     path = Graph(3, [(0, 1), (1, 2)])
     assert all(g.induced_subgraph(comp)[0] == path for comp in comps)
     assert reads == 2 * g.m  # one adjacency entry per edge end
@@ -229,6 +301,27 @@ def test_recognition_requires_connected_graph():
         recognize_caterpillar(Graph(3, [(0, 1)]))
     with pytest.raises(NotConnected):
         recognize_caterpillar(Graph(0))
+
+
+def test_recognition_refuses_disconnected_graphs_whatever_their_edge_count():
+    # most have m = n - 1, with a cycle in one component, so the edge count
+    # alone would pass them
+    graphs = [
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),  # a triangle and an isolated vertex
+        Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]),  # a 4-cycle beside an edge
+        Graph(5, [(3, 4), (0, 2), (1, 2), (0, 1)]),  # an edge beside a triangle
+    ]
+    rng = random.Random(23)
+    while len(graphs) < 200:
+        g = random_graph(rng, rng.randint(3, 12), 0.3)
+        if g.m == g.n - 1 and not g.is_connected():
+            graphs.append(g)
+    graphs.append(Graph(5, [(0, 1), (1, 2), (3, 4)]))  # a path beside an edge
+    for g in graphs:
+        with pytest.raises(NotConnected):
+            recognize_caterpillar(g)
+        with pytest.raises(NotConnected):
+            walking_recognize_caterpillar(g)
 
 
 def test_recognition_matches_reference_on_all_small_trees():

@@ -220,6 +220,33 @@ def test_normalize_matches_the_rescanning_reference():
     }
 
 
+def test_normalize_keeps_untrimmed_lists_and_reads_no_degree(monkeypatch):
+    def no_degree(self, v):
+        raise AssertionError("normalize reads degrees from the rows")
+
+    monkeypatch.setattr(Graph, "degree", no_degree)
+    rng = random.Random(2025)
+    kept = trimmed_count = 0
+    for _ in range(3000):
+        inst = pinned_random_instance(rng)
+        try:
+            trimmed, trace = normalize(inst)
+        except InfeasibleList:
+            continue
+        shrunk = {
+            u for rem in trace.removals if isinstance(rem, SingletonRemoval)
+            for u in rem.affected
+        }
+        for old, new in trace.id_map.items():
+            if old in shrunk:
+                trimmed_count += 1
+                assert trimmed.lists[new] < inst.lists[old]
+            else:
+                kept += 1
+                assert trimmed.lists[new] is inst.lists[old]
+    assert kept > 300 and trimmed_count > 150
+
+
 def long_rich_path(n: int, chain: int) -> LcrInstance:
     """rich_case's shape: a one-colour head and ``chain`` two-colour links go
     as singletons; the 4-colour lists after them are rich from the start and
