@@ -137,7 +137,10 @@ def _cmd_verify(args) -> int:
         g = _parse_instance_or_graph(_read(args.file))
         pd = fileio.parse_decomposition(_read(args.extra))
         result = check_path_decomposition(g, pd)
-        print(f"{'OK' if result.valid else 'FAIL'} width {result.width}")
+        if not result.valid and not pd.bags:
+            print("FAIL no bags")  # rather than the empty decomposition's width -1
+        else:
+            print(f"{'OK' if result.valid else 'FAIL'} width {result.width}")
     elif args.what == "threshold":
         g = _parse_instance_or_graph(_read(args.file))
         witness = fileio.parse_threshold_witness(_read(args.extra))
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="print a recoloring witness (oracle only)")
     p.add_argument("--trace", action="store_true",
-                   help="dump the per-step encoding graphs")
+                   help="dump each step's encoding graph, up to a lost tar")
     p.add_argument("--state-cap", type=_state_cap, default=oracle.DEFAULT_STATE_CAP)
     p.set_defaults(func=_cmd_solve)
 

@@ -5,6 +5,11 @@ the trimmed graph into components, then run the caterpillar sweep or the
 exhaustive oracle on each component in turn; an oracle-bound component whose
 endpoints agree needs neither.  Witnesses only come from the oracle and are
 lifted back through the normalization trace.
+
+The run stops once its answer is known: a sweep at the step that loses the
+tar mark, which no later step brings back (a spine step passes it on only
+from the old tar), and the run at the first NO component, after which no
+component is induced or solved.  ``ComponentReport.steps`` counts the steps.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ class ComponentReport:
     algorithm: str  # "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
     answer: bool
     oracle_nodes: Optional[int] = None
-    # a swept run's summary over its size records (None for the oracle): the
-    # largest pre-extraction count and the extremes of bound - pre-extraction
+    # a swept run's sweep steps, fewer than len(vertices) where it lost tar,
+    # and its summary over the records of those steps (None for the oracle):
+    # the largest pre-extraction count and the extremes of bound - pre-extraction
+    steps: Optional[int] = None
     enode_peak: Optional[int] = None
     slack_min: Optional[int] = None
     slack_max: Optional[int] = None
@@ -44,6 +51,9 @@ class ComponentReport:
 
 @dataclass
 class SolveReport:
+    """``components`` has one report per component that ran, in order; a NO
+    component is the last."""
+
     answer: bool
     algorithm: str  # "trivial" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
@@ -65,13 +75,14 @@ def solve_driver(
     Witness extraction is oracle-only, so ``want_witness`` overrides the
     sweep unless the caller insisted on it, in which case a witness request
     is an error.  Each component is recognized at most once; the sweep
-    reuses that structure.  ``observer``, if given, sees each sweep step as
-    (live ``Sweep``, size record); each swept component opens with ``init``.
-    A component bound for the oracle whose endpoints agree answers YES as
-    ``"trivial"`` and builds nothing; the run's algorithm is named by the
-    other components, if any.  A component whose oracle would pass
-    ``state_cap`` is skipped, and its ``StateSpaceTooLarge`` raised at the
-    end only if no component said NO.
+    reuses that structure.  ``observer``, if given, sees each sweep step that
+    runs as (live ``Sweep``, size record); each swept component opens with
+    ``init``, and a sweep's last step is the one that lost tar, if any.
+    The first NO component ends the run.  A component bound for the oracle
+    whose endpoints agree answers YES as ``"trivial"`` and builds nothing;
+    the run's algorithm is named by the other components that ran, if any.
+    A component whose oracle would pass ``state_cap`` is skipped, and its
+    ``StateSpaceTooLarge`` raised at the end only if no component said NO.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -116,8 +127,10 @@ def solve_driver(
                     hi = slack
                 if observer is not None:
                     observer(state, rec)
+                if state.tar is None:
+                    break  # NO: no later step brings tar back
             report = ComponentReport(
-                tuple(comp), "caterpillar", state.tar is not None,
+                tuple(comp), "caterpillar", state.tar is not None, steps=rec.step,
                 enode_peak=peak, slack_min=lo, slack_max=hi,
             )
         elif sub.f0 == sub.fr:
@@ -138,7 +151,9 @@ def solve_driver(
                 back = {new: old for old, new in id_map.items()}
                 witness_steps.extend((back[v], c) for v, c in steps)
         reports.append(report)
-        answer = answer and report.answer
+        if not report.answer:
+            answer = False
+            break
     if refusal is not None and answer:
         raise refusal
     # trivial components name the algorithm only when no other is left; with

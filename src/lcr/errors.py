@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from math import log10
+
 
 class LcrError(Exception):
     """Base class for errors raised by this package."""
@@ -41,8 +43,12 @@ class StateSpaceTooLarge(LcrError):
     """Enumeration would exceed the configured cap."""
 
     def __init__(self, size, cap):
+        # CPython writes no int of over 4,300 digits, a product of list sizes
+        # past ~6,000 vertices; past 64 bits, give the order of magnitude
+        bits = size.bit_length()
+        shown = size if bits <= 64 else f"over 10^{int((bits - 1) * log10(2))}"
         super().__init__(
-            f"state space of size {size} exceeds cap {cap}; "
+            f"state space of size {shown} exceeds cap {cap}; "
             "raise the cap or use the caterpillar algorithm"
         )
         self.size = size

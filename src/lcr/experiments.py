@@ -75,6 +75,9 @@ def parse_config(text: str) -> dict:
     for key in ("count", "state_cap"):
         if config[key] < 0:
             raise ParseError(f"{key.replace('_', ' ')} must be non-negative, not {config[key]}")
+    for key in ("leaf_prob", "density_min", "density_max"):
+        if not 0 <= config[key] <= 1:  # NaN fails too
+            raise ParseError(f"{key} must be within [0, 1], not {config[key]}")
     for knob in ("spine", "list", "depth", "density"):
         lo, hi = config[f"{knob}_min"], config[f"{knob}_max"]
         if lo > hi:

@@ -457,9 +457,11 @@ def parse_threshold_witness(text: str) -> ThresholdWitness:
             raise ParseError(f"unexpected line: {' '.join(row)}")
     if bound is None:
         raise ParseError("missing 'thr' line")
-    missing = [v for v in range(len(weights)) if v not in weights]
-    if missing:
-        raise ParseError(f"missing weight for vertex {missing[0]}")
+    # n weights on distinct vertices cover 0..n-1 exactly when all are in range
+    stray = [v for v in weights if not 0 <= v < len(weights)]
+    if stray:
+        n = len(weights)
+        raise ParseError(f"weight for vertex {stray[0]} out of range: {n} weights name 0..{n - 1}")
     return ThresholdWitness(tuple(weights[v] for v in range(len(weights))), bound)
 
 

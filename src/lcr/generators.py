@@ -51,6 +51,8 @@ def gen_caterpillar(
         raise ValueError("need at least two colors")
     if leaves_per_spine is not None and leaves_per_spine < 0:
         raise ValueError("leaf count must not be negative")
+    if not 0 <= leaf_prob <= 1:  # NaN fails too
+        raise ValueError(f"leaf probability must be within [0, 1], not {leaf_prob}")
     rng = random.Random(seed)
     lo, hi = list_range
     if not 2 <= lo <= hi:
@@ -103,6 +105,8 @@ def gen_layered_spr(
         raise ValueError("depth must be positive")
     if max_width < 1:
         raise ValueError("layer width must be positive")
+    if not 0 <= density <= 1:  # NaN fails too
+        raise ValueError(f"density must be within [0, 1], not {density}")
     rng = random.Random(seed)
 
     sizes = [1] + [rng.randint(1, max_width) for _ in range(depth - 1)] + [1]

@@ -238,6 +238,19 @@ def test_solve_refusal_beside_yes_components_exits_3(tmp_path, capsys):
         assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_a_refusal_past_4300_digits_exits_3(tmp_path, capsys):
+    # 15,508 vertices: the state space is about 10^5360 colourings, an int
+    # too long for CPython to write out
+    path = str(tmp_path / "big.lcr")
+    gen = ["gen", "caterpillar", "--spine-len", "8000", "--seed", "3", "-o", path]
+    assert main(gen) == EXIT_OK
+    for argv in (["solve", path, "--witness"], ["solve", path, "--algo", "bruteforce"],
+                 ["oracle", "stats", path]):
+        assert main(argv) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "exceeds cap" in err and len(err) < 200
+
+
 def test_solve_answers_yes_beside_a_still_huge_cycle(tmp_path, capsys):
     edge = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (0, 2))
     path = write_lcr(tmp_path, beside_a_huge_cycle(edge, True, still=True))
@@ -452,6 +465,23 @@ def test_verify_needs_its_certificate_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_decomposition_without_bags_says_so(tmp_path, capsys):
+    graph_path = tmp_path / "path.graph"
+    graph_path.write_text(format_graph(Graph(3, [(0, 1), (1, 2)])))
+    dec_path = tmp_path / "empty.dec"
+    dec_path.write_text("# no bags\n")
+    assert main(["verify", "decomposition", str(graph_path), str(dec_path)]) == EXIT_OK
+    assert capsys.readouterr().out == "FAIL no bags\n"
+
+
+def test_verify_threshold_names_an_out_of_range_vertex(tmp_path, capsys):
+    path = write_lcr(tmp_path, mixed_edge())
+    wit = tmp_path / "weights.thr"
+    wit.write_text("thr 1\nw 0 1\nw 1 1\nw -1 1\n")
+    assert main(["verify", "threshold", path, str(wit)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: weight for vertex -1 out of range: 3 weights name 0..2\n"
+
+
 def test_verify_threshold_weight_count_mismatch(tmp_path, capsys):
     path = write_lcr(tmp_path, mixed_edge())
     wit = tmp_path / "weights.thr"
@@ -512,6 +542,17 @@ def test_a_failed_write_exits_2_without_a_traceback(tmp_path, capsys):
     assert result.returncode == EXIT_USAGE
     assert "error: cannot write" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_gen_rejects_probabilities_outside_0_1(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    for argv, what in (
+        (["gen", "caterpillar", "--spine-len", "3", "--leaf-prob", "2"], "leaf probability"),
+        (["gen", "layered", "--depth", "3", "--density", "nan"], "density"),
+    ):
+        assert main(argv + ["-o", str(out)]) == EXIT_USAGE
+        assert f"error: {what} must be within [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_gen_defaults_to_stdout(capsys):
@@ -575,3 +616,12 @@ def test_experiments_negative_state_cap_exits_2(tmp_path, capsys):
     assert main(["experiments", str(config), "-o", str(out)]) == EXIT_USAGE
     assert not out.exists()
     assert "error: state cap must be non-negative" in capsys.readouterr().err
+
+
+def test_experiments_density_past_1_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("kind=layered\ncount=3\nseed=11\ndensity_max=7\n")
+    out = tmp_path / "results.csv"
+    assert main(["experiments", str(config), "-o", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "error: density_max must be within [0, 1], not 7.0" in capsys.readouterr().err

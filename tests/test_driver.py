@@ -4,10 +4,12 @@ import pytest
 
 import lcr.caterpillar_dp
 import lcr.driver
+import lcr.oracle
 from lcr import Graph, is_valid_sequence, make_instance
 from lcr.caterpillar_dp import encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
+from lcr.graph import recognize_caterpillar
 from lcr.instance import induced_instance, normalize
 
 from .helpers import (
@@ -15,27 +17,60 @@ from .helpers import (
     caterpillar_corpus,
     cycle_graph,
     gen_random_instance,
+    sweep_answer,
 )
 
 
-def two_component_instance():
-    """Frozen edge on {0,1} next to a mixed edge on {2,3}."""
+def two_component_instance(yes_first=False):
+    """Frozen edge on {0,1} next to a mixed edge on {2,3}, or with
+    ``yes_first`` the mixed edge on {0,1} and the frozen one on {2,3}."""
+    frozen = ([{1, 2}, {1, 2}], (1, 2), (2, 1))
+    mixed = ([{1, 2}, {2, 3}], (1, 2), (2, 3))
+    first, second = (mixed, frozen) if yes_first else (frozen, mixed)
     return make_instance(
         Graph(4, [(0, 1), (2, 3)]),
-        [{1, 2}, {1, 2}, {1, 2}, {2, 3}],
-        (1, 2, 1, 2),
-        (2, 1, 2, 3),
+        first[0] + second[0],
+        first[1] + second[1],
+        first[2] + second[2],
     )
 
 
-def sweep_records(inst):
-    """Size records of the sweep on each component of the normalized
-    instance, in the driver's component order."""
+def frozen_head_path():
+    """A 5-vertex path whose first edge is frozen and the rest mixed: the
+    sweep loses tar at step 2 of 5."""
+    return make_instance(
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        [{1, 2}, {1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4}],
+        (1, 2, 1, 2, 3),
+        (2, 1, 3, 4, 3),
+    )
+
+
+def sweep_histories(inst):
+    """The whole sweep on each caterpillar component of the normalized
+    instance, in the driver's component order: (size record, whether tar is
+    kept) per step."""
     trimmed, _ = normalize(inst)
+    subs = [induced_instance(trimmed, comp)[0] for comp in trimmed.graph.connected_components()]
     return [
-        [rec for _, rec in encoding_history(induced_instance(trimmed, comp)[0])]
-        for comp in trimmed.graph.connected_components()
+        [(rec, sweep.tar is not None) for sweep, rec in encoding_history(sub)]
+        for sub in subs
+        if recognize_caterpillar(sub.graph) is not None
     ]
+
+
+def records_run(inst):
+    """The size records the driver's sweep runs on an instance whose
+    components are all caterpillars: each component's up to the step that
+    loses tar, and the components up to the first that loses it."""
+    runs = []
+    for history in sweep_histories(inst):
+        kept = [tar for _, tar in history]
+        if False in kept:
+            runs.append([rec for rec, _ in history[: kept.index(False) + 1]])
+            break
+        runs.append([rec for rec, _ in history])
+    return runs
 
 
 def test_auto_recognizes_each_component_once(monkeypatch):
@@ -46,10 +81,13 @@ def test_auto_recognizes_each_component_once(monkeypatch):
             return original(g)
 
         monkeypatch.setattr(module, "recognize_caterpillar", counting)
-    report = solve_driver(two_component_instance(), "auto")
-    assert report.algorithm == "caterpillar"
-    assert len(report.components) == 2
-    assert calls == [2, 2]
+    # the frozen edge answers NO, so a mixed edge after it is never reached
+    for yes_first, answers in ((True, [True, False]), (False, [False])):
+        calls.clear()
+        report = solve_driver(two_component_instance(yes_first), "auto")
+        assert report.algorithm == "caterpillar"
+        assert [c.answer for c in report.components] == answers
+        assert calls == [2] * len(answers)
 
 
 def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
@@ -78,16 +116,110 @@ def test_a_plain_solve_never_snapshots_the_sweep(monkeypatch):
 
 
 def test_the_observer_sees_every_sweep_step():
+    # every step that runs: the frozen edge loses its tar and ends the run,
+    # so the mixed edge, which would keep it, is never swept
     inst = two_component_instance()
     seen = []
     report = solve_driver(
         inst, algo="caterpillar",
         observer=lambda sweep, rec: seen.append((sweep.snapshot(), rec)),
     )
-    assert [rec for _, rec in seen] == sum(sweep_records(inst), [])
-    assert [rec.kind for _, rec in seen] == ["init", "spine", "init", "spine"]
-    # the frozen edge loses its tar, the mixed edge keeps it
-    assert [eg.tar is not None for eg, rec in seen if rec.step == 2] == [False, True]
+    assert report.answer is False
+    assert [rec for _, rec in seen] == sum(records_run(inst), [])
+    assert [rec.kind for _, rec in seen] == ["init", "spine"]
+    assert [eg.tar is not None for eg, _ in seen] == [True, False]
+    assert [history[-1][1] for history in sweep_histories(inst)] == [False, True]
+
+
+def test_a_sweep_stops_at_the_step_that_loses_tar():
+    inst = frozen_head_path()
+    history = sweep_histories(inst)[0]
+    k = [tar for _, tar in history].index(False) + 1
+    n = inst.graph.n
+    assert k < n and len(history) == n
+    seen = []
+    report = solve_driver(
+        inst, algo="caterpillar", observer=lambda sweep, rec: seen.append(rec.step),
+    )
+    assert seen == list(range(1, k + 1))
+    (comp,) = report.components
+    assert (comp.answer, comp.steps) == (False, k)
+    # the summary covers the steps that ran
+    ran = [rec for rec, _ in history[:k]]
+    assert comp.enode_peak == max(rec.pre_extraction for rec in ran)
+    assert comp.slack_min == min(rec.bound - rec.pre_extraction for rec in ran)
+
+
+@pytest.mark.parametrize("algo, want_witness", [
+    ("auto", False), ("auto", True), ("bruteforce", False),
+])
+def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness):
+    calls = []
+    for module, name in ((lcr.driver, "induced_instance"),
+                         (lcr.driver, "recognize_caterpillar"),
+                         (lcr.caterpillar_dp, "encoding_history"),
+                         (lcr.oracle, "build")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    report = solve_driver(two_component_instance(), algo, want_witness=want_witness)
+    assert report.answer is False and report.witness is None
+    assert [c.vertices for c in report.components] == [(0, 1)]
+    # one of each call, all for the frozen edge
+    swept = algo == "auto" and not want_witness
+    assert calls == ["induced_instance"] + (
+        ["recognize_caterpillar", "encoding_history"] if swept else ["build"]
+    )
+
+
+def corpora():
+    """The seeded corpora the stop is checked on: small caterpillars, and
+    small random graphs, some not caterpillars; those with two-colour lists
+    keep several components through normalization."""
+    yield from caterpillar_corpus(40, base_seed=7501, max_n=10)
+    for seed in range(60):
+        yield gen_random_instance(7, edge_prob=0.25, colors=3, seed=seed)
+        yield gen_random_instance(10, edge_prob=0.15, colors=3, list_range=(2, 2), seed=seed)
+
+
+def whole_sweep_answer(inst):
+    """The answer from whole sweep histories on the caterpillar components
+    and the oracle on the others, with no component left out."""
+    trimmed, _ = normalize(inst)
+    answers = []
+    for comp in trimmed.graph.connected_components():
+        sub = induced_instance(trimmed, comp)[0]
+        if recognize_caterpillar(sub.graph) is not None:
+            answers.append(sweep_answer(sub))
+        else:
+            answers.append(solve_driver(sub, "bruteforce").answer)
+    return all(answers)
+
+
+def test_stopped_answers_match_whole_sweeps_and_the_oracle():
+    no = skipped = 0
+    for inst in corpora():
+        report = solve_driver(inst, "auto")
+        assert report.answer == whole_sweep_answer(inst)
+        assert report.answer == solve_driver(inst, "bruteforce").answer
+        no += not report.answer
+        if inst.f0 != inst.fr:
+            ran = len(report.components)
+            skipped += len(normalize(inst)[0].graph.connected_components()) - ran
+    assert no >= 10 and skipped >= 10
+
+
+def test_a_whole_sweep_never_gets_tar_back():
+    lost = 0
+    for inst in corpora():
+        for history in sweep_histories(inst):
+            kept = [tar for _, tar in history]
+            if False in kept:
+                lost += 1
+                assert not any(kept[kept.index(False):])
+    assert lost >= 10
 
 
 def test_caterpillar_and_oracle_agree_through_the_driver():
@@ -109,11 +241,12 @@ def test_equal_endpoints_shortcut():
 
 
 def test_one_frozen_component_sinks_the_answer():
-    inst = two_component_instance()
-    report = solve_driver(inst, algo="bruteforce")
-    assert report.answer is False
-    assert [c.answer for c in report.components] == [False, True]
-    assert report.witness is None
+    # the report ends at the frozen component, wherever it stands
+    for yes_first, answers in ((True, [True, False]), (False, [False])):
+        report = solve_driver(two_component_instance(yes_first), algo="bruteforce")
+        assert report.answer is False
+        assert [c.answer for c in report.components] == answers
+        assert report.witness is None
 
 
 def test_witnesses_come_back_in_original_ids():
@@ -207,7 +340,7 @@ def test_a_component_whose_endpoints_agree_needs_no_oracle(
     assert report.answer is True
     cycle, pair = report.components[::1 if cycle_first else -1]
     assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (30, "trivial", True)
-    assert cycle.oracle_nodes is None
+    assert cycle.oracle_nodes is None and cycle.steps is None
     # the run is named by the edge alone, as it would be without the cycle
     swept = algo == "auto" and not want_witness
     assert pair.algorithm == report.algorithm
@@ -246,7 +379,8 @@ def test_component_reports_track_their_algorithms():
     assert all(c.algorithm == "bruteforce" for c in report.components)
     assert all(c.oracle_nodes is not None for c in report.components)
     assert all(
-        (c.enode_peak, c.slack_min, c.slack_max) == (None,) * 3 for c in report.components
+        (c.steps, c.enode_peak, c.slack_min, c.slack_max) == (None,) * 4
+        for c in report.components
     )
 
     cat = solve_driver(inst, algo="caterpillar")
@@ -257,16 +391,18 @@ def test_component_reports_track_their_algorithms():
 
 
 def test_dp_size_history_reaches_the_report():
-    # each swept component reports the peak and slack range of its records
+    # each swept component reports its step count and the peak and slack
+    # range of the records of those steps
     corpus = caterpillar_corpus(10, base_seed=7301, max_n=10)
     corpus = [inst for inst in corpus if inst.f0 != inst.fr]
     assert corpus
     for inst in corpus:
         report = solve_driver(inst, algo="caterpillar")
-        histories = sweep_records(inst)
+        histories = records_run(inst)
         assert len(report.components) == len(histories)
         for comp, records in zip(report.components, histories):
             assert records[0].step == 1
+            assert comp.steps == len(records)
             slacks = [rec.bound - rec.pre_extraction for rec in records]
             assert comp.enode_peak == max(rec.pre_extraction for rec in records)
             assert (comp.slack_min, comp.slack_max) == (min(slacks), max(slacks))
@@ -308,12 +444,4 @@ def test_a_spanning_component_is_swept_without_a_copy(monkeypatch):
             assert (report.answer, report.algorithm, report.witness) == (
                 copied.answer, copied.algorithm, copied.witness
             )
-            assert [
-                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.enode_peak,
-                 c.slack_min, c.slack_max)
-                for c in report.components
-            ] == [
-                (c.vertices, c.algorithm, c.answer, c.oracle_nodes, c.enode_peak,
-                 c.slack_min, c.slack_max)
-                for c in copied.components
-            ]
+            assert report.components == copied.components

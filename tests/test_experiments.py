@@ -52,6 +52,11 @@ def test_config_defaults_and_comments():
         "count=-3\n",
         "count=two\n",
         "leaf_prob=often\n",
+        # a probability outside [0, 1]
+        "count=3\nleaf_prob=5\n",
+        "count=3\nleaf_prob=nan\n",
+        "kind=layered\ncount=3\ndensity_min=-1\n",
+        "kind=layered\ncount=3\ndensity_max=7\n",
         # a range whose minimum exceeds its maximum
         "kind=layered\ncount=3\ndensity_min=0.9\ndensity_max=0.2\n",
         "kind=layered\ncount=3\ndepth_min=5\ndepth_max=2\n",

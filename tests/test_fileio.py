@@ -335,6 +335,12 @@ def test_threshold_witness_parse_errors(text):
         parse_threshold_witness(text)
 
 
+def test_threshold_witness_names_the_stray_vertex():
+    # three weights on 0, 1 and -1: vertex 2 lacks one because -1 took it
+    with pytest.raises(ParseError, match=r"vertex -1 out of range: 3 weights name 0\.\.2"):
+        parse_threshold_witness("thr 1\nw 0 1\nw 1 1\nw -1 1\n")
+
+
 # -- parse . format is the identity, on seeded values --------------------------------
 
 COMMENTS = (None, "", "a remark", "n = 5, # inside a comment", "p lcr 9 9 9")

@@ -60,6 +60,9 @@ def test_caterpillar_rejects_bad_parameters():
         gen_caterpillar(3, colors=1, seed=1)
     with pytest.raises(ValueError, match="leaf count"):
         gen_caterpillar(3, seed=1, leaves_per_spine=-1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="leaf probability"):
+            gen_caterpillar(3, leaf_prob=p, seed=1)
 
 
 def test_random_instances_are_deterministic_and_proper():
@@ -140,3 +143,6 @@ def test_layered_rejects_bad_parameters():
         gen_layered_spr(0, seed=1)
     with pytest.raises(ValueError):
         gen_layered_spr(3, max_width=0, seed=1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="density"):
+            gen_layered_spr(3, density=p, seed=1)
