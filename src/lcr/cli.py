@@ -63,7 +63,7 @@ def _cmd_solve(args) -> int:
 
     def trace_step(sweep, rec) -> None:
         if rec.kind == "init":
-            trace.append([f"component {len(trace)}"])
+            trace.append([])
         eg = sweep.snapshot()
         trace[-1].append(f"step {rec.step} vertex {rec.vertex} {rec.kind}")
         trace[-1].extend(
@@ -78,10 +78,11 @@ def _cmd_solve(args) -> int:
     )
     print("YES" if report.answer else "NO")
     sys.stdout.write(fileio.format_sequence(report.witness or ()))
+    swept = (i for i, r in enumerate(report.components) if r.algorithm == "caterpillar")
+    for i, lines in zip(swept, trace):
+        print(f"component {i}", *lines, sep="\n")
     if args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
-    elif trace:
-        print("\n".join(line for lines in trace for line in lines))
     return EXIT_OK
 
 

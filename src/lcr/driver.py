@@ -106,7 +106,7 @@ def solve_driver(
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
-        sub, id_map = induced_instance(trimmed, comp)
+        sub = induced_instance(trimmed, comp)[0]  # new ids follow comp's sorted order
         # components are connected, so recognition answers None or a structure
         structure = recognize_caterpillar(sub.graph) if sweep else None
         if structure is None and algo == "caterpillar":
@@ -148,8 +148,7 @@ def solve_driver(
                 oracle_nodes=rg.num_nodes,
             )
             if steps is not None and witness_steps is not None:
-                back = {new: old for old, new in id_map.items()}
-                witness_steps.extend((back[v], c) for v, c in steps)
+                witness_steps.extend((comp[v], c) for v, c in steps)
         reports.append(report)
         if not report.answer:
             answer = False

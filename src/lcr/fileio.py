@@ -3,21 +3,21 @@
 Lines are whitespace separated; ``#`` starts a comment.  Parsers take text,
 formatters return text, and both sides round-trip.
 
-The graph, instance and rerouting readers take one line kind at a time: the
-body lines are grouped by their tag, each fixed-width kind is split and
-converted in one pass, and the checks run over whole columns.  Only when a
-check fails does a scan over the rows in file order name the first fault,
-so every message is the one a row-by-row reading gives.  A vertex column
-in vertex order, as ``format_lcr`` writes it, is used as it stands; any
-other order is placed through a dict.  On a 2-vCPU Xeon VM, ``parse_lcr``
-reads a 25k-vertex caterpillar instance (1.1 MB) in 0.12-0.16 s, 7-9 MB/s.
+Instance and rerouting texts have two readers.  The column reader groups
+the body lines by tag, splits and converts each fixed-width kind in one
+pass, and checks whole columns.  It reads the shape ``format_lcr`` and
+``format_spr`` write and declines (returns None) on a fault or on another
+shape: vertex columns out of vertex order, or rerouting ids past the count
+of ids named.  The row reader then reads the rows in file order and returns
+the value or raises the first fault.  Bare graph texts, read only by
+``lcr verify``, go to the row reader alone.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError
 from .graph import Graph, PathDecomposition
@@ -110,17 +110,12 @@ def _in_range(values: Collection[int], n: int) -> bool:
 
 
 def _by_vertex(n: int, vertices: list[int], values) -> Optional[tuple]:
-    """``values`` in vertex order, or None unless ``vertices`` is 0..n-1 once each."""
-    if vertices == list(range(n)):
-        return tuple(values)
-    placed = dict(zip(vertices, values))
-    if len(vertices) != n or len(placed) != n or not _in_range(vertices, n):
-        return None
-    return tuple(map(placed.__getitem__, range(n)))
+    """``values`` as a tuple, or None unless ``vertices`` is 0..n-1 in order."""
+    return tuple(values) if vertices == list(range(n)) else None
 
 
-def _check_edges(body: list[list[str]], n: int, expected: int) -> None:
-    """Raise the first fault among the ``e`` rows, in file order."""
+def _check_edges(body: list[list[str]], n: int, expected: int) -> set[tuple[int, int]]:
+    """The edges of the ``e`` rows, or their first fault in file order."""
     seen: set[tuple[int, int]] = set()
     for row in body:
         if row[0] != "e":
@@ -138,19 +133,15 @@ def _check_edges(body: list[list[str]], n: int, expected: int) -> None:
         seen.add(pair)
     if len(seen) != expected:
         raise ParseError(f"header promises {expected} edges, found {len(seen)}")
+    return seen
 
 
-def _no_fault_found(kind: str) -> NoReturn:
-    raise AssertionError(f"a bulk check refused a {kind} body with no fault")
-
-
-def _graph_fault(body: list[list[str]], n: int, m: int) -> NoReturn:
-    """Raise the first fault of a graph body, in file order."""
+def _graph_rows(body: list[list[str]], n: int, m: int) -> Graph:
+    """The graph of a body read row by row, or its first fault in file order."""
     for row in body:
         if row[0] != "e":
             raise ParseError(f"unexpected line: {' '.join(row)}")
-    _check_edges(body, n, m)
-    _no_fault_found("graph")
+    return Graph(n, _check_edges(body, n, m))
 
 
 def _edge_graph(n: int, m: int, groups: dict[str, list[str]]) -> Optional[Graph]:
@@ -165,7 +156,7 @@ def _edge_graph(n: int, m: int, groups: dict[str, list[str]]) -> Optional[Graph]
 
 
 def parse_graph(text: str) -> Graph:
-    head, groups = _grouped(text)
+    head, *body = _rows(text) or [None]
     n, m = _header(head, "graph", 2)
     if n < 0 or m < 0:
         raise ParseError("negative counts in header")
@@ -173,10 +164,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(
             f"header promises {n} vertices, above the limit of {MAX_GRAPH_VERTICES}"
         )
-    graph = _edge_graph(n, m, groups)
-    if graph is None or groups:
-        _graph_fault(_rows(text)[1:], n, m)
-    return graph
+    return _graph_rows(body, n, m)
 
 
 def _text(comment: Optional[str], lines: Iterable[str]) -> str:
@@ -217,10 +205,10 @@ def _color_lists(
     return vertices, list(map(sets.__getitem__, texts))
 
 
-def _lcr_fault(body: list[list[str]], n: int, m: int, k: int) -> NoReturn:
-    """Raise the first fault of an instance body: edges first, then file order."""
-    _check_edges(body, n, m)
-    seen: dict[str, set[int]] = {"l": set(), "s": set(), "t": set()}
+def _lcr_rows(body: list[list[str]], n: int, m: int, k: int) -> LcrInstance:
+    """A body's instance, read row by row, or its first fault: edges, then file order."""
+    edges = _check_edges(body, n, m)
+    seen: dict[str, dict] = {"l": {}, "s": {}, "t": {}}
     for row in body:
         tag = row[0]
         if tag == "e":
@@ -240,6 +228,7 @@ def _lcr_fault(body: list[list[str]], n: int, m: int, k: int) -> NoReturn:
                 raise ParseError(f"color outside 0..{k - 1} for vertex {v}")
             if len(set(colors)) != len(colors):
                 raise ParseError(f"repeated color in list of vertex {v}")
+            seen["l"][v] = frozenset(colors)
         elif tag in ("s", "t"):
             vals = _ints(row[1:], tag)
             if len(vals) != 2:
@@ -251,20 +240,22 @@ def _lcr_fault(body: list[list[str]], n: int, m: int, k: int) -> NoReturn:
                 raise ParseError(f"vertex {v} has two '{tag}' lines")
             if not 0 <= c < k:
                 raise ParseError(f"color outside 0..{k - 1} for vertex {v}")
+            seen[tag][v] = c
         else:
             raise ParseError(f"unexpected line: {' '.join(row)}")
-        seen[tag].add(v)
     for name, got in seen.items():
         missing = next((v for v in range(n) if v not in got), None)
         if missing is not None:
             raise ParseError(f"missing '{name}' line for vertex {missing}")
-    _no_fault_found("instance")
+    columns = (tuple(map(got.__getitem__, range(n))) for got in seen.values())
+    return LcrInstance(Graph(n, edges), *columns)
 
 
 def _lcr_body(
     n: int, m: int, k: int, groups: dict[str, list[str]]
 ) -> Optional[LcrInstance]:
-    """The instance a grouped body describes, or None if a check fails."""
+    """The instance a grouped body describes, or None on a fault or on a
+    vertex column out of vertex order."""
     graph = _edge_graph(n, m, groups)
     if graph is None:
         return None
@@ -291,10 +282,7 @@ def parse_lcr(text: str) -> LcrInstance:
     list_lines = len(groups.get("l", ()))
     if n > list_lines:
         raise ParseError(f"header promises {n} vertices, found {list_lines} 'l' lines")
-    inst = _lcr_body(n, m, k, groups)
-    if inst is None:
-        _lcr_fault(_rows(text)[1:], n, m, k)
-    return inst
+    return _lcr_body(n, m, k, groups) or _lcr_rows(_rows(text)[1:], n, m, k)
 
 
 def format_lcr(inst: LcrInstance, comment: str | None = None) -> str:
@@ -325,35 +313,49 @@ def format_sequence(steps: Sequence[Step], comment: str | None = None) -> str:
     return _text(comment, (f"r {v} {c}" for v, c in steps))
 
 
-def _spr_fault(body: list[list[str]], n: int, m: int) -> NoReturn:
-    """Raise the first fault of a rerouting body: edges first, then file order."""
-    _check_edges(body, n, m)
-    seen: set[str] = set()
+def _spr_rows(body: list[list[str]], n: int, m: int):
+    """``_spr_body``'s tuple, read row by row, or the first fault: edges, then file order."""
+    edges = _check_edges(body, n, m)
+    named: dict[str, list[int]] = {}
     for row in body:
         tag = row[0]
         if tag == "e":
             continue
         if tag in ("src", "dst"):
-            if tag in seen or len(row) != 2:
+            if tag in named or len(row) != 2:
                 raise ParseError(f"need exactly one '{tag} <vertex>' line")
         elif tag in ("p0", "pr"):
-            if tag in seen:
+            if tag in named:
                 raise ParseError(f"need exactly one '{tag}' line")
         else:
             raise ParseError(f"unexpected line: {' '.join(row)}")
-        _ints(row[1:], tag)
-        seen.add(tag)
+        named[tag] = _ints(row[1:], tag)
     for tag in ("src", "dst", "p0", "pr"):
-        if tag not in seen:
+        if tag not in named:
             raise ParseError(f"missing '{tag}' line")
     if n < 0:
         raise ParseError("vertex count must be non-negative")
-    _no_fault_found("rerouting")
+    (src,), (dst,), p0, pr = map(named.__getitem__, ("src", "dst", "p0", "pr"))
+    # A vertex that no line names is isolated, and compute_layers prunes it
+    # with everything else off the shortest paths, so the untrusted header's
+    # n sizes nothing: the named vertices are numbered in increasing order,
+    # and build_spr_instance keeps the text's ids in its messages and id map.
+    # Names outside 0..n-1 stay outside the graph and fail there.
+    ends = (v for v in (src, dst, *p0, *pr) if 0 <= v < n)
+    names = sorted({v for e in edges for v in e}.union(ends))
+    if names and names[-1] >= MAX_GRAPH_VERTICES:
+        raise ParseError(
+            f"vertex id {names[-1]} is out of range: ids must be below {MAX_GRAPH_VERTICES}"
+        )
+    local = {v: i for i, v in enumerate(names)}
+    graph = Graph(len(names), [(local[u], local[v]) for u, v in edges])
+    return graph, src, dst, p0, pr, names
 
 
 def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
-    """(graph, src, dst, p0, pr, names) of a grouped body, or None if a check
-    fails; ``names`` is as in ``build_spr_instance``."""
+    """(graph, src, dst, p0, pr, names) of a grouped body, for
+    ``build_spr_instance``, or None on a fault or on an id past the count of
+    ids named; the graph keeps the text's ids, so ``names`` is None."""
     edges = _pairs(groups.pop("e", []))
     if n < 0 or edges is None or len(edges[0]) != m:
         return None
@@ -371,38 +373,23 @@ def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
     if groups or len(named[0]) != 1 or len(named[1]) != 1:
         return None
     (us, vs), (src,), (dst,), p0, pr = edges, *named
-    # A vertex that no line names is isolated, and compute_layers prunes it
-    # with everything else off the shortest paths, so the untrusted header's
-    # n sizes nothing.  When the largest id passes the count of ids named,
-    # the named vertices are numbered in increasing order, and
-    # build_spr_instance keeps the text's ids in its messages and id map.
-    # Names outside 0..n-1 stay outside the graph and fail there.
+    # ids below the count of ids named let the body, not the header, size
+    # the graph; the few vertices no line names are pruned as isolated
     ids = [*us, *vs, *(v for v in (src, dst, *p0, *pr) if 0 <= v < n)]
     size = 1 + max(ids, default=-1)
-    if size > MAX_GRAPH_VERTICES:
-        if len({(min(e), max(e)) for e in zip(us, vs) if e[0] != e[1]}) < m:
-            return None  # a self-loop or a repeated edge is reported first
-        raise ParseError(
-            f"vertex id {size - 1} is out of range: ids must be below {MAX_GRAPH_VERTICES}"
-        )
-    names = None
-    if size > len(ids):
-        names = sorted(set(ids))
-        local = {v: i for i, v in enumerate(names)}
-        us, vs, size = [local[u] for u in us], [local[v] for v in vs], len(names)
+    if size > min(len(ids), MAX_GRAPH_VERTICES):
+        return None
     try:
         graph = Graph(size, zip(us, vs))
     except ValueError:  # a self-loop or a repeated edge
         return None
-    return graph, src, dst, p0, pr, names
+    return graph, src, dst, p0, pr, None
 
 
 def parse_spr(text: str) -> SprInstance:
     head, groups = _grouped(text)
     n, m = _header(head, "spr", 2)
-    body = _spr_body(n, m, groups)
-    if body is None:
-        _spr_fault(_rows(text)[1:], n, m)
+    body = _spr_body(n, m, groups) or _spr_rows(_rows(text)[1:], n, m)
     try:
         return build_spr_instance(*body)
     except ValueError as exc:

@@ -175,25 +175,44 @@ def test_solve_trace_of_seeded_caterpillars_is_pinned(tmp_path, capsys):
 
 
 def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
-    inst = mixed_edge()
-    path = write_lcr(tmp_path, inst)
-    assert main(["solve", path, "--algo", "bruteforce", "--trace"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("YES\n# trace available only")
+    # a run that swept nothing prints only the notice: the oracle asked for,
+    # f0 = fr, and a trivial triangle left once rich vertex 3 is removed
+    same = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (1, 2))
+    trivial = make_instance(
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),
+        [{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2}],
+        (1, 2, 3, 1),
+        (1, 2, 3, 2),
+    )
+    for inst, extra in ((mixed_edge(), ["--algo", "bruteforce"]), (same, []), (trivial, [])):
+        assert main(["solve", write_lcr(tmp_path, inst), "--trace", *extra]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "YES\n# trace available only for the caterpillar algorithm\n"
+        )
 
 
-def test_solve_trace_of_a_mixed_run_prints_only_the_notice(tmp_path, capsys):
-    # the path is swept, the triangle (vertex 4 moves) goes to the oracle:
-    # no partial trace
+def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):
+    # the triangle (vertex 2 moves) goes to the oracle as component 0, the
+    # path is swept as component 1: its trace is headed by that index
     inst = make_instance(
-        Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
-        [{1, 2}, {2, 3}, {1, 2, 3}, {1, 2, 3}, {2, 3, 4}],
-        (1, 2, 1, 2, 3),
-        (2, 3, 1, 2, 4),
+        Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2}, {2, 3}],
+        (1, 2, 3, 1, 2),
+        (1, 2, 4, 2, 3),
     )
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
-        "YES\n# trace available only for the caterpillar algorithm\n"
+        "YES\n"
+        "component 1\n"
+        "step 1 vertex 0 init\n"
+        "enode 0 col 1 ini 1 tar 0\n"
+        "enode 1 col 2 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "step 2 vertex 1 spine\n"
+        "enode 0 col 2 ini 1 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "# trace available only for the caterpillar algorithm\n"
     )
 
 
@@ -525,6 +544,13 @@ def test_gen_rejects_a_negative_leaf_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_rejects_lists_below_two_colors(capsys):
+    assert main(["gen", "caterpillar", "--list-min", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: list size range")
+
+
 def test_a_failed_write_exits_2_without_a_traceback(tmp_path, capsys):
     target = str(tmp_path / "missing" / "x.lcr")
     gen = ["gen", "caterpillar", "--spine-len", "3", "-o", target]
@@ -577,6 +603,14 @@ def test_oracle_stats_on_a_long_one_color_path(tmp_path, capsys):
     assert main(["oracle", "stats", write_lcr(tmp_path, inst)]) == EXIT_OK
     assert capsys.readouterr().out == (
         "nodes 1\nedges 0\ncomponents 1\nf0_component 1\n"
+    )
+
+
+def test_oracle_stats_of_an_improper_f0_names_no_component(tmp_path, capsys):
+    inst = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {1, 2}], (1, 1), (1, 2))
+    assert main(["oracle", "stats", write_lcr(tmp_path, inst)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "nodes 2\nedges 0\ncomponents 2\nf0_component 0\n"
     )
 
 

@@ -653,3 +653,29 @@ def test_parsers_match_the_row_reference():
         assert FAMILIES[kind] <= reached, (kind, FAMILIES[kind] - reached)
         assert parsed >= 100, (kind, parsed)
         assert two_faults >= 50, (kind, two_faults)
+
+
+def test_the_row_readers_alone_match_the_row_reference(monkeypatch):
+    """With both column readers declining every text, the row readers give
+    each text of the mutated corpus above the reference's value or its
+    exact error: valid texts of any shape parse, not only faulty ones."""
+    monkeypatch.setattr(lcr.fileio, "_lcr_body", lambda *args: None)
+    monkeypatch.setattr(lcr.fileio, "_spr_body", lambda *args: None)
+    parsers = {
+        "lcr": (parse_lcr, row_parse_lcr),
+        "spr": (parse_spr, row_parse_spr),
+        "graph": (parse_graph, row_parse_graph),
+    }
+    rng = random.Random(7)
+    for kind, bases in _base_texts().items():
+        parse, reference = parsers[kind]
+        parsed = 0
+        for sample in range(400):
+            base = bases[sample % len(bases)]
+            a, b = rng.getrandbits(32), rng.getrandbits(32)
+            for seeds in ((a,), (b,), (a, b), (a, b, a + 1)):
+                text = _mutated(base, seeds)
+                want = _outcome(reference, text)
+                assert _outcome(parse, text) == want, (kind, text)
+                parsed += want[0] == "ok"
+        assert parsed >= 100, (kind, parsed)

@@ -63,6 +63,9 @@ def test_caterpillar_rejects_bad_parameters():
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="leaf probability"):
             gen_caterpillar(3, leaf_prob=p, seed=1)
+    for list_range in ((1, 3), (3, 2)):
+        with pytest.raises(ValueError, match="list size range"):
+            gen_caterpillar(3, list_range=list_range, seed=1)
 
 
 def test_random_instances_are_deterministic_and_proper():

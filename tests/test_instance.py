@@ -478,6 +478,12 @@ def test_empty_sequence_needs_equal_endpoints():
     assert not is_valid_sequence(different, [])
 
 
+def test_an_improper_start_makes_no_valid_sequence():
+    # the one step would end in a proper fr; the start itself is the fault
+    inst = edge_instance({1, 2}, {1, 2}, (1, 1), (2, 1))
+    assert not is_valid_sequence(inst, [(0, 2)])
+
+
 def test_single_vertex_recolor_step():
     inst = make_instance(Graph(1), [{1, 2}], (1,), (2,))
     assert is_valid_sequence(inst, [(0, 2)])

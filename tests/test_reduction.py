@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from lcr import Graph, is_valid_sequence, oracle_decide
-from lcr.errors import DegenerateDistance, ImproperColoring, InvalidRerouting
+from lcr.errors import DegenerateDistance, ImproperColoring, InvalidRerouting, InvalidSequence
 from lcr.graph import check_path_decomposition, is_bipartite, is_partial_two_tree
 from lcr.instance import is_proper_list_coloring
 from lcr.reduction import (
@@ -256,6 +256,13 @@ def test_bad_rerouting_sequences_are_rejected():
     red = compile_spr(spr)
     with pytest.raises(InvalidRerouting):
         spath_sequence_to_recoloring(red, [spr.p0, spr.pr])
+
+
+def test_invalid_recoloring_sequences_do_not_project():
+    red = compile_spr(one_gap_spr())
+    for steps in ([(0, 99)], [(red.lcr.graph.n, 0)]):
+        with pytest.raises(InvalidSequence):
+            recoloring_to_spath_sequence(red, steps)
 
 
 def test_recoloring_round_trips_through_the_projection():

@@ -106,6 +106,12 @@ def test_a_missing_edge_breaks_an_s_path():
     assert not is_s_path(inst, (0, 4, 3, 1))
 
 
+def test_a_vertex_outside_the_graph_breaks_an_s_path():
+    inst = build_spr_instance(disjoint_paths_graph(), 0, 1, (0, 2, 3, 1), (0, 4, 5, 1))
+    assert not is_s_path(inst, (0, 2, 6, 1))
+    assert not is_s_path(inst, (0, -1, 3, 1))
+
+
 def test_adjacency_is_a_single_swap():
     assert not adjacent_s_paths((0, 2, 3, 1), (0, 2, 3, 1))
     assert adjacent_s_paths((0, 2, 3, 1), (0, 4, 3, 1))
