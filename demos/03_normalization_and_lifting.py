@@ -40,7 +40,7 @@ for removal in trace.removals:
     else:
         assert isinstance(removal, RichListRemoval)
         print(f"  deleted vertex {removal.vertex}: list larger than degree + 1")
-print("surviving vertices (old -> new):", trace.id_map)
+print("surviving vertices (trimmed id i is kept[i]):", trace.kept)
 print("trimmed lists:", [sorted(lst) for lst in trimmed.lists])
 print()
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import IniLost, NotCaterpillar, NotConnected, NotNormalized
+from .errors import IniLost, NotCaterpillar, NotNormalized
 from .graph import CaterpillarStructure, reach, recognize_caterpillar
 from .instance import LcrInstance
 
@@ -208,12 +208,9 @@ class Sweep:
 
 
 def _recognize(inst: LcrInstance) -> CaterpillarStructure:
-    try:
-        structure = recognize_caterpillar(inst.graph)
-    except NotConnected as exc:
-        raise NotCaterpillar(str(exc)) from exc
+    structure = recognize_caterpillar(inst.graph)
     if structure is None:
-        raise NotCaterpillar("graph is not a caterpillar")
+        raise NotCaterpillar("graph is not a connected caterpillar")
     return structure
 
 

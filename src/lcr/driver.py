@@ -106,8 +106,8 @@ def solve_driver(
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
-        sub = induced_instance(trimmed, comp)[0]  # new ids follow comp's sorted order
-        # components are connected, so recognition answers None or a structure
+        sub = induced_instance(trimmed, comp)  # new id i is comp[i]
+        # None unless the component is a caterpillar
         structure = recognize_caterpillar(sub.graph) if sweep else None
         if structure is None and algo == "caterpillar":
             raise NotCaterpillar(

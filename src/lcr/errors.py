@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from math import log10
-
 
 class LcrError(Exception):
     """Base class for errors raised by this package."""
@@ -9,10 +7,6 @@ class LcrError(Exception):
 
 class ParseError(LcrError):
     """Malformed input text for one of the file formats."""
-
-
-class NotConnected(LcrError):
-    """Operation requires a connected graph."""
 
 
 class NotCaterpillar(LcrError):
@@ -40,15 +34,15 @@ class InvalidRerouting(LcrError):
 
 
 class StateSpaceTooLarge(LcrError):
-    """Enumeration would exceed the configured cap."""
+    """Enumeration would exceed the configured cap.
+
+    ``size`` is a lower bound on the state space: the count reached when
+    it first passed ``cap``.
+    """
 
     def __init__(self, size, cap):
-        # CPython writes no int of over 4,300 digits, a product of list sizes
-        # past ~6,000 vertices; past 64 bits, give the order of magnitude
-        bits = size.bit_length()
-        shown = size if bits <= 64 else f"over 10^{int((bits - 1) * log10(2))}"
         super().__init__(
-            f"state space of size {shown} exceeds cap {cap}; "
+            f"state space exceeds cap {cap}; "
             "raise the cap or use the caterpillar algorithm"
         )
         self.size = size
@@ -77,8 +71,3 @@ class ImproperColoring(LcrError):
 
 class ImproperEndpoints(LcrError):
     """One of the endpoint colorings is not a proper list coloring."""
-
-
-class GenerationFailed(LcrError):
-    """Random generation did not produce a valid instance within the retry budget."""
-

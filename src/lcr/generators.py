@@ -9,21 +9,21 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import GenerationFailed
 from .graph import Graph
 from .instance import LcrInstance
 from .rerouting import SprInstance, build_spr_instance
 
 
-def _greedy_coloring(
-    g: Graph, lists, rng: random.Random, order
-) -> Optional[tuple[int, ...]]:
-    """Random proper list coloring, greedily along the given vertex order."""
+def _greedy_coloring(g: Graph, lists, rng: random.Random) -> tuple[int, ...]:
+    """Random proper list coloring, greedily in vertex id order.
+
+    Only for a tree numbered parent first, with lists of two or more
+    colors: each vertex then meets one colored neighbor and has a color
+    left.
+    """
     coloring: list[Optional[int]] = [None] * g.n
-    for v in order:
+    for v in range(g.n):
         free = sorted(lists[v].difference(map(coloring.__getitem__, g.neighbors(v))))
-        if not free:
-            return None
         coloring[v] = rng.choice(free)
     return tuple(coloring)
 
@@ -43,7 +43,7 @@ def gen_caterpillar(
     ``leaf_prob``.  List sizes are drawn from ``list_range`` and clamped to
     [2, degree+1], so the instance is already normalized; leaves always end
     up with two colors.  Endpoint colorings come from independent randomized
-    greedy runs, which always succeed on trees.
+    greedy runs in id order, which is parent first (spine path, then leaves).
     """
     if spine_len < 1:
         raise ValueError("spine length must be positive")
@@ -78,13 +78,8 @@ def gen_caterpillar(
         size = max(2, min(rng.randint(lo, hi), top))
         lists.append(frozenset(rng.sample(range(colors), size)))
 
-    # vertex ids are parent-first here (spine path, then leaves), so greedy
-    # coloring in id order sees at most one colored neighbor and cannot fail
-    order = list(range(g.n))
-    f0 = _greedy_coloring(g, lists, rng, order)
-    fr = _greedy_coloring(g, lists, rng, order)
-    if f0 is None or fr is None:
-        raise GenerationFailed("could not color the caterpillar")
+    f0 = _greedy_coloring(g, lists, rng)
+    fr = _greedy_coloring(g, lists, rng)
     return LcrInstance(g, tuple(lists), f0, fr)
 
 
@@ -97,8 +92,9 @@ def gen_layered_spr(
     """Random layered rerouting instance, already in pruned form.
 
     Interior layers get 1..max_width vertices; consecutive layers are joined
-    with probability ``density`` plus one forced edge each way so that every
-    vertex lies on a shortest path.  The endpoint paths are independent
+    with probability ``density`` plus one forced edge each way, so every
+    vertex of layer i is at distance i from s and depth - i from t: pruning
+    keeps every vertex, and d is depth.  The endpoint paths are independent
     random walks down the layers.
     """
     if depth < 1:
@@ -138,7 +134,4 @@ def gen_layered_spr(
         return path
 
     s, t = layers[0][0], layers[depth][0]
-    inst = build_spr_instance(g, s, t, random_walk(), random_walk())
-    if inst.graph.n != g.n or inst.d != depth:
-        raise GenerationFailed("layered construction lost vertices")
-    return inst
+    return build_spr_instance(g, s, t, random_walk(), random_walk())

@@ -1,13 +1,14 @@
 """Simple undirected graphs plus the structural checks the solvers rely on.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable; inducing
-returns a graph (the graph itself when every vertex is kept) together with
-an old-to-new id map so callers can translate witnesses back.  One
-breadth-first search, ``reach``, records which vertex discovered each one;
-``components``, ``shortest_path``, ``is_bipartite``, the caterpillar spine
-walk and the rerouting layer distances read its order and discoverers.  It
-takes any adjacency sequence (vertex ids 0..len(adj)-1), so the
-reconfiguration, encoding and s-path graphs share it with ``Graph``.
+numbers the kept vertices in increasing order, so the sorted vertex set is
+the map that translates witnesses back (the graph itself comes back when
+every vertex is kept).  One breadth-first search, ``reach``, records which
+vertex discovered each one; ``components``, ``shortest_path``,
+``is_bipartite``, the caterpillar spine walk and the rerouting layer
+distances read its order and discoverers.  It takes any adjacency sequence
+(vertex ids 0..len(adj)-1), so the reconfiguration, encoding and s-path
+graphs share it with ``Graph``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import starmap
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
-from .errors import NotConnected
 
 def reach(adj: Sequence[Iterable[int]], start: int, parent: list[int]) -> list[int]:
     """Every vertex reachable from start through open ones, breadth first.
@@ -120,34 +120,31 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def is_connected(self) -> bool:
-        return self.n > 0 and len(reach(self.adjacency, 0, [-1] * self.n)) == self.n
-
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""
         return components(self.adjacency)
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
+    def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced on the given vertices.
 
-        Returns the new graph plus the old-to-new id map; new ids follow the
-        sorted order of the kept old ids.  Vertices that cover the graph give
-        back the graph itself, which is immutable, with the identity map.
-        The edges come from the kept vertices' adjacency, so the cost follows
-        the subgraph's size and degrees, not the whole graph's.
+        New id i is the i-th smallest kept vertex, so the sorted vertices
+        map witnesses back.  Vertices that cover the graph give back the
+        graph itself, which is immutable.  The edges come from the kept
+        vertices' adjacency, so the cost follows the subgraph's size and
+        degrees, not the whole graph's.
         """
         kept = sorted(set(vertices))
         if kept and not (0 <= kept[0] and kept[-1] < self.n):
             raise ValueError(f"vertex out of range for n={self.n}")
-        id_map = {v: i for i, v in enumerate(kept)}
         if len(kept) == self.n:
-            return self, id_map
+            return self
+        new_id = {v: i for i, v in enumerate(kept)}
         adj = self.adjacency
         edges = [
-            (i, id_map[w]) for i, u in enumerate(kept) for w in adj[u]
-            if u < w and w in id_map
+            (i, new_id[w]) for i, u in enumerate(kept) for w in adj[u]
+            if u < w and w in new_id
         ]
-        return Graph(len(kept), edges), id_map
+        return Graph(len(kept), edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,29 +177,28 @@ class CaterpillarStructure:
 
 
 def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
-    """Decompose a connected caterpillar; None if the graph is not one.
+    """Decompose a connected caterpillar; None for every other graph.
 
-    A connected graph qualifies exactly when it is a tree whose non-leaf
-    vertices induce a path.  A single vertex counts, with a one-vertex spine.
-    The spine is one ``reach`` from the lower-id end of that path, with the
-    leaves closed in advance, plus a leaf promoted onto each end.
-    Deterministic tie-breaks: the promoted endpoint leaves are the lowest-id
-    candidates, the spine runs from its lower-id endpoint, and leaves of a
-    spine vertex are ordered by increasing id.
+    A graph qualifies exactly when it is a tree whose non-leaf vertices
+    induce a path.  A single vertex counts, with a one-vertex spine; the
+    empty graph does not.  The spine is one ``reach`` from the lower-id end
+    of that path, with the leaves closed in advance, plus a leaf promoted
+    onto each end.  That walk also settles connectivity, so no separate
+    search runs.  Deterministic tie-breaks: the promoted endpoint leaves are
+    the lowest-id candidates, the spine runs from its lower-id endpoint, and
+    leaves of a spine vertex are ordered by increasing id.
     """
-    if not g.is_connected():
-        raise NotConnected("caterpillar recognition requires a connected graph")
-    if g.n == 1:
-        return CaterpillarStructure((0,), (0,))
     if g.m != g.n - 1:
-        return None  # has a cycle
-    if g.n == 2:
-        return CaterpillarStructure((0, 1), (0, 1))
+        return None  # a cycle, or too few edges to connect the graph
+    if g.n <= 2:
+        return CaterpillarStructure(tuple(range(g.n)), tuple(range(g.n)))
 
-    # In a tree the internal vertices induce a subtree; it is a path exactly
-    # when no internal vertex has three internal neighbors, and breadth
-    # first from one of its ends is then the path's own order.  The leaves
-    # are closed in advance, so only internal vertices are open.
+    # The internal (degree >= 2) vertices must form a path, which breadth
+    # first from one of its ends walks in order; the leaves are closed in
+    # advance, so only internal vertices are open.  With n - 1 edges a graph
+    # of two or more components holds a cycle, whose vertices are internal:
+    # either no internal vertex is an end, or the walk misses that cycle.
+    # So a walk from an end that reaches every internal vertex means a tree.
     adj, degree = g.adjacency, list(map(len, g.adjacency))
     parent = [-1 if d >= 2 else v for v, d in enumerate(degree)]
     ends = []
@@ -213,7 +209,11 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
                 return None
             if d < 2:
                 ends.append(v)
+    if not ends:
+        return None
     path = reach(adj, ends[0], parent)
+    if -1 in parent:
+        return None  # an internal vertex off the path
 
     # both path ends are internal, so each has a leaf to promote
     first = next(w for w in adj[path[0]] if degree[w] == 1)

@@ -96,14 +96,16 @@ Removal = Union[SingletonRemoval, RichListRemoval]
 
 @dataclass(frozen=True)
 class NormalizationTrace:
-    """What ``normalize`` did: the ordered removal log, the old-to-new map
-    for surviving vertices, and ``trimmed``, the very instance it returned
-    (the input itself when nothing was removed), which lifting checks
-    witnesses against instead of rebuilding it.
+    """What ``normalize`` did: the ordered removal log, ``kept``, the
+    surviving vertices in increasing order (``range(n)`` when nothing was
+    removed), so trimmed vertex i is original vertex ``kept[i]``, and
+    ``trimmed``, the very instance it returned (the input itself when
+    nothing was removed), which lifting checks witnesses against instead of
+    rebuilding it.
     """
 
     removals: tuple[Removal, ...]
-    id_map: dict[int, int]
+    kept: Sequence[int]
     trimmed: LcrInstance
 
 
@@ -137,7 +139,7 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
     singles = [v for v, k in enumerate(sizes) if k == 1]
     rich = [v for v, k, d in zip(range(n), sizes, degree) if k >= d + 2]
     if not singles and not rich:
-        return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
+        return inst, NormalizationTrace((), range(n), inst)
 
     queued = [False] * n
     for v in rich:
@@ -179,16 +181,14 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
                     queued[u] = True
                     heapq.heappush(rich, u)
 
-    kept = [v for v, lst in enumerate(lists) if lst is not None]
-    id_map = {v: i for i, v in enumerate(kept)}
-    sub, _ = g.induced_subgraph(kept)
+    kept = tuple([v for v, lst in enumerate(lists) if lst is not None])
     trimmed = LcrInstance(
-        sub,
+        g.induced_subgraph(kept),
         tuple(lists[v] for v in kept),
         tuple(inst.f0[v] for v in kept),
         tuple(inst.fr[v] for v in kept),
     )
-    return trimmed, NormalizationTrace(tuple(removals), id_map, trimmed)
+    return trimmed, NormalizationTrace(tuple(removals), kept, trimmed)
 
 
 def lift_sequence(
@@ -239,9 +239,9 @@ def lift_sequence(
                 lifted.append((u, c))
                 cur[u] = c
 
-    new_to_old = {new: old for old, new in trace.id_map.items()}
+    kept = trace.kept
     for v, c in seq:
-        emit(new_to_old[v], c, len(rich))
+        emit(kept[v], c, len(rich))
     for i in range(len(rich) - 1, -1, -1):
         v = rich[i].vertex
         if cur[v] != original.fr[v]:
@@ -269,27 +269,22 @@ def is_valid_sequence(inst: LcrInstance, seq: Sequence[Step]) -> bool:
     return tuple(cur) == inst.fr
 
 
-def induced_instance(
-    inst: LcrInstance, vertices: Iterable[int]
-) -> tuple[LcrInstance, dict[int, int]]:
-    """Sub-instance induced on the given vertices, with the old-to-new map.
+def induced_instance(inst: LcrInstance, vertices: Iterable[int]) -> LcrInstance:
+    """Sub-instance induced on the given vertices, numbered as
+    ``Graph.induced_subgraph`` numbers them: new id i is the i-th smallest.
 
     Vertices that cover the whole instance, as a graph of one component
-    does, give the instance itself back with an identity map, as
-    ``normalize`` does when it removes nothing.
+    does, give the instance itself back, as ``normalize`` does when it
+    removes nothing.
     """
     kept, n = sorted(set(vertices)), inst.graph.n
     # n distinct ids from 0 to n - 1 are all of them; an id out of range
     # goes on to induced_subgraph, which refuses it
     if len(kept) == n and (n == 0 or (kept[0] == 0 and kept[-1] == n - 1)):
-        return inst, {v: v for v in kept}
-    sub, id_map = inst.graph.induced_subgraph(kept)
-    return (
-        LcrInstance(
-            sub,
-            tuple(inst.lists[v] for v in kept),
-            tuple(inst.f0[v] for v in kept),
-            tuple(inst.fr[v] for v in kept),
-        ),
-        id_map,
+        return inst
+    return LcrInstance(
+        inst.graph.induced_subgraph(kept),
+        tuple(inst.lists[v] for v in kept),
+        tuple(inst.f0[v] for v in kept),
+        tuple(inst.fr[v] for v in kept),
     )

@@ -39,11 +39,20 @@ def state_space_size(lists: Sequence[frozenset[int]]) -> int:
 def _sorted_lists_within_cap(
     lists: Sequence[frozenset[int]], cap: int
 ) -> list[list[int]]:
-    """The lists, sorted, once the product of their sizes is within cap."""
+    """The lists, sorted, once the product of their sizes is within cap.
+
+    The product is taken only until it passes cap, so a refusal costs what
+    the cap's size does, not the instance's, and carries that partial
+    product as a lower bound.  An empty list anywhere makes the product 0.
+    """
     if cap < 0:
         raise ValueError(f"state cap must be non-negative, not {cap}")
-    size = state_space_size(lists)
-    if size > cap:
+    size = 1
+    for k in map(len, lists):
+        size *= k
+        if size > cap:
+            break
+    if size > cap and all(lists):
         raise StateSpaceTooLarge(size, cap)
     return [sorted(lst) for lst in lists]
 
@@ -145,7 +154,7 @@ def build(
     otherwise the addition carried into a higher digit.  Each adjacency
     list is sorted once every edge is in.  A cap below 0 is a ValueError.
     """
-    lists = tuple(frozenset(lst) for lst in lists)
+    lists = tuple(map(frozenset, lists))
     sorted_lists = _sorted_lists_within_cap(lists, cap)
     strides = _strides(sorted_lists)
     codes, colorings = _proper_colorings(g, sorted_lists, strides)

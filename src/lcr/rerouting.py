@@ -37,10 +37,11 @@ def compute_layers(
 
     Layer i collects the vertices at distance i from s and d-i from t; only
     those can lie on a shortest s-t path.  Returns (d, layers, pruned graph,
-    old-to-new id map) with the layers in pruned ids.  ``names``, if given,
-    lists in increasing order the id each vertex of g stands for, as when a
-    parser relabels a sparse text; s, t, the messages and the map's old ids
-    are then those ids.
+    old-to-new id map).  Pruned id i is the i-th kept vertex, as
+    ``Graph.induced_subgraph`` numbers them, so each layer comes out sorted.
+    ``names``, if given, lists in increasing order the id each vertex of g
+    stands for, as when a parser relabels a sparse text; s, t, the messages
+    and the map's old ids are then those ids.
     """
     label = range(g.n) if names is None else names
     a, b = bisect_left(label, s), bisect_left(label, t)  # the ends' vertices
@@ -53,13 +54,11 @@ def compute_layers(
     d = dist_s[b]
     dist_t = _distances(adj, b)
     keep = [v for v in range(g.n) if dist_s[v] != -1 and dist_s[v] + dist_t[v] == d]
-    pruned, id_map = g.induced_subgraph(keep)
     layers: list[list[int]] = [[] for _ in range(d + 1)]
-    for v in keep:
-        layers[dist_s[v]].append(id_map[v])
-    if names is not None:
-        id_map = {names[v]: i for v, i in id_map.items()}
-    return d, tuple(tuple(sorted(layer)) for layer in layers), pruned, id_map
+    for i, v in enumerate(keep):
+        layers[dist_s[v]].append(i)
+    id_map = {label[v]: i for i, v in enumerate(keep)}
+    return d, tuple(map(tuple, layers)), g.induced_subgraph(keep), id_map
 
 
 @dataclass(frozen=True)

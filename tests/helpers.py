@@ -26,16 +26,15 @@ from lcr.caterpillar_dp import (
     encoding_history,
 )
 from lcr.errors import (
-    GenerationFailed,
     IniLost,
     InfeasibleList,
     InvalidRerouting,
-    NotConnected,
+    LcrError,
     NotNormalized,
     ParseError,
     StateSpaceTooLarge,
 )
-from lcr.generators import _greedy_coloring, gen_caterpillar, gen_layered_spr
+from lcr.generators import gen_caterpillar, gen_layered_spr
 from lcr.graph import (
     CaterpillarStructure,
     DecompositionCheck,
@@ -121,10 +120,9 @@ def trimmed_instance(original: LcrInstance, trace: NormalizationTrace) -> LcrIns
         if isinstance(rem, SingletonRemoval):
             for u in rem.affected:
                 stripped.setdefault(u, set()).add(rem.color)
-    kept = sorted(trace.id_map)
-    sub, _ = original.graph.induced_subgraph(kept)
+    kept = trace.kept
     return LcrInstance(
-        sub,
+        original.graph.induced_subgraph(kept),
         tuple(original.lists[v] - stripped.get(v, frozenset()) for v in kept),
         tuple(original.f0[v] for v in kept),
         tuple(original.fr[v] for v in kept),
@@ -186,18 +184,16 @@ def quadratic_normalize(
             changed = True
 
     if not removals:
-        return inst, NormalizationTrace((), {v: v for v in range(n)}, inst)
+        return inst, NormalizationTrace((), range(n), inst)
 
-    kept = sorted(alive)
-    id_map = {v: i for i, v in enumerate(kept)}
-    sub, _ = inst.graph.induced_subgraph(kept)
+    kept = tuple(sorted(alive))
     trimmed = LcrInstance(
-        sub,
+        inst.graph.induced_subgraph(kept),
         tuple(frozenset(lists[v]) for v in kept),
         tuple(inst.f0[v] for v in kept),
         tuple(inst.fr[v] for v in kept),
     )
-    return trimmed, NormalizationTrace(tuple(removals), id_map, trimmed)
+    return trimmed, NormalizationTrace(tuple(removals), kept, trimmed)
 
 
 def recursive_colorings(
@@ -698,8 +694,8 @@ def per_row_graph(
 
 def walking_recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     """Step-by-step spine walk reference for ``lcr.graph.recognize_caterpillar``."""
-    if not g.is_connected():
-        raise NotConnected("caterpillar recognition requires a connected graph")
+    if len(g.connected_components()) != 1:
+        return None
     if g.n == 1:
         return CaterpillarStructure((0,), (0,))
     if g.m != g.n - 1:
@@ -995,7 +991,7 @@ def ref_is_caterpillar(g: Graph) -> bool:
     neighbors that are themselves non-leaves (a spider center), so the check
     never has to find the spine.
     """
-    if not g.is_connected() or g.m != g.n - 1:
+    if len(g.connected_components()) != 1 or g.m != g.n - 1:
         return False
     return all(
         sum(1 for w in g.neighbors(v) if g.degree(w) >= 2) <= 2
@@ -1026,9 +1022,11 @@ def ref_count_s_paths(inst: SprInstance) -> int:
 def scanning_greedy_coloring(
     g: Graph, lists, rng: random.Random, order
 ) -> Optional[Coloring]:
-    """Reference for ``lcr.generators._greedy_coloring``: its earlier body,
-    which scans every neighbour once per list color.  Both must make the
-    same draws and return the same coloring."""
+    """Random proper list coloring greedily along ``order``; None when a
+    vertex has no color left.  In id order on a tree numbered parent first,
+    it is the reference for ``lcr.generators._greedy_coloring``: its earlier
+    body, which scans every neighbour once per list color.  Both must make
+    the same draws and return the same coloring."""
     coloring: dict[int, int] = {}
     for v in order:
         free = sorted(
@@ -1044,11 +1042,15 @@ def scanning_greedy_coloring(
 MAX_TRIES = 200
 
 
+class GenerationFailed(LcrError):
+    """Random generation did not produce a valid instance within the retry budget."""
+
+
 def _shuffled_coloring(g: Graph, lists, rng: random.Random) -> Optional[Coloring]:
     """Random proper list coloring, greedily along a freshly shuffled order."""
     order = list(range(g.n))
     rng.shuffle(order)
-    return _greedy_coloring(g, lists, rng, order)
+    return scanning_greedy_coloring(g, lists, rng, order)
 
 
 def gen_random_instance(
@@ -1088,15 +1090,10 @@ def gen_random_instance(
 
 def spr_samples(count: int, base_seed: int) -> list[SprInstance]:
     """Deterministic stream of small layered rerouting instances."""
-    out = []
-    seed = base_seed
-    while len(out) < count:
-        try:
-            out.append(gen_layered_spr(2 + seed % 4, max_width=3, density=0.5, seed=seed))
-        except GenerationFailed:
-            pass
-        seed += 1
-    return out
+    return [
+        gen_layered_spr(2 + seed % 4, max_width=3, density=0.5, seed=seed)
+        for seed in range(base_seed, base_seed + count)
+    ]
 
 
 def caterpillar_corpus(
@@ -1141,12 +1138,7 @@ def layered_corpus(
         seed += 1
         depth = rng.randint(*depth_range)
         density = rng.uniform(*density_range)
-        try:
-            spr = gen_layered_spr(
-                depth, max_width=max_width, density=density, seed=seed
-            )
-        except GenerationFailed:
-            continue
+        spr = gen_layered_spr(depth, max_width=max_width, density=density, seed=seed)
         red = compile_spr(spr)
         if state_space_size(red.lcr.lists) <= max_states:
             out.append((spr, red))

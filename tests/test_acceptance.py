@@ -93,11 +93,11 @@ def test_criterion_2_every_prefix_encoding_is_isomorphic(cat_corpus):
         for sweep, rec in encoding_history(inst, st):
             prefixes += 1
             prefix = st.ordering[: rec.step]
-            sub, id_map = induced_instance(inst, prefix)
+            sub = induced_instance(inst, prefix)  # new id i is sorted(prefix)[i]
             rg = build(sub.graph, sub.lists)
             comp = component_of(rg, sub.f0)
             oracle_eg = contract_encoding(
-                rg, comp, id_map[spines[rec.step - 1]], sub.f0, sub.fr
+                rg, comp, sorted(prefix).index(spines[rec.step - 1]), sub.f0, sub.fr
             )
             matched += label_preserving_isomorphic(sweep.snapshot(), oracle_eg)
     ok = len(subset) == 200 and matched == prefixes
@@ -225,12 +225,13 @@ def test_criterion_8_reachable_restrictions_stay_reachable(cat_corpus):
         id_maps = []
         kept = []
         for i in range(1, n + 1):
-            sub, id_map = induced_instance(inst, st.ordering[:i])
+            sub = induced_instance(inst, st.ordering[:i])
             rg = build(sub.graph, sub.lists)
             comp = component_of(rg, sub.f0)
             reachable_sets.append({rg.nodes[x] for x in comp})
-            id_maps.append(id_map)
             kept.append(sorted(st.ordering[:i]))
+            # new id k is kept[-1][k]
+            id_maps.append({v: k for k, v in enumerate(kept[-1])})
         for i in range(1, n + 1):
             for g in reachable_sets[i - 1]:
                 for j in range(1, i):

@@ -422,11 +422,11 @@ def test_every_prefix_matches_the_contracted_oracle_component():
         for eg, rec in snapshots(inst, st):
             validate_encoding(eg, spine_list=inst.lists[spines[rec.step - 1]])
             prefix = st.ordering[: rec.step]
-            sub, id_map = induced_instance(inst, prefix)
+            sub = induced_instance(inst, prefix)  # new id i is sorted(prefix)[i]
             rg = build(sub.graph, sub.lists)
             comp = component_of(rg, sub.f0)
             oracle_eg = contract_encoding(
-                rg, comp, id_map[spines[rec.step - 1]], sub.f0, sub.fr
+                rg, comp, sorted(prefix).index(spines[rec.step - 1]), sub.f0, sub.fr
             )
             assert label_preserving_isomorphic(eg, oracle_eg)
 

@@ -51,7 +51,7 @@ def sweep_histories(inst):
     instance, in the driver's component order: (size record, whether tar is
     kept) per step."""
     trimmed, _ = normalize(inst)
-    subs = [induced_instance(trimmed, comp)[0] for comp in trimmed.graph.connected_components()]
+    subs = [induced_instance(trimmed, comp) for comp in trimmed.graph.connected_components()]
     return [
         [(rec, sweep.tar is not None) for sweep, rec in encoding_history(sub)]
         for sub in subs
@@ -190,7 +190,7 @@ def whole_sweep_answer(inst):
     trimmed, _ = normalize(inst)
     answers = []
     for comp in trimmed.graph.connected_components():
-        sub = induced_instance(trimmed, comp)[0]
+        sub = induced_instance(trimmed, comp)
         if recognize_caterpillar(sub.graph) is not None:
             answers.append(sweep_answer(sub))
         else:
@@ -410,16 +410,12 @@ def test_dp_size_history_reaches_the_report():
 
 def copying_induced_instance(inst, vertices):
     """``induced_instance`` as it was: a fresh copy even of a spanning component."""
-    sub, id_map = inst.graph.induced_subgraph(vertices)
-    kept = sorted(id_map, key=id_map.get)
-    return (
-        make_instance(
-            sub,
-            [inst.lists[v] for v in kept],
-            [inst.f0[v] for v in kept],
-            [inst.fr[v] for v in kept],
-        ),
-        id_map,
+    kept = sorted(set(vertices))
+    return make_instance(
+        inst.graph.induced_subgraph(kept),
+        [inst.lists[v] for v in kept],
+        [inst.f0[v] for v in kept],
+        [inst.fr[v] for v in kept],
     )
 
 

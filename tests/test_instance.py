@@ -88,7 +88,7 @@ def test_singleton_removal_cascades():
         SingletonRemoval(0, 1, (1,)),
         SingletonRemoval(1, 2, ()),
     )
-    assert trace.id_map == {}
+    assert trace.kept == ()
 
 
 def test_rich_list_removal_keeps_neighbor_lists():
@@ -111,7 +111,7 @@ def test_normalize_identity_on_normalized_instance():
     trimmed, trace = normalize(inst)
     assert trimmed is inst
     assert trace.removals == ()
-    assert trace.id_map == {0: 0, 1: 1}
+    assert trace.kept == range(2)
 
 
 def test_normalize_is_idempotent():
@@ -136,7 +136,7 @@ def test_normalize_renumbers_survivors():
         SingletonRemoval(1, 3, (2,)),
         RichListRemoval(0, (1, 2), ()),
     )
-    assert trace.id_map == {2: 0, 3: 1}
+    assert trace.kept == (2, 3)
     assert trimmed.graph.n == 2 and trimmed.graph.m == 1
     assert trimmed.lists == (frozenset({2, 4}), frozenset({2, 4}))
     assert trimmed.f0 == (2, 4) and trimmed.fr == (4, 2)
@@ -200,7 +200,7 @@ def test_normalize_matches_the_rescanning_reference():
             continue
         trimmed, trace = normalize(inst)
         assert trace.removals == want[1].removals
-        assert trace.id_map == want[1].id_map
+        assert trace.kept == want[1].kept
         assert trimmed.lists == want[0].lists
         assert trimmed.graph.edges == want[0].graph.edges
         assert (trimmed.f0, trimmed.fr) == (want[0].f0, want[0].fr)
@@ -237,7 +237,7 @@ def test_normalize_keeps_untrimmed_lists_and_reads_no_degree(monkeypatch):
             u for rem in trace.removals if isinstance(rem, SingletonRemoval)
             for u in rem.affected
         }
-        for old, new in trace.id_map.items():
+        for new, old in enumerate(trace.kept):
             if old in shrunk:
                 trimmed_count += 1
                 assert trimmed.lists[new] < inst.lists[old]
@@ -271,7 +271,7 @@ def test_normalize_scales_on_a_long_rich_path():
         n - chain - 1
     )
     assert [rem.vertex for rem in trace.removals] == list(range(n))
-    assert trimmed.graph.n == 0 and trace.id_map == {}
+    assert trimmed.graph.n == 0 and trace.kept == ()
 
 
 def test_normalize_pops_once_per_removal_and_pushes_each_vertex_once(monkeypatch):
@@ -556,8 +556,8 @@ def test_induced_instance_keeps_lists_and_endpoints():
         (1, 2, 3, 4),
         (2, 3, 4, 5),
     )
-    sub, id_map = induced_instance(inst, [2, 0, 3])
-    assert id_map == {0: 0, 2: 1, 3: 2}
+    # new ids 0, 1, 2 are old 0, 2, 3
+    sub = induced_instance(inst, [2, 0, 3])
     assert sub.graph.edges == frozenset({(1, 2)})
     assert sub.lists == (frozenset({1, 2}), frozenset({3, 4}), frozenset({4, 5}))
     assert sub.f0 == (1, 3, 4) and sub.fr == (2, 4, 5)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -16,7 +18,7 @@ from lcr import (
     reachable,
 )
 from lcr.errors import StateSpaceTooLarge, UnknownNode
-from lcr.oracle import _node_id, state_space_size
+from lcr.oracle import _node_id, _sorted_lists_within_cap, state_space_size
 
 from .helpers import (
     all_colorings,
@@ -62,13 +64,44 @@ def test_enumeration_matches_product_filter_reference():
         assert got == sorted(got)
 
 
+def product_past_cap(lists, cap):
+    """The first product of leading list sizes above cap: a refusal's size
+    (with no lists, the empty product 1)."""
+    return next((p for p in accumulate(map(len, lists), mul) if p > cap), 1)
+
+
 def test_state_cap_is_enforced_before_enumerating():
     lists = [frozenset({0, 1, 2, 3})] * 10
     with pytest.raises(StateSpaceTooLarge) as info:
         all_colorings(Graph(10), lists, cap=1000)
-    assert info.value.size == 4**10
+    assert info.value.size == 4**5  # the product stops once it passes the cap
     assert info.value.cap == 1000
     assert state_space_size(lists) == 4**10
+
+
+def test_a_refusal_is_decided_by_the_whole_product():
+    # the product stops once it passes the cap, yet an empty list after that
+    # point still makes the whole product 0, which no cap refuses
+    rng = random.Random(9311)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        lists = [
+            frozenset(range(0 if rng.random() < 0.05 else rng.randint(1, 5)))
+            for _ in range(n)
+        ]
+        cap = rng.randint(0, 200)
+        try:
+            _sorted_lists_within_cap(lists, cap)
+        except StateSpaceTooLarge as exc:
+            assert state_space_size(lists) > cap
+            assert exc.size == product_past_cap(lists, cap) and exc.cap == cap
+            seen["refused"] += 1
+        else:
+            assert state_space_size(lists) <= cap
+            seen["empty past the cap" if any(
+                p > cap for p in accumulate(map(len, lists), mul)) else "built"] += 1
+    assert set(seen) == {"refused", "empty past the cap", "built"}
 
 
 def test_state_cap_boundary():
@@ -80,7 +113,7 @@ def test_state_cap_boundary():
     for fn in (build, all_colorings):
         with pytest.raises(StateSpaceTooLarge) as info:
             fn(*over_cap, cap=cap)
-        assert info.value.size == cap + 1
+        assert info.value.size == cap + 1 == product_past_cap(over_cap[1], cap)
 
 
 def test_a_negative_state_cap_is_a_value_error():
@@ -94,7 +127,7 @@ def test_a_huge_state_space_is_refused_before_any_enumeration():
     with pytest.raises(StateSpaceTooLarge) as info:
         build(g, lists)
     assert time.perf_counter() - start < 0.01
-    assert info.value.size == 10**30
+    assert info.value.size == 10**7  # the first product past the cap of 2,000,000
 
 
 # -- reconfiguration graph construction ----------------------------------------
@@ -176,7 +209,7 @@ def test_build_matches_the_splicing_reference():
         except StateSpaceTooLarge as exc:
             with pytest.raises(StateSpaceTooLarge) as info:
                 build(g, lists, cap)
-            assert info.value.size == exc.size
+            assert info.value.size == product_past_cap(lists, cap) <= exc.size
             seen["refused"] += 1
             continue
         rg = build(g, lists, cap)

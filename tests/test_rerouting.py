@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from lcr import Graph
-from lcr.errors import Disconnected, GenerationFailed, StateSpaceTooLarge
+from lcr.errors import Disconnected, StateSpaceTooLarge
 from lcr.generators import gen_layered_spr
 from lcr.rerouting import (
     adjacent_s_paths,
@@ -14,7 +14,7 @@ from lcr.rerouting import (
     is_s_path,
 )
 
-from .helpers import path_graph, recursive_s_paths, ref_count_s_paths
+from .helpers import path_graph, recursive_s_paths, ref_count_s_paths, spr_samples
 
 
 def disjoint_paths_graph(cross_edges=()):
@@ -22,18 +22,6 @@ def disjoint_paths_graph(cross_edges=()):
     edges = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1)]
     edges.extend(cross_edges)
     return Graph(6, edges)
-
-
-def spr_corpus(count, base_seed):
-    out = []
-    seed = base_seed
-    while len(out) < count:
-        try:
-            out.append(gen_layered_spr(2 + seed % 4, max_width=3, density=0.5, seed=seed))
-        except GenerationFailed:
-            pass
-        seed += 1
-    return out
 
 
 # -- layers -------------------------------------------------------------------
@@ -67,7 +55,7 @@ def test_disconnected_endpoints_are_an_error():
 
 
 def test_every_pruned_vertex_lands_in_a_layer():
-    for inst in spr_corpus(25, base_seed=3101):
+    for inst in spr_samples(25, base_seed=3101):
         assert sum(len(layer) for layer in inst.layers) == inst.graph.n
         assert inst.layers[0] == (inst.s,)
         assert inst.layers[-1] == (inst.t,)
@@ -127,7 +115,7 @@ def test_enumeration_lists_both_disjoint_paths():
 
 
 def test_enumeration_matches_the_layer_counting_reference():
-    for inst in spr_corpus(30, base_seed=3201):
+    for inst in spr_samples(30, base_seed=3201):
         paths = enumerate_s_paths(inst)
         assert len(paths) == ref_count_s_paths(inst)
         assert len(set(paths)) == len(paths)
@@ -148,10 +136,7 @@ def test_enumeration_matches_the_recursive_reference_in_order_and_cap():
     checked = capped = 0
     for depth in range(1, 9):
         for seed in range(25):
-            try:
-                inst = gen_layered_spr(depth, max_width=4, density=0.6, seed=seed)
-            except GenerationFailed:
-                continue
+            inst = gen_layered_spr(depth, max_width=4, density=0.6, seed=seed)
             paths = recursive_s_paths(inst)
             assert enumerate_s_paths(inst) == paths
             checked += 1
@@ -205,7 +190,7 @@ def test_cross_edges_open_a_rerouting_corridor():
 
 
 def test_solutions_are_shortest_and_valid_on_random_instances():
-    for inst in spr_corpus(30, base_seed=3301):
+    for inst in spr_samples(30, base_seed=3301):
         seq = brute_solve(inst)
         if seq is None:
             continue
