@@ -49,7 +49,7 @@ print()
 red = compile_spr(spr)
 lcr = red.lcr
 print(f"compiled instance: {lcr.graph.n} vertices, {lcr.graph.m} edges")
-print("layer vertices:   ", red.layer_vertices)
+print("layer vertices:   ", tuple(range(spr.d - 1)))  # u_i has id i-1
 print("forbidden vertices:", red.forbidden)
 print("lists:", [sorted(lst) for lst in lcr.lists])
 print("f0:", lcr.f0)

@@ -175,7 +175,7 @@ def _text(comment: Optional[str], lines: Iterable[str]) -> str:
 
 
 def _edge_lines(g: Graph) -> Iterator[str]:
-    return (f"e {u} {v}" for u, v in sorted(g.edges))
+    return (f"e {u} {v}" for u, v in g.edges)
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:

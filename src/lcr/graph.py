@@ -81,10 +81,12 @@ def _first_fault(n: int, edges: Iterable[tuple[int, int]]) -> NoReturn:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``adjacency`` holds each vertex's neighbours as a sorted tuple, read off
-    one sort of the (low, high) pairs, the input's own tuples where they
-    already are.  Bulk checks run over that list; a failed one rescans the
-    input in order to name the first fault.  Cost: one sort plus O(n + m).
+    ``edges`` is the tuple of (low, high) pairs in increasing order, the
+    input's own tuples where they already are, from one sort; ``adjacency``
+    holds each vertex's neighbours as a sorted tuple, read off that order.
+    No edge set is kept: bulk checks run over the sorted pairs (a repeat is
+    two equal neighbours), and a failed one rescans the input in order to
+    name the first fault.  Cost: one sort plus O(n + m).
     """
 
     __slots__ = ("n", "edges", "adjacency")
@@ -96,10 +98,10 @@ class Graph:
             edges = list(edges)  # read again, in order, if a check fails
         pairs = [e if e[0] < e[1] else (e[1], e[0]) for e in map(tuple, edges)]
         pairs.sort()
-        self.edges = frozenset(set(pairs))  # from a list, its table grows to twice the size
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= n
-                      or any(starmap(eq, pairs)) or len(self.edges) < len(pairs)):
+                      or any(starmap(eq, pairs)) or any(map(eq, pairs, pairs[1:]))):
             _first_fault(n, edges)
+        self.edges = tuple(pairs)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:  # a row gets its lower neighbours, then its higher
             adj[u].append(v)
@@ -118,7 +120,8 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        """Whether uv is an edge, read off u's row; False for ids outside 0..n-1."""
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""

@@ -164,7 +164,8 @@ def build(
     id_of_code = dict(zip(codes, range(len(codes))))
     proper = id_of_code.keys()
     adj: list[list[int]] = [[] for _ in nodes]
-    for stride, lst in zip(strides, sorted_lists):
+    # no proper code, no edge; an empty list also zeroes the strides before it
+    for stride, lst in zip(strides, sorted_lists) if codes else ():
         period = stride * len(lst)
         for shift in range(stride, period, stride):
             for y in proper & map(add, codes, repeat(shift)):

@@ -46,10 +46,15 @@ class ForbiddenVertex:
 
 @dataclass(frozen=True)
 class ReducedInstance:
+    """A compiled instance with the one map back to its rerouting instance.
+
+    Layer vertex u_i (1 <= i < spr.d) has id i-1; the forbidden vertices
+    follow, in ``forbidden``'s order.  Color c picks ``spr.layers[i][j]``
+    for ``pair_of[c] == (i, j)``.
+    """
+
     lcr: LcrInstance
-    layer_vertices: tuple[int, ...]
     forbidden: tuple[ForbiddenVertex, ...]
-    color_of: dict[tuple[int, int], int]
     pair_of: dict[int, tuple[int, int]]
     spr: SprInstance
 
@@ -60,32 +65,27 @@ def compile_spr(spr: SprInstance) -> ReducedInstance:
     Layer vertex u_i takes id i-1; forbidden vertices follow, ordered by
     (layer, x, y), each joined only to its two layer vertices and listing
     just its missing pair; the rest of this module relies on that.  Color
-    ids are dense, layer by layer.  The start coloring paints u_i with p0's
-    pick in layer i; each forbidden vertex then takes the lowest list color
-    on neither neighbor (one of the two is always free, because its pair
-    cannot sit on a path).  The target coloring comes from pr the same way.
+    ids are dense, layer by layer, one per vertex of an interior layer.
+    The start coloring paints u_i with p0's pick in layer i; each forbidden
+    vertex then takes the lowest list color on neither neighbor (one of the
+    two is always free, because its pair cannot sit on a path).  The target
+    coloring comes from pr the same way.
     """
     d = spr.d
     if d <= 1:
         raise DegenerateDistance(f"distance {d} leaves nothing to compile")
 
-    color_of: dict[tuple[int, int], int] = {}
     pair_of: dict[int, tuple[int, int]] = {}
+    color: dict[int, int] = {}  # source vertex of an interior layer -> its color
+    lists: list[frozenset[int]] = []
     for i in range(1, d):
-        for j in range(len(spr.layers[i])):
-            c = len(color_of)
-            color_of[(i, j)] = c
-            pair_of[c] = (i, j)
+        for j, v in enumerate(spr.layers[i]):
+            color[v] = len(pair_of)
+            pair_of[len(pair_of)] = (i, j)
+        lists.append(frozenset(map(color.__getitem__, spr.layers[i])))
 
     num_layer = d - 1
-    index_in_layer = [
-        {v: j for j, v in enumerate(layer)} for layer in spr.layers
-    ]
     edges: list[tuple[int, int]] = []
-    lists: list[frozenset[int]] = [
-        frozenset(color_of[(i, j)] for j in range(len(spr.layers[i])))
-        for i in range(1, d)
-    ]
     forbidden: list[ForbiddenVertex] = []
     for i in range(1, d - 1):
         for x, vx in enumerate(spr.layers[i]):
@@ -94,29 +94,19 @@ def compile_spr(spr: SprInstance) -> ReducedInstance:
                     continue
                 w = num_layer + len(forbidden)
                 forbidden.append(ForbiddenVertex(w, i, x, y))
-                edges.append((i - 1, w))
-                edges.append((i, w))
-                lists.append(
-                    frozenset((color_of[(i, x)], color_of[(i + 1, y)]))
-                )
+                edges += ((i - 1, w), (i, w))
+                lists.append(frozenset((color[vx], color[vy])))
 
     g = Graph(num_layer + len(forbidden), edges)
 
     def endpoint(path: SPath) -> Coloring:
-        f = [color_of[(i, index_in_layer[i][path[i]])] for i in range(1, d)]
+        f = [color[v] for v in path[1:d]]
         for w in range(num_layer, g.n):
             f.append(min(lists[w] - {f[u] for u in g.neighbors(w)}))
         return tuple(f)
 
     inst = LcrInstance(g, tuple(lists), endpoint(spr.p0), endpoint(spr.pr))
-    return ReducedInstance(
-        inst,
-        tuple(range(num_layer)),
-        tuple(forbidden),
-        color_of,
-        pair_of,
-        spr,
-    )
+    return ReducedInstance(inst, tuple(forbidden), pair_of, spr)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ def to_threshold(red: ReducedInstance) -> tuple[LcrInstance, ThresholdWitness]:
     and hence the reconfiguration answer, are untouched.
     """
     base = red.lcr
-    n, k = base.graph.n, len(red.layer_vertices)
+    n, k = base.graph.n, red.spr.d - 1
     g = Graph(n, [(a, b) for a in range(k) for b in range(a + 1, n)])
     inst = LcrInstance(g, base.lists, base.f0, base.fr)
     return inst, ThresholdWitness((1,) * k + (0,) * (n - k), 1)
@@ -167,21 +157,20 @@ def emit_path_decomposition(red: ReducedInstance) -> PathDecomposition:
     """Width <= 2 path decomposition walking the layer vertices in order.
 
     For each consecutive layer pair we list one bag per forbidden vertex
-    between them, then a two-vertex connector bag.  A distance-2 instance has
-    a single layer vertex and gets the one singleton bag.
+    between them, then a two-vertex connector bag; ``forbidden`` is in layer
+    order, so one walk over it fills the bags.  A distance-2 instance has a
+    single layer vertex and gets the one singleton bag.
     """
-    d = red.spr.d
+    d, forbidden = red.spr.d, red.forbidden
     if d == 2:
         return PathDecomposition((frozenset({0}),))
-    by_layer: dict[int, list[ForbiddenVertex]] = {}
-    for fv in red.forbidden:
-        by_layer.setdefault(fv.layer, []).append(fv)
     bags: list[frozenset[int]] = []
+    k = 0
     for i in range(1, d - 1):
-        u, w = i - 1, i
-        for fv in by_layer.get(i, ()):
-            bags.append(frozenset({u, w, fv.vertex}))
-        bags.append(frozenset({u, w}))
+        while k < len(forbidden) and forbidden[k].layer == i:
+            bags.append(frozenset({i - 1, i, forbidden[k].vertex}))
+            k += 1
+        bags.append(frozenset({i - 1, i}))
     return PathDecomposition(tuple(bags))
 
 
@@ -190,12 +179,8 @@ def coloring_to_spath(red: ReducedInstance, f: Sequence[int]) -> SPath:
     if not is_proper_list_coloring(red.lcr, f):
         raise ImproperColoring("only proper colorings encode paths")
     spr = red.spr
-    path = [spr.s]
-    for i in range(1, spr.d):
-        layer, j = red.pair_of[f[i - 1]]
-        path.append(spr.layers[layer][j])
-    path.append(spr.t)
-    return tuple(path)
+    picks = (spr.layers[i][j] for i, j in map(red.pair_of.__getitem__, f[:spr.d - 1]))
+    return (spr.s, *picks, spr.t)
 
 
 def spath_sequence_to_recoloring(
@@ -208,20 +193,12 @@ def spath_sequence_to_recoloring(
     After the last swap the forbidden vertices are recolored to match fr.
     """
     spr = red.spr
-    if (
-        not seq
-        or tuple(seq[0]) != spr.p0
-        or tuple(seq[-1]) != spr.pr
-        or any(not is_s_path(spr, p) for p in seq)
-        or any(
-            not adjacent_s_paths(p, q) for p, q in zip(seq, seq[1:])
-        )
-    ):
+    if (not seq or tuple(seq[0]) != spr.p0 or tuple(seq[-1]) != spr.pr
+            or not all(is_s_path(spr, p) for p in seq)
+            or not all(map(adjacent_s_paths, seq, seq[1:]))):
         raise InvalidRerouting("not a rerouting sequence between p0 and pr")
 
-    index_in_layer = [
-        {v: j for j, v in enumerate(layer)} for layer in spr.layers
-    ]
+    color = {spr.layers[i][j]: c for c, (i, j) in red.pair_of.items()}
     cur = list(red.lcr.f0)
     steps: list[Step] = []
 
@@ -233,13 +210,13 @@ def spath_sequence_to_recoloring(
     for p, q in zip(seq, seq[1:]):
         (i,) = [k for k in range(1, spr.d) if p[k] != q[k]]
         u = i - 1
-        target = red.color_of[(i, index_in_layer[i][q[i]])]
+        target = color[q[i]]
         for w in red.lcr.graph.neighbors(u):  # u's forbidden vertices
             if cur[w] == target:
                 (other,) = red.lcr.lists[w] - {target}
                 recolor(w, other)
         recolor(u, target)
-    for w in range(len(red.layer_vertices), red.lcr.graph.n):
+    for w in range(spr.d - 1, red.lcr.graph.n):
         recolor(w, red.lcr.fr[w])
     return steps
 
@@ -249,17 +226,18 @@ def recoloring_to_spath_sequence(
 ) -> list[SPath]:
     """Project a recoloring witness back onto its rerouting sequence.
 
-    Only steps on layer vertices move the encoded path; runs of forbidden
-    recolorings collapse away.
+    The sequence is checked once; after that each step on layer vertex
+    u_i moves the encoded path's layer-i vertex (every step changes a
+    color), and runs of forbidden recolorings collapse away.
     """
     if not is_valid_sequence(red.lcr, steps):
         raise InvalidSequence("not a valid recoloring sequence for the instance")
-    cur = list(red.lcr.f0)
-    seq = [coloring_to_spath(red, cur)]
+    spr = red.spr
+    path = list(coloring_to_spath(red, red.lcr.f0))
+    seq = [tuple(path)]
     for v, c in steps:
-        cur[v] = c
-        if v < len(red.layer_vertices):
-            p = coloring_to_spath(red, cur)
-            if p != seq[-1]:
-                seq.append(p)
+        if v < spr.d - 1:
+            i, j = red.pair_of[c]
+            path[i] = spr.layers[i][j]
+            seq.append(tuple(path))
     return seq

@@ -1214,7 +1214,8 @@ def side_table_endpoint(red: ReducedInstance, path: SPath) -> Coloring:
     """Endpoint coloring by the side-table rule: each forbidden vertex sorts
     its pair and takes the first color that neither layer neighbor holds."""
     spr = red.spr
-    d, color_of, g = spr.d, red.color_of, red.lcr.graph
+    d, g = spr.d, red.lcr.graph
+    color_of = {pair: c for c, pair in red.pair_of.items()}
     index_in_layer = [
         {v: j for j, v in enumerate(layer)} for layer in spr.layers
     ]
@@ -1235,16 +1236,17 @@ def side_table_endpoint(red: ReducedInstance, path: SPath) -> Coloring:
 def union_to_threshold(red: ReducedInstance) -> tuple[LcrInstance, ThresholdWitness]:
     """Edge-set union reference for ``lcr.reduction.to_threshold``."""
     base = red.lcr
+    layer_vertices = range(red.spr.d - 1)
     edges = set(base.graph.edges)
-    for a in red.layer_vertices:
-        for b in red.layer_vertices:
+    for a in layer_vertices:
+        for b in layer_vertices:
             if a < b:
                 edges.add((a, b))
         for fv in red.forbidden:
             pair = (a, fv.vertex) if a < fv.vertex else (fv.vertex, a)
             edges.add(pair)
     g = Graph(base.graph.n, sorted(edges))
-    layer_set = set(red.layer_vertices)
+    layer_set = set(layer_vertices)
     weights = tuple(1 if v in layer_set else 0 for v in range(g.n))
     inst = LcrInstance(g, base.lists, base.f0, base.fr)
     return inst, ThresholdWitness(weights, 1)
@@ -1269,8 +1271,9 @@ def side_table_spath_sequence_to_recoloring(
     index_in_layer = [
         {v: j for j, v in enumerate(layer)} for layer in spr.layers
     ]
+    color_of = {pair: c for c, pair in red.pair_of.items()}
     nbr_forbidden: dict[int, list[ForbiddenVertex]] = {
-        u: [] for u in red.layer_vertices
+        u: [] for u in range(spr.d - 1)
     }
     for fv in red.forbidden:
         nbr_forbidden[fv.layer - 1].append(fv)
@@ -1287,11 +1290,11 @@ def side_table_spath_sequence_to_recoloring(
     for p, q in zip(seq, seq[1:]):
         (i,) = [k for k in range(1, spr.d) if p[k] != q[k]]
         u = i - 1
-        target = red.color_of[(i, index_in_layer[i][q[i]])]
+        target = color_of[(i, index_in_layer[i][q[i]])]
         for fv in nbr_forbidden[u]:
             if cur[fv.vertex] == target:
-                a = red.color_of[(fv.layer, fv.x)]
-                b = red.color_of[(fv.layer + 1, fv.y)]
+                a = color_of[(fv.layer, fv.x)]
+                b = color_of[(fv.layer + 1, fv.y)]
                 recolor(fv.vertex, b if cur[fv.vertex] == a else a)
         recolor(u, target)
     for fv in red.forbidden:

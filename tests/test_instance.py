@@ -558,7 +558,7 @@ def test_induced_instance_keeps_lists_and_endpoints():
     )
     # new ids 0, 1, 2 are old 0, 2, 3
     sub = induced_instance(inst, [2, 0, 3])
-    assert sub.graph.edges == frozenset({(1, 2)})
+    assert sub.graph.edges == ((1, 2),)
     assert sub.lists == (frozenset({1, 2}), frozenset({3, 4}), frozenset({4, 5}))
     assert sub.f0 == (1, 3, 4) and sub.fr == (2, 4, 5)
     for vertices in ([0, 1, 2, 4], [-1, 0, 1, 2], [0, 9]):

@@ -104,6 +104,18 @@ def test_a_refusal_is_decided_by_the_whole_product():
     assert set(seen) == {"refused", "empty past the cap", "built"}
 
 
+def test_an_empty_list_anywhere_gives_no_node():
+    # an empty list zeroes the place value of every vertex before it, so no
+    # edge pass may step by it; there is no proper coloring to link anyway
+    for n in range(1, 5):
+        for g in (Graph(n), path_graph(n)):
+            for k in range(n):
+                lists = [frozenset({0, 1})] * n
+                lists[k] = frozenset()
+                rg = build(g, lists)
+                assert (rg.num_nodes, rg.num_edges) == (0, 0), (n, g.m, k)
+
+
 def test_state_cap_boundary():
     cap = 12
     at_cap = (Graph(2), [frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})])

@@ -51,9 +51,8 @@ def test_two_hop_instances_compile_to_one_free_vertex():
     assert red.lcr.graph.n == 1 and red.lcr.graph.m == 0
     assert red.lcr.lists == (frozenset({0, 1}),)
     assert red.lcr.f0 == (0,) and red.lcr.fr == (1,)
-    assert red.layer_vertices == (0,)
+    assert red.spr.d - 1 == 1  # one layer vertex, id 0
     assert red.forbidden == ()
-    assert red.color_of == {(1, 0): 0, (1, 1): 1}
     assert red.pair_of == {0: (1, 0), 1: (1, 1)}
 
 
@@ -69,7 +68,7 @@ def test_one_missing_edge_compiles_to_one_forbidden_vertex():
     assert red.lcr.f0 == (0, 2, 3)
     assert red.lcr.fr == (1, 3, 0)
     assert red.forbidden == (ForbiddenVertex(vertex=2, layer=1, x=0, y=1),)
-    assert red.color_of == {(1, 0): 0, (1, 1): 1, (2, 0): 2, (2, 1): 3}
+    assert red.pair_of == {0: (1, 0), 1: (1, 1), 2: (2, 0), 3: (2, 1)}
     assert is_proper_list_coloring(red.lcr, red.lcr.f0)
     assert is_proper_list_coloring(red.lcr, red.lcr.fr)
 
@@ -111,16 +110,17 @@ def test_size_accounting_matches_the_layer_census():
 
 
 def test_compiled_graphs_are_bipartite_by_role():
-    for _, red in layered_corpus(40, base_seed=4201):
+    for spr, red in layered_corpus(40, base_seed=4201):
+        layer_vertices = range(spr.d - 1)
         parts = is_bipartite(red.lcr.graph)
         assert parts is not None
         layer_side = {v for v in range(red.lcr.graph.n) if red.lcr.graph.degree(v)}
         forbidden_set = {fv.vertex for fv in red.forbidden}
         for fv in red.forbidden:
             assert fv.vertex in parts[0] or fv.vertex in parts[1]
-            assert set(red.lcr.graph.neighbors(fv.vertex)) <= set(red.layer_vertices)
+            assert set(red.lcr.graph.neighbors(fv.vertex)) <= set(layer_vertices)
             assert red.lcr.graph.degree(fv.vertex) == 2
-        assert forbidden_set.isdisjoint(red.layer_vertices)
+        assert forbidden_set.isdisjoint(layer_vertices)
         assert is_partial_two_tree(red.lcr.graph)
 
 
@@ -284,6 +284,29 @@ def test_witnesses_translate_on_random_yes_instances():
         assert recoloring_to_spath_sequence(red, steps) == seq
         translated += 1
     assert translated >= 20
+
+
+def test_a_witness_is_checked_once_then_read_step_by_step(monkeypatch):
+    import lcr.reduction
+
+    calls = []
+
+    def counted(red, f):
+        calls.append(tuple(f))
+        return coloring_to_spath(red, f)
+
+    monkeypatch.setattr(lcr.reduction, "coloring_to_spath", counted)
+    translated = 0
+    for spr, red in layered_corpus(80, base_seed=4851, depth_range=(4, 6)):
+        seq = brute_solve(spr)
+        steps = [] if seq is None else spath_sequence_to_recoloring(red, seq)
+        if sum(v < spr.d - 1 for v, _ in steps) < 3:
+            continue  # k layer steps cost the old translation k + 1 checks
+        calls.clear()
+        assert recoloring_to_spath_sequence(red, steps) == seq
+        assert calls == [red.lcr.f0]
+        translated += 1
+    assert translated >= 3
 
 
 def test_compilation_preserves_the_answer():

@@ -6,6 +6,7 @@ from lcr import Graph
 from lcr.errors import Disconnected, StateSpaceTooLarge
 from lcr.generators import gen_layered_spr
 from lcr.rerouting import (
+    SprInstance,
     adjacent_s_paths,
     brute_solve,
     build_spr_instance,
@@ -160,6 +161,14 @@ def test_a_long_path_enumerates_without_recursion():
 
 
 # -- brute-force solving ------------------------------------------------------------
+
+
+def test_brute_solve_refuses_endpoint_paths_off_the_enumeration():
+    # built directly, past build_spr_instance's check: p0 skips layer 1
+    layers = ((0,), (1,), (2,))
+    spr = SprInstance(path_graph(3), 0, 2, (0, 2), (0, 1, 2), 2, layers, {0: 0, 1: 1, 2: 2})
+    with pytest.raises(ValueError, match="endpoint paths missing from the enumeration"):
+        brute_solve(spr)
 
 
 def test_equal_paths_solve_in_place():
