@@ -81,7 +81,10 @@ def _cmd_solve(args) -> int:
     swept = (i for i, r in enumerate(report.components) if r.algorithm == "caterpillar")
     for i, lines in zip(swept, trace):
         print(f"component {i}", *lines, sep="\n")
-    if args.trace and report.algorithm != "caterpillar":
+    if args.trace and report.frozen is not None:
+        print(f"# no sweep: a frozen set of {len(report.frozen)} vertices, "
+              "on which fr differs from f0:", *report.frozen)
+    elif args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 """End-to-end solve pipeline shared by the CLI and the experiments runner.
 
-Order of business: check the endpoints, shortcut f0 = fr, normalize, split
-the trimmed graph into components, then run the caterpillar sweep or the
-exhaustive oracle on each component in turn; an oracle-bound component whose
-endpoints agree needs neither.  Witnesses only come from the oracle and are
-lifted back through the normalization trace.
+Order of business: check the endpoints, shortcut f0 = fr, normalize; under
+``auto``, answer NO from a frozen set that fr recolours, before any engine
+runs; then split the trimmed graph into components and run the caterpillar
+sweep or the exhaustive oracle on each component in turn; an oracle-bound
+component whose endpoints agree needs neither.  Witnesses only come from the
+oracle and are lifted back through the normalization trace.
 
 The run stops once its answer is known: a sweep at the step that loses the
 tar mark, which no later step brings back (a spine step passes it on only
@@ -24,7 +25,9 @@ from .errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from .graph import recognize_caterpillar
 from .instance import (
     LcrInstance,
+    SingletonRemoval,
     Step,
+    frozen_no,
     induced_instance,
     is_proper_list_coloring,
     lift_sequence,
@@ -52,12 +55,15 @@ class ComponentReport:
 @dataclass
 class SolveReport:
     """``components`` has one report per component that ran, in order; a NO
-    component is the last."""
+    component is the last.  A ``"frozen"`` NO runs none."""
 
     answer: bool
-    algorithm: str  # "trivial" | "caterpillar" | "bruteforce" | "mixed"
+    algorithm: str  # "trivial" | "frozen" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
+    # a "frozen" NO's vertex set, sorted input ids: f0 freezes it in the
+    # input instance, and fr differs from f0 on it
+    frozen: Optional[tuple[int, ...]] = None
 
 
 def solve_driver(
@@ -69,9 +75,15 @@ def solve_driver(
 ) -> SolveReport:
     """Decide the instance; optionally return a recoloring witness.
 
-    ``auto`` runs the caterpillar sweep on each component of the trimmed
-    graph that is a caterpillar and the oracle on the others; the report's
-    algorithm is ``"mixed"`` when the components went different ways.
+    Under ``auto``, a set of the trimmed instance that f0 freezes and fr
+    recolours (``frozen_no``) answers NO before any component runs, witness
+    asked or not: the report's algorithm is ``"frozen"``, and ``frozen``
+    holds the set in input ids together with the vertices that
+    normalization removed as one-colour ones, so it is frozen in the input
+    itself.  Otherwise ``auto`` runs the caterpillar sweep on each component
+    of the trimmed graph that is a caterpillar and the oracle on the others;
+    the report's algorithm is ``"mixed"`` when the components went different
+    ways.  ``caterpillar`` and ``bruteforce`` always run their own engine.
     Witness extraction is oracle-only, so ``want_witness`` overrides the
     sweep unless the caller insisted on it, in which case a witness request
     is an error.  Each component is recognized at most once; the sweep
@@ -100,6 +112,16 @@ def solve_driver(
         return SolveReport(True, "trivial", [] if want_witness else None, [])
 
     trimmed, trace = normalize(inst)
+    if algo == "auto":
+        frozen = frozen_no(trimmed)
+        if frozen is not None:
+            # a one-colour vertex's colour left its neighbours' lists, so the
+            # removed ones hold the input's other colours of the set's lists
+            kept = trace.kept
+            frozen = [kept[v] for v in frozen] + [
+                r.vertex for r in trace.removals if isinstance(r, SingletonRemoval)
+            ]
+            return SolveReport(False, "frozen", None, [], tuple(sorted(frozen)))
     # a witness request sends auto to the oracle without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
     answer, refusal = True, None

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import contains
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import compress
+from operator import contains, ne
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InfeasibleList, InvalidSequence, PartialColoring
 from .graph import Graph
@@ -267,6 +268,81 @@ def is_valid_sequence(inst: LcrInstance, seq: Sequence[Step]) -> bool:
             return False
         cur[v] = c
     return tuple(cur) == inst.fr
+
+
+def frozen_no(inst: LcrInstance) -> Optional[list[int]]:
+    """A set of vertices that f0 freezes and fr recolours, sorted, or None.
+
+    A set S is frozen under f0 when each other colour of every list in S
+    sits on a neighbour in S: no vertex of S can move first, so f0 never
+    changes on S, and the answer is NO if fr differs there.  None comes
+    back exactly when fr agrees with f0 on the greatest frozen set.
+
+    A vertex v of S where fr differs is *stuck* (its list holds no colour
+    but f0's that its neighbours leave free), and fr(v) sits on a neighbour
+    in S, where fr differs too, since fr is proper.  So the seeds are the
+    stuck vertices where fr differs that have such a neighbour among them.
+    fr(v) on a neighbour, which stuck implies there, is the cheaper test
+    and goes first; with it, a two-colour list is stuck.  Closing the seeds
+    under stuck blockers (neighbours whose f0 colour is in the list) gives
+    a region that holds every vertex of S that a seed in S leans on.  A
+    counting worklist then drops each vertex of the region that has another
+    colour no kept neighbour holds, which leaves the region's greatest
+    frozen subset.  The cost is one look at each vertex where fr differs,
+    then linear in the region.
+    """
+    f0, fr, lists, rows = inst.f0, inst.fr, inst.lists, inst.graph.adjacency
+    colour = f0.__getitem__
+    stuck: dict[int, bool] = {}  # each vertex tested so far
+    for v in compress(range(len(f0)), map(ne, f0, fr)):
+        c = fr[v]
+        for u in rows[v]:
+            if f0[u] == c:
+                lst = lists[v]
+                stuck[v] = len(lst) == 2 or len(lst.difference(map(colour, rows[v]))) == 1
+                break
+    region = []
+    for v, s in stuck.items():
+        if s:
+            c = fr[v]
+            for u in rows[v]:
+                if f0[u] == c and stuck.get(u):
+                    region.append(v)
+                    break
+    inside = set(region)
+    held: dict[tuple[int, int], int] = {}  # (v, c): region neighbours of v on c
+    dropped = []
+    for v in region:  # grows as stuck blockers join
+        lst = lists[v]
+        need = len(lst) - 1
+        for u in rows[v]:
+            c = f0[u]
+            if c not in lst:
+                continue
+            s = stuck.get(u)
+            if s is None:
+                s = stuck[u] = len(lists[u].difference(map(colour, rows[u]))) == 1
+            if s:
+                if u not in inside:
+                    inside.add(u)
+                    region.append(u)
+                k = held.get((v, c), 0)
+                held[v, c] = k + 1
+                need -= not k
+        if need:
+            dropped.append(v)  # some other colour sits on no stuck neighbour
+    kept = inside.difference(dropped)
+    for v in dropped:  # grows as kept vertices lose their last holder
+        c = f0[v]
+        for u in rows[v]:
+            if u in kept and c in lists[u]:
+                k = held[u, c] = held[u, c] - 1
+                if not k:
+                    kept.remove(u)
+                    dropped.append(u)
+    if any(f0[v] != fr[v] for v in kept):
+        return sorted(kept)
+    return None
 
 
 def induced_instance(inst: LcrInstance, vertices: Iterable[int]) -> LcrInstance:

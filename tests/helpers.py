@@ -1145,23 +1145,101 @@ def layered_corpus(
     return out
 
 
+def side_by_side(*parts: LcrInstance) -> LcrInstance:
+    """The disjoint union of the instances, each numbered after the last."""
+    edges, lists, f0, fr = [], [], [], []
+    for part in parts:
+        base = len(lists)
+        edges += [(u + base, v + base) for u, v in part.graph.edges]
+        lists += part.lists
+        f0 += part.f0
+        fr += part.fr
+    return LcrInstance(Graph(len(lists), edges), tuple(lists), tuple(f0), tuple(fr))
+
+
+def winding_path() -> LcrInstance:
+    """A 3-vertex path that answers NO, though no frozen set shows it.
+
+    The lists are {0,1}, {0,1,2} and {0,2}, and f0 = (0, 1, 2) must become
+    fr = (1, 0, 2).  Only vertex 2 is free under f0, so the greatest frozen
+    set is empty; yet f0 reaches just (0,1,0), (0,2,0) and (1,2,0), one
+    move apart in a line, so the first edge never trades its colours.  It
+    is normalized.
+    """
+    return LcrInstance(
+        path_graph(3),
+        (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 2})),
+        (0, 1, 2),
+        (1, 0, 2),
+    )
+
+
 def beside_a_huge_cycle(
-    edge: LcrInstance, cycle_first: bool = False, still: bool = False
+    small: LcrInstance, cycle_first: bool = False, still: bool = False
 ) -> LcrInstance:
-    """The two-vertex instance ``edge`` next to a 30-cycle with lists {0,1,2},
-    whose 3^30 colourings pass any usable state cap; ``cycle_first`` numbers
-    the cycle 0..29 and the edge 30, 31.  The cycle goes from f0 = i mod 3 to
-    fr = (i + 1) mod 3, so only the oracle can answer it, or with ``still``
-    keeps f0 = fr = i mod 2."""
-    c0, e0 = (0, 30) if cycle_first else (2, 0)
-    edges = [(e0, e0 + 1)] + [(c0 + i, c0 + (i + 1) % 30) for i in range(30)]
-    lists, f0, fr = [None] * 32, [0] * 32, [0] * 32
-    for i in range(30):
-        start, end = (i % 2, i % 2) if still else (i % 3, (i + 1) % 3)
-        lists[c0 + i], f0[c0 + i], fr[c0 + i] = {0, 1, 2}, start, end
-    for j in range(2):
-        lists[e0 + j], f0[e0 + j], fr[e0 + j] = edge.lists[j], edge.f0[j], edge.fr[j]
-    return LcrInstance(Graph(32, edges), tuple(map(frozenset, lists)), tuple(f0), tuple(fr))
+    """The instance ``small`` next to a 30-cycle with lists {0,1,2}, whose
+    3^30 colourings pass any usable state cap; ``cycle_first`` numbers the
+    cycle 0..29 and ``small`` from 30 on, else ``small`` comes first.  The
+    cycle goes from f0 = i mod 2 to fr = i mod 2 + 1, or with ``still``
+    keeps f0 = fr = i mod 2.  Each of its vertices has a free colour under
+    f0, so no frozen set settles it, and only the oracle could answer it."""
+    cycle = LcrInstance(
+        cycle_graph(30),
+        (frozenset({0, 1, 2}),) * 30,
+        tuple(i % 2 for i in range(30)),
+        tuple(i % 2 + (not still) for i in range(30)),
+    )
+    return side_by_side(cycle, small) if cycle_first else side_by_side(small, cycle)
+
+
+def frozen_cycle() -> LcrInstance:
+    """A 30-cycle with lists {0,1,2} from f0 = i mod 3 to fr = (i + 1) mod 3:
+    each vertex sees both of its other colours, so the whole cycle is frozen
+    and the answer is NO, while its 3^30 colourings pass any usable cap."""
+    return LcrInstance(
+        cycle_graph(30),
+        (frozenset({0, 1, 2}),) * 30,
+        tuple(i % 3 for i in range(30)),
+        tuple((i + 1) % 3 for i in range(30)),
+    )
+
+
+# -- frozen sets ---------------------------------------------------------------------
+
+
+def _pinned(inst: LcrInstance, v: int, s: set[int]) -> bool:
+    """Each other colour of v's list sits on a neighbour of v in s."""
+    held = {inst.f0[u] for u in inst.graph.neighbors(v) if u in s}
+    return inst.lists[v] <= held | {inst.f0[v]}
+
+
+def greatest_frozen_set(inst: LcrInstance) -> set[int]:
+    """Rescanning reference for the greatest set that f0 freezes: drop any
+    vertex that is not pinned by the kept ones, until none is left to drop."""
+    kept = set(range(inst.graph.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(kept):
+            if not _pinned(inst, v, kept):
+                kept.discard(v)
+                changed = True
+    return kept
+
+
+def has_frozen_no(inst: LcrInstance) -> bool:
+    """True if fr differs from f0 on the greatest frozen set."""
+    return any(inst.f0[v] != inst.fr[v] for v in greatest_frozen_set(inst))
+
+
+def proves_no(inst: LcrInstance, vertices: Sequence[int]) -> bool:
+    """Independent checker of a frozen NO: the set is frozen under f0 (each
+    of its vertices pinned by the set), and fr differs from f0 somewhere on
+    it."""
+    s = set(vertices)
+    if not s <= set(range(inst.graph.n)):
+        return False
+    return all(_pinned(inst, v, s) for v in s) and any(inst.f0[v] != inst.fr[v] for v in s)
 
 
 # -- quadratic references for the certificate checkers ------------------------------

@@ -25,7 +25,13 @@ from lcr.generators import gen_caterpillar
 from lcr.reduction import ThresholdWitness, compile_spr
 from lcr.rerouting import build_spr_instance
 
-from .helpers import beside_a_huge_cycle, one_color_path
+from .helpers import (
+    beside_a_huge_cycle,
+    frozen_cycle,
+    has_frozen_no,
+    one_color_path,
+    winding_path,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,14 +90,18 @@ def test_solve_trace_dumps_each_step(tmp_path, capsys):
 
 def two_swept_components():
     # vertex 4 is forced (a singleton removal that strips color 1 from
-    # vertex 3) and vertex 5 is rich; two caterpillar components remain
-    return make_instance(
+    # vertex 3) and vertex 5 is rich; two caterpillar components remain, and
+    # the second answers NO with no frozen set, so auto sweeps it and the
+    # sweep loses tar at step 4 of 5
+    inst = make_instance(
         Graph(9, [(0, 1), (0, 5), (2, 3), (3, 4), (3, 6), (6, 7), (3, 8)]),
-        [{1, 2}, {2, 3}, {3, 4}, {1, 2, 3, 4}, {1}, {1, 2, 3, 4},
-         {2, 3, 4}, {3, 4}, {2, 4}],
-        (1, 2, 3, 2, 1, 3, 3, 4, 4),
-        (2, 3, 4, 3, 1, 4, 4, 3, 2),
+        [{1, 2}, {2, 3}, {1, 4}, {1, 2, 3, 4}, {1}, {1, 2, 3, 4},
+         {3, 4}, {1, 4}, {2, 3}],
+        (1, 2, 1, 4, 1, 3, 3, 1, 3),
+        (2, 3, 1, 3, 1, 4, 4, 1, 2),
     )
+    assert not has_frozen_no(inst)
+    return inst
 
 
 def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
@@ -110,27 +120,26 @@ def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
         "eedge 0 1\n"
         "component 1\n"
         "step 1 vertex 0 init\n"
-        "enode 0 col 3 ini 1 tar 0\n"
-        "enode 1 col 4 ini 0 tar 1\n"
+        "enode 0 col 1 ini 1 tar 1\n"
+        "enode 1 col 4 ini 0 tar 0\n"
         "eedge 0 1\n"
         "step 2 vertex 1 spine\n"
-        "enode 0 col 2 ini 1 tar 0\n"
-        "enode 1 col 3 ini 0 tar 1\n"
-        "enode 2 col 4 ini 0 tar 0\n"
-        "eedge 0 1\n"
-        "eedge 0 2\n"
-        "step 3 vertex 4 leaf\n"
-        "enode 0 col 2 ini 1 tar 0\n"
-        "enode 1 col 3 ini 0 tar 1\n"
-        "eedge 0 1\n"
-        "step 4 vertex 2 spine\n"
         "enode 0 col 2 ini 0 tar 0\n"
-        "enode 1 col 3 ini 1 tar 0\n"
-        "enode 2 col 4 ini 0 tar 1\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "enode 2 col 4 ini 1 tar 0\n"
+        "eedge 0 1\n"
         "eedge 0 2\n"
         "eedge 1 2\n"
-        "step 5 vertex 3 spine\n"
-        "enode 0 col 4 ini 1 tar 0\n"
+        "step 3 vertex 4 leaf\n"
+        "enode 0 col 2 ini 0 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "enode 2 col 4 ini 1 tar 0\n"
+        "eedge 0 2\n"
+        "eedge 1 2\n"
+        "step 4 vertex 2 spine\n"
+        "enode 0 col 3 ini 1 tar 0\n"
+        "enode 1 col 4 ini 0 tar 0\n"
+        "eedge 0 1\n"
     )
 
 
@@ -241,9 +250,9 @@ def test_solve_state_cap_exits_3(tmp_path, capsys):
 
 
 def test_solve_answers_a_no_beside_a_refused_component(tmp_path, capsys):
-    frozen = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {0, 1}], (0, 1), (1, 0))
+    # the winding path has no frozen set: its NO comes from the sweep or oracle
     for cycle_first in (False, True):
-        path = write_lcr(tmp_path, beside_a_huge_cycle(frozen, cycle_first))
+        path = write_lcr(tmp_path, beside_a_huge_cycle(winding_path(), cycle_first))
         for extra in ([], ["--witness"]):
             assert main(["solve", path, *extra]) == EXIT_OK
             assert capsys.readouterr().out == "NO\n"
@@ -252,22 +261,59 @@ def test_solve_answers_a_no_beside_a_refused_component(tmp_path, capsys):
 def test_solve_refusal_beside_yes_components_exits_3(tmp_path, capsys):
     mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
     for cycle_first in (False, True):
-        path = write_lcr(tmp_path, beside_a_huge_cycle(mixed, cycle_first))
+        inst = beside_a_huge_cycle(mixed, cycle_first)
+        assert not has_frozen_no(inst)
+        path = write_lcr(tmp_path, inst)
         assert main(["solve", path]) == EXIT_CAP
         assert "exceeds cap" in capsys.readouterr().err
 
 
-def test_a_refusal_past_4300_digits_exits_3(tmp_path, capsys):
+def big_caterpillar(tmp_path):
     # 15,508 vertices: the state space is about 10^5360 colourings, an int
     # too long for CPython to write out
     path = str(tmp_path / "big.lcr")
     gen = ["gen", "caterpillar", "--spine-len", "8000", "--seed", "3", "-o", path]
     assert main(gen) == EXIT_OK
-    for argv in (["solve", path, "--witness"], ["solve", path, "--algo", "bruteforce"],
-                 ["oracle", "stats", path]):
+    return path
+
+
+def test_a_refusal_past_4300_digits_exits_3(tmp_path, capsys):
+    # the oracle asked for outright; auto answers this file from a frozen set
+    path = big_caterpillar(tmp_path)
+    for argv in (["solve", path, "--algo", "bruteforce", "--witness"],
+                 ["solve", path, "--algo", "bruteforce"], ["oracle", "stats", path]):
         assert main(argv) == EXIT_CAP
         err = capsys.readouterr().err
         assert "exceeds cap" in err and len(err) < 200
+
+
+def test_frozen_nos_past_the_cap_answer_under_auto(tmp_path, capsys):
+    # each has a frozen set that fr recolours, which answers before the
+    # oracle could refuse; with --witness auto would otherwise need it
+    for path in (big_caterpillar(tmp_path), write_lcr(tmp_path, frozen_cycle())):
+        for extra in ([], ["--witness"]):
+            assert main(["solve", path, *extra]) == EXIT_OK
+            assert capsys.readouterr().out == "NO\n"
+        assert main(["solve", path, "--algo", "bruteforce"]) == EXIT_CAP
+        capsys.readouterr()
+
+
+def test_solve_trace_names_the_frozen_set(tmp_path, capsys):
+    assert main(["solve", write_lcr(tmp_path, frozen_edge()), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "NO\n# no sweep: a frozen set of 2 vertices, on which fr differs from f0: 0 1\n"
+    )
+    # the set is in input ids, with the one-colour vertices normalization removed
+    inst = make_instance(
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+        [{1, 2, 3}, {3}, {1, 2, 3}, {1, 2}],
+        (2, 3, 1, 2),
+        (1, 3, 2, 1),
+    )
+    assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "# no sweep: a frozen set of 3 vertices, on which fr differs from f0: 1 2 3"
+    )
 
 
 def test_solve_answers_yes_beside_a_still_huge_cycle(tmp_path, capsys):

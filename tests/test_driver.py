@@ -16,23 +16,38 @@ from .helpers import (
     beside_a_huge_cycle,
     caterpillar_corpus,
     cycle_graph,
+    frozen_cycle,
     gen_random_instance,
+    has_frozen_no,
+    layered_corpus,
+    proves_no,
+    side_by_side,
     sweep_answer,
+    winding_path,
 )
+
+
+def mixed_edge():
+    return make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (2, 3))
 
 
 def two_component_instance(yes_first=False):
     """Frozen edge on {0,1} next to a mixed edge on {2,3}, or with
     ``yes_first`` the mixed edge on {0,1} and the frozen one on {2,3}."""
-    frozen = ([{1, 2}, {1, 2}], (1, 2), (2, 1))
-    mixed = ([{1, 2}, {2, 3}], (1, 2), (2, 3))
-    first, second = (mixed, frozen) if yes_first else (frozen, mixed)
-    return make_instance(
-        Graph(4, [(0, 1), (2, 3)]),
-        first[0] + second[0],
-        first[1] + second[1],
-        first[2] + second[2],
-    )
+    frozen = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {1, 2}], (1, 2), (2, 1))
+    return side_by_side(mixed_edge(), frozen) if yes_first else side_by_side(frozen, mixed_edge())
+
+
+def winding_components(yes_first=False):
+    """The winding path on {0,1,2} next to a mixed edge on {3,4}, or with
+    ``yes_first`` the edge on {0,1} and the path on {2,3,4}: a NO that no
+    frozen set shows, so ``auto`` has to run its engines to find it."""
+    if yes_first:
+        inst = side_by_side(mixed_edge(), winding_path())
+    else:
+        inst = side_by_side(winding_path(), mixed_edge())
+    assert not has_frozen_no(inst)
+    return inst
 
 
 def frozen_head_path():
@@ -81,13 +96,13 @@ def test_auto_recognizes_each_component_once(monkeypatch):
             return original(g)
 
         monkeypatch.setattr(module, "recognize_caterpillar", counting)
-    # the frozen edge answers NO, so a mixed edge after it is never reached
-    for yes_first, answers in ((True, [True, False]), (False, [False])):
+    # the winding path answers NO, so a mixed edge after it is never reached
+    for yes_first, sizes in ((True, [2, 3]), (False, [3])):
         calls.clear()
-        report = solve_driver(two_component_instance(yes_first), "auto")
+        report = solve_driver(winding_components(yes_first), "auto")
         assert report.algorithm == "caterpillar"
-        assert [c.answer for c in report.components] == answers
-        assert calls == [2] * len(answers)
+        assert [c.answer for c in report.components] == [True, False][-len(sizes):]
+        assert calls == sizes
 
 
 def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
@@ -150,10 +165,8 @@ def test_a_sweep_stops_at_the_step_that_loses_tar():
     assert comp.slack_min == min(rec.bound - rec.pre_extraction for rec in ran)
 
 
-@pytest.mark.parametrize("algo, want_witness", [
-    ("auto", False), ("auto", True), ("bruteforce", False),
-])
-def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness):
+def count_engine_calls(monkeypatch):
+    """Record, by name, each call of the pieces a component run uses."""
     calls = []
     for module, name in ((lcr.driver, "induced_instance"),
                          (lcr.driver, "recognize_caterpillar"),
@@ -164,14 +177,89 @@ def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    report = solve_driver(two_component_instance(), algo, want_witness=want_witness)
+    return calls
+
+
+@pytest.mark.parametrize("algo, want_witness", [
+    ("auto", False), ("auto", True), ("bruteforce", False),
+])
+def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness):
+    calls = count_engine_calls(monkeypatch)
+    report = solve_driver(winding_components(), algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
-    assert [c.vertices for c in report.components] == [(0, 1)]
-    # one of each call, all for the frozen edge
+    assert [c.vertices for c in report.components] == [(0, 1, 2)]
+    # one of each call, all for the winding path
     swept = algo == "auto" and not want_witness
     assert calls == ["induced_instance"] + (
         ["recognize_caterpillar", "encoding_history"] if swept else ["build"]
     )
+
+
+def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
+    calls = count_engine_calls(monkeypatch)
+    for yes_first, frozen in ((False, (0, 1)), (True, (2, 3))):
+        inst = two_component_instance(yes_first)
+        for want_witness in (False, True):
+            report = solve_driver(inst, "auto", want_witness=want_witness)
+            assert report == lcr.driver.SolveReport(False, "frozen", None, [], frozen)
+        assert calls == []
+        # the engines the tests take as references still run on it
+        swept = solve_driver(inst, "caterpillar")
+        assert calls.count("encoding_history") == len(swept.components) >= 1
+        assert "build" not in calls
+        calls.clear()
+        brute = solve_driver(inst, "bruteforce")
+        assert calls.count("build") == len(brute.components) >= 1
+        assert "encoding_history" not in calls
+        assert not swept.answer and not brute.answer and swept.frozen is brute.frozen is None
+        calls.clear()
+
+
+def test_a_frozen_no_past_the_cap_answers_under_auto():
+    # the oracle refuses the frozen cycle's 3^30 colourings, and the sweep
+    # takes no cycle; its frozen set answers before either is asked
+    inst = frozen_cycle()
+    for want_witness in (False, True):
+        report = solve_driver(inst, "auto", want_witness=want_witness)
+        assert (report.answer, report.algorithm, report.frozen) == (False, "frozen", tuple(range(30)))
+    with pytest.raises(StateSpaceTooLarge):
+        solve_driver(inst, "bruteforce")
+    with pytest.raises(NotCaterpillar):
+        solve_driver(inst, "caterpillar")
+
+
+def frozen_corpus():
+    """Random graphs (one-colour lists and rich ones included, so that
+    normalization removes vertices), small caterpillars and compiled layered
+    instances."""
+    for seed in range(400):
+        yield gen_random_instance(7, edge_prob=0.3, colors=3, seed=8100 + seed)
+        yield gen_random_instance(8, edge_prob=0.3, colors=4, seed=8100 + seed)
+    yield from caterpillar_corpus(300, base_seed=8301, max_n=10)
+    for _, red in layered_corpus(150, base_seed=8401, density_range=(0.2, 0.5)):
+        yield red.lcr
+
+
+def test_auto_takes_the_frozen_shortcut_exactly_when_the_reference_does():
+    frozen = needs_singletons = 0
+    for inst in frozen_corpus():
+        expect = inst.f0 != inst.fr and has_frozen_no(inst)
+        brute = solve_driver(inst, "bruteforce").answer
+        for want_witness in (False, True):
+            report = solve_driver(inst, "auto", want_witness=want_witness)
+            assert (report.algorithm == "frozen") == expect
+            if not expect:
+                assert report.frozen is None
+                continue
+            # the set is checked against the input, and the oracle agrees
+            assert report.answer is brute is False
+            assert report.witness is None and report.components == []
+            assert proves_no(inst, report.frozen)
+        if expect:
+            frozen += 1
+            trimmed_only = set(normalize(inst)[1].kept) & set(report.frozen)
+            needs_singletons += not proves_no(inst, sorted(trimmed_only))
+    assert frozen >= 150 and needs_singletons >= 30
 
 
 def corpora():
@@ -182,6 +270,11 @@ def corpora():
     for seed in range(60):
         yield gen_random_instance(7, edge_prob=0.25, colors=3, seed=seed)
         yield gen_random_instance(10, edge_prob=0.15, colors=3, list_range=(2, 2), seed=seed)
+    # most NOs above have a frozen set, which answers before any component
+    # runs; a winding path first leaves auto a NO to find by its engines
+    for seed in range(40):
+        rest = gen_random_instance(10, edge_prob=0.15, colors=3, list_range=(2, 3), seed=seed)
+        yield side_by_side(winding_path(), rest)
 
 
 def whole_sweep_answer(inst):
@@ -205,7 +298,8 @@ def test_stopped_answers_match_whole_sweeps_and_the_oracle():
         assert report.answer == whole_sweep_answer(inst)
         assert report.answer == solve_driver(inst, "bruteforce").answer
         no += not report.answer
-        if inst.f0 != inst.fr:
+        # a frozen NO runs no component; the stop is counted on the others
+        if inst.f0 != inst.fr and report.algorithm != "frozen":
             ran = len(report.components)
             skipped += len(normalize(inst)[0].graph.connected_components()) - ran
     assert no >= 10 and skipped >= 10
@@ -223,12 +317,21 @@ def test_a_whole_sweep_never_gets_tar_back():
 
 
 def test_caterpillar_and_oracle_agree_through_the_driver():
-    for inst in caterpillar_corpus(40, base_seed=7101, max_n=10):
-        swept = solve_driver(inst, algo="auto")
+    swept_no = 0
+    corpus = caterpillar_corpus(40, base_seed=7101, max_n=10)
+    # three colours give NOs that no frozen set shows
+    corpus += caterpillar_corpus(40, base_seed=7101, max_n=10, colors=3)
+    for inst in corpus:
+        auto = solve_driver(inst, algo="auto")
+        swept = solve_driver(inst, algo="caterpillar")
         brute = solve_driver(inst, algo="bruteforce")
-        assert swept.answer == brute.answer
+        assert auto.answer == swept.answer == brute.answer
         if inst.f0 != inst.fr:
-            assert swept.algorithm == "caterpillar"
+            # auto sweeps every instance that no frozen set settles
+            frozen = has_frozen_no(inst)
+            assert auto.algorithm == ("frozen" if frozen else "caterpillar")
+            swept_no += not frozen and not auto.answer
+    assert swept_no >= 1
 
 
 def test_equal_endpoints_shortcut():
@@ -261,7 +364,8 @@ def test_witnesses_come_back_in_original_ids():
 
 def test_witness_requests_fall_back_to_the_oracle():
     inst = next(
-        i for i in caterpillar_corpus(5, base_seed=7201, max_n=9) if i.f0 != i.fr
+        i for i in caterpillar_corpus(5, base_seed=7201, max_n=9)
+        if i.f0 != i.fr and not has_frozen_no(i)
     )
     report = solve_driver(inst, algo="auto", want_witness=True)
     assert report.algorithm == "bruteforce"
@@ -312,18 +416,21 @@ def test_tiny_state_cap_trips_the_guard():
     ("auto", False), ("auto", True), ("bruteforce", False), ("bruteforce", True),
 ])
 def test_a_refused_component_does_not_hide_a_no(cycle_first, algo, want_witness):
-    frozen = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {0, 1}], (0, 1), (1, 0))
-    inst = beside_a_huge_cycle(frozen, cycle_first)
+    # the winding path has no frozen set, so auto too needs its oracle or sweep
+    inst = beside_a_huge_cycle(winding_path(), cycle_first)
+    assert not has_frozen_no(inst)
     report = solve_driver(inst, algo=algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
-    assert [len(c.vertices) for c in report.components] == [2]
+    assert [len(c.vertices) for c in report.components] == [3]
 
 
 @pytest.mark.parametrize("cycle_first", [False, True])
 def test_a_refusal_beside_only_yes_components_still_raises(cycle_first):
     mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
+    inst = beside_a_huge_cycle(mixed, cycle_first)
+    assert not has_frozen_no(inst)
     with pytest.raises(StateSpaceTooLarge):
-        solve_driver(beside_a_huge_cycle(mixed, cycle_first))
+        solve_driver(inst)
 
 
 @pytest.mark.parametrize("cycle_first", [False, True])

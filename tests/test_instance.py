@@ -21,12 +21,23 @@ from lcr.errors import (
     InvalidSequence,
     PartialColoring,
 )
-from lcr.instance import LcrInstance, induced_instance, is_proper_list_coloring
+from lcr.instance import (
+    LcrInstance,
+    frozen_no,
+    induced_instance,
+    is_proper_list_coloring,
+)
 from lcr.oracle import build, oracle_decide, reachable
 
 from .helpers import (
+    caterpillar_corpus,
+    frozen_cycle,
     gen_random_instance,
+    greatest_frozen_set,
+    has_frozen_no,
+    layered_corpus,
     path_graph,
+    proves_no,
     quadratic_normalize,
     star_graph,
     trimmed_instance,
@@ -322,6 +333,89 @@ def test_normalize_preserves_the_answer():
         inst = gen_random_instance(6, colors=3, seed=500 + seed)
         trimmed, _ = normalize(inst)
         assert oracle_decide(inst) == oracle_decide(trimmed)
+
+
+# -- frozen sets -----------------------------------------------------------------
+
+
+def frozen_corpus():
+    """Seeded instances of three kinds, raw and normalized: random graphs
+    (with one-colour lists), small caterpillars and compiled layered ones."""
+    for seed in range(300):
+        yield gen_random_instance(7, edge_prob=0.3, colors=3, seed=seed)
+        yield gen_random_instance(9, edge_prob=0.25, colors=3, list_range=(2, 3), seed=seed)
+    yield from caterpillar_corpus(300, base_seed=9101, max_n=12)
+    for _, red in layered_corpus(40, base_seed=9201):
+        yield red.lcr
+
+
+def test_frozen_no_matches_the_greatest_frozen_set():
+    hits = misses = 0
+    for raw in frozen_corpus():
+        for inst in (raw, normalize(raw)[0]):
+            found = frozen_no(inst)
+            assert (found is not None) == has_frozen_no(inst)
+            if found is None:
+                misses += 1
+                continue
+            hits += 1
+            assert found == sorted(set(found))
+            assert set(found) <= greatest_frozen_set(inst)
+            assert proves_no(inst, found)
+    assert hits >= 200 and misses >= 200
+
+
+def test_the_frozen_no_checker_fails_on_mutations():
+    cycle = frozen_cycle()
+    edge = make_instance(path_graph(2), [{0, 1}, {0, 1}], (0, 1), (1, 0))
+    for inst in (cycle, edge):
+        whole = range(inst.graph.n)
+        assert proves_no(inst, frozen_no(inst)) and frozen_no(inst) == list(whole)
+        # each vertex holds a colour that a neighbour has no other holder of
+        for v in whole:
+            assert not proves_no(inst, [u for u in whole if u != v])
+    # f0's old colour at a recoloured vertex sits on no neighbour (f0 was
+    # proper), so no set holding that vertex stays frozen
+    recoloured = 0
+    for raw in frozen_corpus():
+        found = frozen_no(raw)
+        if found is None:
+            continue
+        for v in found:
+            for c in raw.lists[v] - {raw.f0[v]}:
+                f0 = raw.f0[:v] + (c,) + raw.f0[v + 1:]
+                mutant = LcrInstance(raw.graph, raw.lists, f0, raw.fr)
+                assert not proves_no(mutant, found)
+                recoloured += 1
+        # and fr put back to f0 on the set leaves nothing to prove
+        fr = tuple(raw.f0[v] if v in found else c for v, c in enumerate(raw.fr))
+        assert not proves_no(LcrInstance(raw.graph, raw.lists, raw.f0, fr), found)
+    assert recoloured >= 500
+
+
+def test_a_frozen_set_is_a_no():
+    checked = 0
+    for inst in frozen_corpus():
+        if frozen_no(inst) is not None:
+            assert not oracle_decide(inst)
+            checked += 1
+    assert checked >= 200
+
+
+def test_a_frozen_set_keeps_the_blockers_where_fr_agrees():
+    # the winding path with {1,2} in place of {0,2} at vertex 2: f0 = (0,1,2)
+    # now sees every other colour, and vertex 2, where fr agrees, holds the
+    # colour that pins vertex 1; with {0,2} vertex 2 is free and nothing is
+    frozen = make_instance(path_graph(3), [{0, 1}, {0, 1, 2}, {1, 2}], (0, 1, 2), (1, 0, 2))
+    assert frozen_no(frozen) == [0, 1, 2]
+    assert not proves_no(frozen, [0, 1])
+    free = make_instance(path_graph(3), [{0, 1}, {0, 1, 2}, {0, 2}], (0, 1, 2), (1, 0, 2))
+    assert frozen_no(free) is None and greatest_frozen_set(free) == set()
+    # with f0 = fr there is nothing to look at, however frozen the instance
+    cycle = frozen_cycle()
+    still = LcrInstance(cycle.graph, cycle.lists, cycle.f0, cycle.f0)
+    assert greatest_frozen_set(still) == set(range(30))
+    assert frozen_no(still) is None
 
 
 # -- witness lifting -------------------------------------------------------------
