@@ -4,9 +4,11 @@ Decide whether one proper list coloring can be turned into another by
 recoloring a single vertex at a time, with every intermediate coloring
 proper.  The package bundles an exhaustive oracle for small instances, a
 sweep for caterpillar trees whose per-step cost follows the encoding size
-(quadratic in n on 3-colour paths), a compiler from shortest-path rerouting
-that yields bipartite, threshold-extensible hard instances, and the file
-formats, generators, and CLI that tie them together.
+(quadratic in n on 3-colour paths), a linear-time height argument that
+decides components whose lists lie within three colours, a compiler from
+shortest-path rerouting that yields bipartite, threshold-extensible hard
+instances, and the file formats, generators, and CLI that tie them
+together.
 
 The names below are the ones the README and the demos use; everything else
 is imported from its module.

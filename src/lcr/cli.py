@@ -84,6 +84,12 @@ def _cmd_solve(args) -> int:
     if args.trace and report.frozen is not None:
         print(f"# no sweep: a frozen set of {len(report.frozen)} vertices, "
               "on which fr differs from f0:", *report.frozen)
+    elif args.trace and report.winding is not None:
+        kind, vertices = report.winding
+        print("# heights: two-colour vertices whose bands fix different lifts of fr:"
+              if kind == "pair" else
+              f"# heights: a cycle of {len(vertices)} vertices, around which "
+              "f0 and fr wind differently:", *vertices)
     elif args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
     return EXIT_OK
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--algo", choices=ALGORITHMS, default="auto")
     p.add_argument("--witness", action="store_true",
-                   help="print a recoloring witness (oracle only)")
+                   help="print a recoloring witness (from the heights or the oracle)")
     p.add_argument("--trace", action="store_true",
                    help="dump each step's encoding graph, up to a lost tar")
     p.add_argument("--state-cap", type=_state_cap, default=oracle.DEFAULT_STATE_CAP)

@@ -2,10 +2,13 @@
 
 Order of business: check the endpoints, shortcut f0 = fr, normalize; under
 ``auto``, answer NO from a frozen set that fr recolours, before any engine
-runs; then split the trimmed graph into components and run the caterpillar
-sweep or the exhaustive oracle on each component in turn; an oracle-bound
-component whose endpoints agree needs neither.  Witnesses only come from the
-oracle and are lifted back through the normalization trace.
+runs; then split the trimmed graph into components and answer each in turn.
+Under ``auto`` a component whose lists lie within three colours goes to the
+heights (``lcr.heights``), which decide it in linear time unless neither
+end lifts; the others, and those, go to the caterpillar sweep or the
+exhaustive oracle; an oracle-bound component whose endpoints agree needs
+neither.  Witnesses come from the heights or the oracle and are lifted back
+through the normalization trace.
 
 The run stops once its answer is known: a sweep at the step that loses the
 tar mark, which no later step brings back (a spine step passes it on only
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import caterpillar_dp, oracle
+from . import caterpillar_dp, heights, oracle
 from .caterpillar_dp import SizeRecord, Sweep
 from .errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from .graph import recognize_caterpillar
@@ -40,7 +43,7 @@ ALGORITHMS = ("auto", "caterpillar", "bruteforce")
 @dataclass
 class ComponentReport:
     vertices: tuple[int, ...]  # ids in the normalized instance
-    algorithm: str  # "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
+    algorithm: str  # "heights" | "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
     answer: bool
     oracle_nodes: Optional[int] = None
     # a swept run's sweep steps, fewer than len(vertices) where it lost tar,
@@ -58,12 +61,15 @@ class SolveReport:
     component is the last.  A ``"frozen"`` NO runs none."""
 
     answer: bool
-    algorithm: str  # "trivial" | "frozen" | "caterpillar" | "bruteforce" | "mixed"
+    algorithm: str  # "trivial" | "frozen" | "heights" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
     # a "frozen" NO's vertex set, sorted input ids: f0 freezes it in the
     # input instance, and fr differs from f0 on it
     frozen: Optional[tuple[int, ...]] = None
+    # a "heights" NO's certificate, in input ids: its vertices lie in the
+    # trimmed instance, whose lists are the ones it speaks of
+    winding: Optional[heights.Winding] = None
 
 
 def solve_driver(
@@ -80,20 +86,23 @@ def solve_driver(
     asked or not: the report's algorithm is ``"frozen"``, and ``frozen``
     holds the set in input ids together with the vertices that
     normalization removed as one-colour ones, so it is frozen in the input
-    itself.  Otherwise ``auto`` runs the caterpillar sweep on each component
-    of the trimmed graph that is a caterpillar and the oracle on the others;
-    the report's algorithm is ``"mixed"`` when the components went different
+    itself.  Otherwise ``auto`` tries the heights on each component of the
+    trimmed graph, witness asked or not; a heights NO leaves its
+    certificate in ``winding``.  A component they do not take goes to the
+    caterpillar sweep if it is a caterpillar and to the oracle if not; the
+    report's algorithm is ``"mixed"`` when the components went different
     ways.  ``caterpillar`` and ``bruteforce`` always run their own engine.
-    Witness extraction is oracle-only, so ``want_witness`` overrides the
-    sweep unless the caller insisted on it, in which case a witness request
-    is an error.  Each component is recognized at most once; the sweep
-    reuses that structure.  ``observer``, if given, sees each sweep step that
-    runs as (live ``Sweep``, size record); each swept component opens with
-    ``init``, and a sweep's last step is the one that lost tar, if any.
-    The first NO component ends the run.  A component bound for the oracle
-    whose endpoints agree answers YES as ``"trivial"`` and builds nothing;
-    the run's algorithm is named by the other components that ran, if any.
-    A component whose oracle would pass ``state_cap`` is skipped, and its
+    Witnesses come from the heights and the oracle, so ``want_witness``
+    sends what the heights leave to the oracle unless the caller insisted
+    on the sweep, in which case a witness request is an error.  Each
+    component is recognized at most once; the sweep reuses that structure.
+    ``observer``, if given, sees each sweep step that runs as (live
+    ``Sweep``, size record); each swept component opens with ``init``, and a
+    sweep's last step is the one that lost tar, if any.  The first NO
+    component ends the run.  A component bound for the oracle whose
+    endpoints agree answers YES as ``"trivial"`` and builds nothing; the
+    run's algorithm is named by the other components that ran, if any.  A
+    component whose oracle would pass ``state_cap`` is skipped, and its
     ``StateSpaceTooLarge`` raised at the end only if no component said NO.
     """
     if algo not in ALGORITHMS:
@@ -122,20 +131,31 @@ def solve_driver(
                 r.vertex for r in trace.removals if isinstance(r, SingletonRemoval)
             ]
             return SolveReport(False, "frozen", None, [], tuple(sorted(frozen)))
-    # a witness request sends auto to the oracle without recognizing anything
+    # a witness request sends auto past the sweep without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
-    answer, refusal = True, None
+    answer, refusal, winding = True, None, None
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
         sub = induced_instance(trimmed, comp)  # new id i is comp[i]
+        # None unless the component is within three colours and an end lifts
+        decided = heights.decide(sub, want_witness) if algo == "auto" else None
         # None unless the component is a caterpillar
-        structure = recognize_caterpillar(sub.graph) if sweep else None
+        structure = recognize_caterpillar(sub.graph) if sweep and decided is None else None
         if structure is None and algo == "caterpillar":
             raise NotCaterpillar(
                 f"component {comp} of the trimmed graph is not a caterpillar"
             )
-        if structure is not None:
+        steps = None  # a YES's witness, in the component's ids
+        if decided is not None:
+            report = ComponentReport(tuple(comp), "heights", decided.answer)
+            steps = decided.steps
+            if decided.winding is not None:
+                kept = trace.kept
+                winding = decided.winding._replace(
+                    vertices=tuple(kept[comp[v]] for v in decided.winding.vertices)
+                )
+        elif structure is not None:
             peak, lo, hi = 0, math.inf, -math.inf
             for state, rec in caterpillar_dp.encoding_history(sub, structure):
                 pre = rec.pre_extraction
@@ -169,8 +189,8 @@ def solve_driver(
                 tuple(comp), "bruteforce", steps is not None,
                 oracle_nodes=rg.num_nodes,
             )
-            if steps is not None and witness_steps is not None:
-                witness_steps.extend((comp[v], c) for v, c in steps)
+        if steps is not None and witness_steps is not None:
+            witness_steps.extend((comp[v], c) for v, c in steps)
         reports.append(report)
         if not report.answer:
             answer = False
@@ -189,4 +209,4 @@ def solve_driver(
     if want_witness and answer:
         witness = lift_sequence(trace, inst, witness_steps)
 
-    return SolveReport(answer, chosen, witness, reports)
+    return SolveReport(answer, chosen, witness, reports, winding=winding)

@@ -1164,7 +1164,8 @@ def winding_path() -> LcrInstance:
     fr = (1, 0, 2).  Only vertex 2 is free under f0, so the greatest frozen
     set is empty; yet f0 reaches just (0,1,0), (0,2,0) and (1,2,0), one
     move apart in a line, so the first edge never trades its colours.  It
-    is normalized.
+    is normalized.  Its lists lie within three colours, so the heights
+    answer it: the bands of vertices 0 and 2 fix different lifts of fr.
     """
     return LcrInstance(
         path_graph(3),
@@ -1174,21 +1175,61 @@ def winding_path() -> LcrInstance:
     )
 
 
+def four_colour_no() -> LcrInstance:
+    """A 5-vertex path that answers NO with four colours in its lists, and
+    no frozen set shows it from either end (``gen_caterpillar(4,
+    leaf_prob=0.3, colors=4, seed=711)``: a 4-vertex spine and one leaf on
+    its last vertex).
+
+    The lists are {1,2}, {0,1,2}, {0,1,2}, {1,2} and {1,3}, and f0 =
+    (1, 2, 0, 2, 3) must become fr = (2, 1, 0, 2, 3).  Colour 3 keeps it
+    from the heights, so ``auto`` needs the sweep or the oracle for it.  It
+    is normalized.
+    """
+    return LcrInstance(
+        path_graph(5),
+        tuple(map(frozenset, ({1, 2}, {0, 1, 2}, {0, 1, 2}, {1, 2}, {1, 3}))),
+        (1, 2, 0, 2, 3),
+        (2, 1, 0, 2, 3),
+    )
+
+
+def even_cycle_no() -> LcrInstance:
+    """A 6-cycle with lists {0,1,2}: f0 alternates 0 and 1 and lifts, fr
+    runs 0, 1, 2 twice round and winds by 6, so it never lifts, and the
+    answer is NO.  f0 leaves every vertex free, so no frozen set of f0
+    shows it; the heights answer it with a cycle."""
+    return LcrInstance(
+        cycle_graph(6),
+        (frozenset({0, 1, 2}),) * 6,
+        (0, 1, 0, 1, 0, 1),
+        (0, 1, 2, 0, 1, 2),
+    )
+
+
+def huge_cycle(still: bool = False) -> LcrInstance:
+    """A 31-cycle with lists {0,1,2}, whose 3^31 colourings pass any usable
+    state cap.  f0 is i mod 2, with 2 on vertex 30; fr is f0 + 1 mod 3, or
+    with ``still`` f0 itself.  An odd cycle never lifts to heights, so the
+    heights leave it; vertex 1 is free under either end, which unpins vertex
+    0, then vertex 30 and vertex 29, so no frozen set settles it: only the
+    oracle could answer it."""
+    f0 = tuple(i % 2 for i in range(30)) + (2,)
+    return LcrInstance(
+        cycle_graph(31),
+        (frozenset({0, 1, 2}),) * 31,
+        f0,
+        f0 if still else tuple((c + 1) % 3 for c in f0),
+    )
+
+
 def beside_a_huge_cycle(
     small: LcrInstance, cycle_first: bool = False, still: bool = False
 ) -> LcrInstance:
-    """The instance ``small`` next to a 30-cycle with lists {0,1,2}, whose
-    3^30 colourings pass any usable state cap; ``cycle_first`` numbers the
-    cycle 0..29 and ``small`` from 30 on, else ``small`` comes first.  The
-    cycle goes from f0 = i mod 2 to fr = i mod 2 + 1, or with ``still``
-    keeps f0 = fr = i mod 2.  Each of its vertices has a free colour under
-    f0, so no frozen set settles it, and only the oracle could answer it."""
-    cycle = LcrInstance(
-        cycle_graph(30),
-        (frozenset({0, 1, 2}),) * 30,
-        tuple(i % 2 for i in range(30)),
-        tuple(i % 2 + (not still) for i in range(30)),
-    )
+    """The instance ``small`` next to ``huge_cycle(still)``; ``cycle_first``
+    numbers the cycle 0..30 and ``small`` from 31 on, else ``small`` comes
+    first."""
+    cycle = huge_cycle(still)
     return side_by_side(cycle, small) if cycle_first else side_by_side(small, cycle)
 
 
@@ -1240,6 +1281,110 @@ def proves_no(inst: LcrInstance, vertices: Sequence[int]) -> bool:
     if not s <= set(range(inst.graph.n)):
         return False
     return all(_pinned(inst, v, s) for v in s) and any(inst.f0[v] != inst.fr[v] for v in s)
+
+
+# -- heights -------------------------------------------------------------------------
+
+
+def outside_heights(inst: LcrInstance) -> bool:
+    """True if the heights take no component of the normalized instance:
+    each holds four colours or more in its lists, or is not bipartite, so
+    that no colouring of it lifts.  The normalization is the reference one."""
+    trimmed, _ = quadratic_normalize(inst)
+    for comp in trimmed.graph.connected_components():
+        if len(set().union(*(trimmed.lists[v] for v in comp))) <= 3:
+            if queue_is_bipartite(trimmed.graph.induced_subgraph(comp)) is not None:
+                return False
+    return True
+
+
+def _walk_heights(inst: LcrInstance, walk: Sequence[int], f, rank) -> Optional[list[int]]:
+    """Heights of f along the walk from rank[f(walk[0])], or None where f
+    leaves a list or repeats a colour across a step."""
+    if any(f[v] not in inst.lists[v] for v in walk):
+        return None
+    h = [rank[f[walk[0]]]]
+    for a, b in zip(walk, walk[1:]):
+        if f[a] == f[b]:
+            return None
+        h.append(h[-1] + (1 if (rank[f[b]] - rank[f[a]]) % 3 == 1 else -1))
+    return h
+
+
+def proves_winding(inst: LcrInstance, kind: str, vertices: Sequence[int]) -> bool:
+    """Independent checker of a heights NO, given in the instance's ids.
+
+    Both ends must be proper list colourings.  The certificate speaks of
+    the trimmed lists, which the reference normalization gives.  A ``"pair"`` (u, v) names two two-colour vertices
+    of one trimmed component; f0 and fr are lifted along one u-v path of the
+    trimmed graph and nowhere else, and the bands of u and v must fix
+    different lifts of fr.  A ``"cycle"`` is a closed walk of the trimmed
+    graph around which f0 and fr must wind differently.  Either way the
+    lists on the walk must lie within three colours.  Then a move of a
+    walk vertex needs its two walk neighbours on the third colour, which
+    changes neither the heights' rise along the path nor the winding, and
+    a two-colour vertex's height stays in its band: fr is out of reach.
+    """
+    for f in (inst.f0, inst.fr):
+        if not all(c in lst for c, lst in zip(f, inst.lists)):
+            return False
+        if any(f[a] == f[b] for a, b in inst.graph.edges):
+            return False
+    trimmed, trace = quadratic_normalize(inst)
+    at = {v: i for i, v in enumerate(trace.kept)}
+    if not all(v in at for v in vertices):
+        return False
+    ends = [at[v] for v in vertices]
+    g = trimmed.graph
+    if kind == "pair" and len(ends) == 2:
+        walk = queue_shortest_path(g, *ends)
+        if walk is None:
+            return False
+    elif kind == "cycle" and len(ends) >= 3:
+        walk = ends + ends[:1]
+        if not all(g.has_edge(a, b) for a, b in zip(walk, walk[1:])):
+            return False
+    else:
+        return False
+    palette = sorted(set().union(*(trimmed.lists[v] for v in walk)))
+    if len(palette) > 3:
+        return False
+    rank = {c: i for i, c in enumerate(palette)}
+    colour = dict(enumerate(palette))
+    h0 = _walk_heights(trimmed, walk, trimmed.f0, rank)
+    hr = _walk_heights(trimmed, walk, trimmed.fr, rank)
+    if h0 is None or hr is None:
+        return False
+    if kind == "cycle":
+        return h0[-1] - h0[0] != hr[-1] - hr[0]
+    ks = []
+    for i in (0, -1):
+        lst = trimmed.lists[walk[i]]
+        if len(lst) != 2:
+            return False
+        # the band: h0 and the one height two away whose colour is the other
+        band = [h0[i]] + [x for x in (h0[i] - 2, h0[i] + 2) if colour.get(x % 3) in lst]
+        (t,) = [x for x in band if (x - hr[i]) % 3 == 0]
+        ks.append((t - hr[i]) // 3)
+    return ks[0] != ks[1]
+
+
+def queue_shortest_path(g: Graph, src: int, dst: int) -> Optional[list[int]]:
+    """A shortest src-dst path by its own breadth-first search, or None, so
+    that ``proves_winding`` leans on no search of the package."""
+    back = {src: src}
+    queue = [src]
+    for u in queue:  # the list grows as it is read: breadth first
+        for w in g.neighbors(u):
+            if w not in back:
+                back[w] = u
+                queue.append(w)
+    if dst not in back:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(back[path[-1]])
+    return path[::-1]
 
 
 # -- quadratic references for the certificate checkers ------------------------------

@@ -27,9 +27,13 @@ from lcr.rerouting import build_spr_instance
 
 from .helpers import (
     beside_a_huge_cycle,
+    even_cycle_no,
+    four_colour_no,
     frozen_cycle,
     has_frozen_no,
+    huge_cycle,
     one_color_path,
+    outside_heights,
     winding_path,
 )
 
@@ -73,7 +77,9 @@ def test_solve_witness_lines_replay(tmp_path, capsys):
 
 
 def test_solve_trace_dumps_each_step(tmp_path, capsys):
-    assert main(["solve", write_lcr(tmp_path, mixed_edge()), "--trace"]) == EXIT_OK
+    # auto would give the 3-colour edge to the heights
+    argv = ["solve", write_lcr(tmp_path, mixed_edge()), "--trace", "--algo", "caterpillar"]
+    assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (
         "YES\n"
         "component 0\n"
@@ -91,8 +97,9 @@ def test_solve_trace_dumps_each_step(tmp_path, capsys):
 def two_swept_components():
     # vertex 4 is forced (a singleton removal that strips color 1 from
     # vertex 3) and vertex 5 is rich; two caterpillar components remain, and
-    # the second answers NO with no frozen set, so auto sweeps it and the
-    # sweep loses tar at step 4 of 5
+    # the second answers NO with no frozen set, so a sweep loses tar at step
+    # 4 of 5; under auto the heights take the first, whose lists hold three
+    # colours, and the sweep the second, which holds four
     inst = make_instance(
         Graph(9, [(0, 1), (0, 5), (2, 3), (3, 4), (3, 6), (6, 7), (3, 8)]),
         [{1, 2}, {2, 3}, {1, 4}, {1, 2, 3, 4}, {1}, {1, 2, 3, 4},
@@ -104,21 +111,8 @@ def two_swept_components():
     return inst
 
 
-def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
-    inst = two_swept_components()
-    assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
-    assert capsys.readouterr().out == (
-        "NO\n"
-        "component 0\n"
-        "step 1 vertex 0 init\n"
-        "enode 0 col 1 ini 1 tar 0\n"
-        "enode 1 col 2 ini 0 tar 1\n"
-        "eedge 0 1\n"
-        "step 2 vertex 1 spine\n"
-        "enode 0 col 2 ini 1 tar 0\n"
-        "enode 1 col 3 ini 0 tar 1\n"
-        "eedge 0 1\n"
-        "component 1\n"
+SECOND_COMPONENT_TRACE = (
+    "component 1\n"
         "step 1 vertex 0 init\n"
         "enode 0 col 1 ini 1 tar 1\n"
         "enode 1 col 4 ini 0 tar 0\n"
@@ -140,6 +134,34 @@ def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
         "enode 0 col 3 ini 1 tar 0\n"
         "enode 1 col 4 ini 0 tar 0\n"
         "eedge 0 1\n"
+)
+
+
+def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
+    path = write_lcr(tmp_path, two_swept_components())
+    assert main(["solve", path, "--trace", "--algo", "caterpillar"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "NO\n"
+        "component 0\n"
+        "step 1 vertex 0 init\n"
+        "enode 0 col 1 ini 1 tar 0\n"
+        "enode 1 col 2 ini 0 tar 1\n"
+        "eedge 0 1\n"
+        "step 2 vertex 1 spine\n"
+        "enode 0 col 2 ini 1 tar 0\n"
+        "enode 1 col 3 ini 0 tar 1\n"
+        "eedge 0 1\n"
+    ) + SECOND_COMPONENT_TRACE
+
+
+def test_solve_trace_of_a_mixed_heights_and_sweep_run(tmp_path, capsys):
+    # the heights answer component 0 and print nothing; the swept component
+    # keeps its index, and the notice follows, as after any other engine
+    path = write_lcr(tmp_path, two_swept_components())
+    assert main(["solve", path, "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "NO\n" + SECOND_COMPONENT_TRACE
+        + "# trace available only for the caterpillar algorithm\n"
     )
 
 
@@ -155,13 +177,20 @@ def test_solve_trace_sweeps_each_component_once(tmp_path, monkeypatch, capsys):
     # and any name the CLI might import the entry under
     monkeypatch.setattr(lcr.cli, "encoding_history", counting, raising=False)
     path = write_lcr(tmp_path, two_swept_components())
-    assert main(["solve", path, "--trace"]) == EXIT_OK
+    assert main(["solve", path, "--trace", "--algo", "caterpillar"]) == EXIT_OK
     assert capsys.readouterr().out.count("component ") == 2
     assert calls == [2, 5]
+    # under auto the heights take the first component, and the sweep only
+    # the second
+    calls.clear()
+    assert main(["solve", path, "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out.count("component ") == 1
+    assert calls == [5]
 
 
 # digests of the whole ``solve --trace`` output at commit 0c5927b, whose spine
-# step linked new e-nodes during its search; both answers are YES
+# step linked new e-nodes during its search; both answers are YES, and the
+# sweep is asked for, since auto gives the 3-colour path to the heights
 TRACE_DIGESTS = (
     (
         dict(spine_len=80, leaf_prob=0, colors=3, list_range=(3, 3), seed=14),
@@ -177,7 +206,7 @@ TRACE_DIGESTS = (
 def test_solve_trace_of_seeded_caterpillars_is_pinned(tmp_path, capsys):
     for params, digest in TRACE_DIGESTS:
         path = write_lcr(tmp_path, gen_caterpillar(**params))
-        assert main(["solve", path, "--trace"]) == EXIT_OK
+        assert main(["solve", path, "--trace", "--algo", "caterpillar"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("YES\n")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -202,13 +231,15 @@ def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
 
 def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):
     # the triangle (vertex 2 moves) goes to the oracle as component 0, the
-    # path is swept as component 1: its trace is headed by that index
+    # edge is swept as component 1: its trace is headed by that index; each
+    # holds four colours, which keeps it from the heights
     inst = make_instance(
         Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
-        [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2}, {2, 3}],
-        (1, 2, 3, 1, 2),
-        (1, 2, 4, 2, 3),
+        [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2}, {3, 4}],
+        (1, 2, 3, 1, 3),
+        (1, 2, 4, 2, 4),
     )
+    assert outside_heights(inst)
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "YES\n"
@@ -218,8 +249,8 @@ def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, 
         "enode 1 col 2 ini 0 tar 1\n"
         "eedge 0 1\n"
         "step 2 vertex 1 spine\n"
-        "enode 0 col 2 ini 1 tar 0\n"
-        "enode 1 col 3 ini 0 tar 1\n"
+        "enode 0 col 3 ini 1 tar 0\n"
+        "enode 1 col 4 ini 0 tar 1\n"
         "eedge 0 1\n"
         "# trace available only for the caterpillar algorithm\n"
     )
@@ -250,16 +281,21 @@ def test_solve_state_cap_exits_3(tmp_path, capsys):
 
 
 def test_solve_answers_a_no_beside_a_refused_component(tmp_path, capsys):
-    # the winding path has no frozen set: its NO comes from the sweep or oracle
+    # the NO has no frozen set and four colours: it comes from the sweep or
+    # oracle; the odd cycle lifts at neither end, so only the oracle could
+    # answer it
+    assert outside_heights(four_colour_no()) and outside_heights(huge_cycle())
     for cycle_first in (False, True):
-        path = write_lcr(tmp_path, beside_a_huge_cycle(winding_path(), cycle_first))
+        path = write_lcr(tmp_path, beside_a_huge_cycle(four_colour_no(), cycle_first))
         for extra in ([], ["--witness"]):
             assert main(["solve", path, *extra]) == EXIT_OK
             assert capsys.readouterr().out == "NO\n"
 
 
 def test_solve_refusal_beside_yes_components_exits_3(tmp_path, capsys):
+    # the heights answer the edge, and the odd cycle is left to the oracle
     mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
+    assert outside_heights(huge_cycle())
     for cycle_first in (False, True):
         inst = beside_a_huge_cycle(mixed, cycle_first)
         assert not has_frozen_no(inst)
@@ -314,6 +350,21 @@ def test_solve_trace_names_the_frozen_set(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1] == (
         "# no sweep: a frozen set of 3 vertices, on which fr differs from f0: 1 2 3"
     )
+
+
+def test_solve_trace_names_a_heights_certificate(tmp_path, capsys):
+    # the winding path's bands disagree; the 6-cycle's f0 lifts, and its fr
+    # winds once round every three vertices
+    expected = (
+        (winding_path(), "# heights: two-colour vertices whose bands fix "
+                         "different lifts of fr: 0 2"),
+        (even_cycle_no(), "# heights: a cycle of 6 vertices, around which f0 "
+                          "and fr wind differently: 3 2 1 0 5 4"),
+    )
+    for inst, line in expected:
+        for extra in ([], ["--witness"]):
+            assert main(["solve", write_lcr(tmp_path, inst), "--trace", *extra]) == EXIT_OK
+            assert capsys.readouterr().out == f"NO\n{line}\n"
 
 
 def test_solve_answers_yes_beside_a_still_huge_cycle(tmp_path, capsys):

@@ -16,14 +16,16 @@ from .helpers import (
     beside_a_huge_cycle,
     caterpillar_corpus,
     cycle_graph,
+    four_colour_no,
     frozen_cycle,
     gen_random_instance,
     has_frozen_no,
+    huge_cycle,
     layered_corpus,
+    outside_heights,
     proves_no,
     side_by_side,
     sweep_answer,
-    winding_path,
 )
 
 
@@ -38,15 +40,20 @@ def two_component_instance(yes_first=False):
     return side_by_side(mixed_edge(), frozen) if yes_first else side_by_side(frozen, mixed_edge())
 
 
-def winding_components(yes_first=False):
-    """The winding path on {0,1,2} next to a mixed edge on {3,4}, or with
-    ``yes_first`` the edge on {0,1} and the path on {2,3,4}: a NO that no
-    frozen set shows, so ``auto`` has to run its engines to find it."""
+def four_colour_edge():
+    return make_instance(Graph(2, [(0, 1)]), [{1, 2}, {3, 4}], (1, 3), (2, 4))
+
+
+def hidden_no_components(yes_first=False):
+    """The four-colour NO on {0..4} next to a four-colour edge on {5,6}, or
+    with ``yes_first`` the edge on {0,1} and the NO on {2..6}: a NO that no
+    frozen set shows and the heights do not take, so ``auto`` has to run
+    the sweep or the oracle to find it."""
     if yes_first:
-        inst = side_by_side(mixed_edge(), winding_path())
+        inst = side_by_side(four_colour_edge(), four_colour_no())
     else:
-        inst = side_by_side(winding_path(), mixed_edge())
-    assert not has_frozen_no(inst)
+        inst = side_by_side(four_colour_no(), four_colour_edge())
+    assert not has_frozen_no(inst) and outside_heights(inst)
     return inst
 
 
@@ -96,10 +103,10 @@ def test_auto_recognizes_each_component_once(monkeypatch):
             return original(g)
 
         monkeypatch.setattr(module, "recognize_caterpillar", counting)
-    # the winding path answers NO, so a mixed edge after it is never reached
-    for yes_first, sizes in ((True, [2, 3]), (False, [3])):
+    # the path answers NO, so an edge after it is never reached
+    for yes_first, sizes in ((True, [2, 5]), (False, [5])):
         calls.clear()
-        report = solve_driver(winding_components(yes_first), "auto")
+        report = solve_driver(hidden_no_components(yes_first), "auto")
         assert report.algorithm == "caterpillar"
         assert [c.answer for c in report.components] == [True, False][-len(sizes):]
         assert calls == sizes
@@ -108,13 +115,14 @@ def test_auto_recognizes_each_component_once(monkeypatch):
 def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
     # an 8-vertex path (2916 colorings) is past the cap of 100 and must be
     # swept; the triangle (27 colorings), whose last vertex moves, goes to
-    # the oracle
+    # the oracle; colour 4 in each keeps them from the heights
     inst = make_instance(
         Graph(11, [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]),
-        [{1, 2}] + [{1, 2, 3}] * 6 + [{1, 2}] + [{1, 2, 3}] * 2 + [{2, 3, 4}],
+        [{1, 2}] + [{1, 2, 3}] * 6 + [{2, 4}] + [{1, 2, 3}] * 2 + [{2, 3, 4}],
         (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3),
         (1, 3, 1, 3, 1, 3, 1, 2, 1, 2, 4),
     )
+    assert outside_heights(inst)
     report = solve_driver(inst, "auto", state_cap=100)
     assert report.answer == solve_driver(inst, "bruteforce").answer
     assert report.algorithm == "mixed"
@@ -185,10 +193,10 @@ def count_engine_calls(monkeypatch):
 ])
 def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness):
     calls = count_engine_calls(monkeypatch)
-    report = solve_driver(winding_components(), algo, want_witness=want_witness)
+    report = solve_driver(hidden_no_components(), algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
-    assert [c.vertices for c in report.components] == [(0, 1, 2)]
-    # one of each call, all for the winding path
+    assert [c.vertices for c in report.components] == [(0, 1, 2, 3, 4)]
+    # one of each call, all for the NO path
     swept = algo == "auto" and not want_witness
     assert calls == ["induced_instance"] + (
         ["recognize_caterpillar", "encoding_history"] if swept else ["build"]
@@ -271,10 +279,10 @@ def corpora():
         yield gen_random_instance(7, edge_prob=0.25, colors=3, seed=seed)
         yield gen_random_instance(10, edge_prob=0.15, colors=3, list_range=(2, 2), seed=seed)
     # most NOs above have a frozen set, which answers before any component
-    # runs; a winding path first leaves auto a NO to find by its engines
+    # runs; the four-colour NO first leaves auto a NO to find by the sweep
     for seed in range(40):
         rest = gen_random_instance(10, edge_prob=0.15, colors=3, list_range=(2, 3), seed=seed)
-        yield side_by_side(winding_path(), rest)
+        yield side_by_side(four_colour_no(), rest)
 
 
 def whole_sweep_answer(inst):
@@ -317,9 +325,9 @@ def test_a_whole_sweep_never_gets_tar_back():
 
 
 def test_caterpillar_and_oracle_agree_through_the_driver():
-    swept_no = 0
+    heights_no = 0
     corpus = caterpillar_corpus(40, base_seed=7101, max_n=10)
-    # three colours give NOs that no frozen set shows
+    # three colours give NOs that no frozen set shows, which the heights take
     corpus += caterpillar_corpus(40, base_seed=7101, max_n=10, colors=3)
     for inst in corpus:
         auto = solve_driver(inst, algo="auto")
@@ -327,11 +335,16 @@ def test_caterpillar_and_oracle_agree_through_the_driver():
         brute = solve_driver(inst, algo="bruteforce")
         assert auto.answer == swept.answer == brute.answer
         if inst.f0 != inst.fr:
-            # auto sweeps every instance that no frozen set settles
-            frozen = has_frozen_no(inst)
-            assert auto.algorithm == ("frozen" if frozen else "caterpillar")
-            swept_no += not frozen and not auto.answer
-    assert swept_no >= 1
+            # auto sweeps every instance that neither a frozen set settles
+            # nor the heights take
+            if has_frozen_no(inst):
+                assert auto.algorithm == "frozen"
+            elif outside_heights(inst):
+                assert auto.algorithm == "caterpillar"
+            else:
+                assert auto.algorithm in ("heights", "mixed")
+                heights_no += not auto.answer
+    assert heights_no >= 1
 
 
 def test_equal_endpoints_shortcut():
@@ -394,12 +407,14 @@ def test_improper_endpoints_are_rejected():
 
 
 def test_explicit_caterpillar_algo_rejects_cycles():
+    # colour 4 keeps the cycle from the heights, so auto takes the oracle
     inst = make_instance(
         cycle_graph(4),
-        [{1, 2, 3}] * 4,
+        [{1, 2, 3}] * 3 + [{1, 2, 4}],
         (1, 2, 1, 2),
         (2, 1, 2, 1),
     )
+    assert outside_heights(inst)
     with pytest.raises(NotCaterpillar):
         solve_driver(inst, algo="caterpillar")
     assert solve_driver(inst, algo="auto").algorithm == "bruteforce"
@@ -416,19 +431,21 @@ def test_tiny_state_cap_trips_the_guard():
     ("auto", False), ("auto", True), ("bruteforce", False), ("bruteforce", True),
 ])
 def test_a_refused_component_does_not_hide_a_no(cycle_first, algo, want_witness):
-    # the winding path has no frozen set, so auto too needs its oracle or sweep
-    inst = beside_a_huge_cycle(winding_path(), cycle_first)
-    assert not has_frozen_no(inst)
+    # the NO has no frozen set and four colours, so auto too needs its
+    # oracle or sweep; the odd cycle lifts at neither end
+    inst = beside_a_huge_cycle(four_colour_no(), cycle_first)
+    assert not has_frozen_no(inst) and outside_heights(inst)
     report = solve_driver(inst, algo=algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
-    assert [len(c.vertices) for c in report.components] == [3]
+    assert [len(c.vertices) for c in report.components] == [5]
 
 
 @pytest.mark.parametrize("cycle_first", [False, True])
 def test_a_refusal_beside_only_yes_components_still_raises(cycle_first):
+    # the heights answer the edge; the odd cycle lifts at neither end
     mixed = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (1, 2))
     inst = beside_a_huge_cycle(mixed, cycle_first)
-    assert not has_frozen_no(inst)
+    assert not has_frozen_no(inst) and outside_heights(huge_cycle())
     with pytest.raises(StateSpaceTooLarge):
         solve_driver(inst)
 
@@ -440,20 +457,21 @@ def test_a_refusal_beside_only_yes_components_still_raises(cycle_first):
 def test_a_component_whose_endpoints_agree_needs_no_oracle(
     cycle_first, algo, want_witness
 ):
-    # the still cycle's 3^30 colourings pass the cap, but nothing on it moves
+    # the still cycle's 3^31 colourings pass the cap, but nothing on it
+    # moves; it lifts at neither end, so the heights leave it
     edge = make_instance(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}], (0, 1), (0, 2))
     inst = beside_a_huge_cycle(edge, cycle_first, still=True)
+    assert outside_heights(huge_cycle(still=True))
     report = solve_driver(inst, algo=algo, want_witness=want_witness)
     assert report.answer is True
     cycle, pair = report.components[::1 if cycle_first else -1]
-    assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (30, "trivial", True)
+    assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (31, "trivial", True)
     assert cycle.oracle_nodes is None and cycle.steps is None
     # the run is named by the edge alone, as it would be without the cycle
-    swept = algo == "auto" and not want_witness
     assert pair.algorithm == report.algorithm
-    assert report.algorithm == ("caterpillar" if swept else "bruteforce")
+    assert report.algorithm == ("heights" if algo == "auto" else "bruteforce")
     if want_witness:
-        assert report.witness == [(31 if cycle_first else 1, 2)]
+        assert report.witness == [(32 if cycle_first else 1, 2)]
         assert is_valid_sequence(inst, report.witness)
 
 
