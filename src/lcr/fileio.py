@@ -3,19 +3,20 @@
 Lines are whitespace separated; ``#`` starts a comment.  Parsers take text,
 formatters return text, and both sides round-trip.
 
-Instance and rerouting texts have two readers.  The column reader groups
-the body lines by tag, splits and converts each fixed-width kind in one
-pass, and checks whole columns.  It reads the shape ``format_lcr`` and
-``format_spr`` write and declines (returns None) on a fault or on another
-shape: vertex columns out of vertex order, or rerouting ids past the count
-of ids named.  The row reader then reads the rows in file order and returns
-the value or raises the first fault.  Bare graph texts, read only by
-``lcr verify``, go to the row reader alone.
+Instance and rerouting texts have two readers.  The block reader slices
+the body into one run of lines per tag, splits each run once, and checks
+whole columns, vertex columns as text against ``0..n-1``.  It reads the
+shape ``format_lcr`` and ``format_spr`` write, with the runs in any order,
+and declines (returns None) on a fault or on another shape: a tag's lines in
+two places, a blank line in the body, a vertex column out of vertex order,
+or rerouting ids past the count of ids named.  The row reader then reads the
+rows in file order and returns the value or raises the first fault.  Bare
+graph texts, read only by ``lcr verify``, go to the row reader alone.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -60,58 +61,63 @@ def _header(head: Optional[list[str]], kind: str, fields: int) -> list[int]:
     return _ints(head[2:], "header")
 
 
-def _grouped(text: str) -> tuple[Optional[list[str]], dict[str, list[str]]]:
-    """The first non-blank row, split, and the later lines grouped by tag.
+def _runs(text: str, tags: Sequence[str]) -> tuple[Optional[list[str]], Optional[dict[str, str]]]:
+    """The first non-blank row, split, and each tag's run of body lines.
 
-    A line keeps its text, leading blanks and all; blank lines are dropped.
-    Lines of one kind usually come in runs, and a run of lines opening with
-    one non-blank character and a space is filed whole under that character.
+    A tag's run is its lines, each opening ``\\n<tag> ``, sliced out as one
+    string; a tag with no line has the run ''.  The runs are read in file
+    order and are None unless they are the whole body: a line of another
+    shape (an unknown tag, leading blanks, a blank line) or a tag's lines in
+    two places declines.  Comment lines before the header are skipped; a
+    text with a comment after them, or with a line break other than ``\\n``
+    and ``\\r\\n``, is first cut into lines as the row reader cuts it.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    for start, line in enumerate(lines, 1):
-        head = line.split()
-        if head:
-            break
-    else:
-        return None, {}
-    groups: dict[str, list[str]] = {}
-    for key, run in groupby(lines[start:], itemgetter(slice(0, 2))):
-        if key[1:] == " " and not key.isspace():
-            groups.setdefault(key[0], []).extend(run)
-            continue
-        for line in run:
-            row = line.split()
-            if row:
-                groups.setdefault(row[0], []).append(line)
-    return head, groups
+    # plain: ASCII, with no line break of str.splitlines but "\n" and "\r\n"
+    plain = text.isascii() and not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e") and (
+        "\r" not in text or text.count("\r") == text.count("\r\n"))
+    if plain:
+        text = text.lstrip()
+        while text.startswith("#"):
+            text = text[text.find("\n") + 1 or len(text):].lstrip()
+    if not plain or "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines()).lstrip()
+    if not text.endswith("\n"):
+        text += "\n"  # so that every line, the last one too, ends in one
+    start = text.find("\n")
+    head = text[:start].split() or None
+    runs = dict.fromkeys(tags, "")
+    width = 2 + max(map(len, tags))
+    while start < len(text) - 1:
+        # the line at start opens with "<tag> " only if the tag and its blank
+        # come before any line break
+        tag = text[start + 1:start + width].partition(" ")[0]
+        if runs.get(tag) != "":
+            return head, None
+        key = f"\n{tag} "
+        stop = text.find("\n", text.rfind(key) + 1)
+        run = runs[tag] = text[start:stop]
+        if run.count(key) != run.count("\n"):
+            return head, None
+        start = stop
+    return head, runs
 
 
-def _pairs(lines: list[str]) -> Optional[tuple[list[int], list[int]]]:
-    """The two integer columns of ``tag a b`` lines, or None on another shape.
+def _pairs(run: str) -> Optional[tuple[list[str], list[str]]]:
+    """The two columns of a run of ``tag a b`` lines, as text, or None
+    unless the run holds three tokens a line.
 
-    One split reads every line.  No tag is an integer, so when the token
-    count is three per line and both columns convert, every line is exactly
-    ``tag a b``: a longer or shorter line would move a later tag into an
-    integer column.
+    Every line opens with its tag and no tag is an integer, so once both
+    columns hold only integers, every line is exactly ``tag a b``: a longer
+    or shorter line would move a later tag into one of them.
     """
-    tokens = " ".join(lines).split()
-    if len(tokens) != 3 * len(lines):
+    tokens = run.split()
+    if len(tokens) != 3 * run.count("\n"):
         return None
-    try:
-        return list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
-    except ValueError:
-        return None
+    return tokens[1::3], tokens[2::3]
 
 
 def _in_range(values: Collection[int], n: int) -> bool:
     return not values or (min(values) >= 0 and max(values) < n)
-
-
-def _by_vertex(n: int, vertices: list[int], values) -> Optional[tuple]:
-    """``values`` as a tuple, or None unless ``vertices`` is 0..n-1 in order."""
-    return tuple(values) if vertices == list(range(n)) else None
 
 
 def _check_edges(body: list[list[str]], n: int, expected: int) -> set[tuple[int, int]]:
@@ -144,17 +150,6 @@ def _graph_rows(body: list[list[str]], n: int, m: int) -> Graph:
     return Graph(n, _check_edges(body, n, m))
 
 
-def _edge_graph(n: int, m: int, groups: dict[str, list[str]]) -> Optional[Graph]:
-    """The graph of the ``e`` lines popped from ``groups``, or None on a fault."""
-    edges = _pairs(groups.pop("e", []))
-    if edges is None or len(edges[0]) != m:
-        return None
-    try:
-        return Graph(n, zip(*edges))
-    except ValueError:  # an endpoint out of range, a self-loop or a repeat
-        return None
-
-
 def parse_graph(text: str) -> Graph:
     head, *body = _rows(text) or [None]
     n, m = _header(head, "graph", 2)
@@ -183,30 +178,37 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def _color_lists(
-    lines: list[str], k: int
-) -> Optional[tuple[list[int], list[frozenset[int]]]]:
-    """Vertices and color sets of ``l v c...`` lines, or None on a bad list.
+    lines: list[str], k: int, column: list[str]
+) -> Optional[tuple[frozenset[int], ...]]:
+    """The color sets of ``l`` lines cut after their tag, or None unless the
+    vertices are ``column`` and each list is a set of colors below k.
 
     Few distinct lists recur over many vertices, so each distinct color text
     is converted and checked once and its set shared.
     """
-    parts = [line.split(None, 2) for line in lines]
+    parts = list(map(str.partition, lines, repeat(" ")))
+    if list(map(itemgetter(0), parts)) != column:
+        return None
+    texts = list(map(itemgetter(2), parts))
+    sets: dict[str, frozenset[int]] = {}
     try:
-        vertices = list(map(int, map(itemgetter(1), parts)))
-        texts = list(map(itemgetter(2), parts))
-        sets: dict[str, frozenset[int]] = {}
         for colors in set(texts):
             tokens = colors.split()
             sets[colors] = frozenset(map(int, tokens))
-            if len(sets[colors]) != len(tokens) or not _in_range(sets[colors], k):
+            if not tokens or len(sets[colors]) != len(tokens) or not _in_range(sets[colors], k):
                 return None
-    except (IndexError, ValueError):  # a line without a vertex or a color
+    except ValueError:
         return None
-    return vertices, list(map(sets.__getitem__, texts))
+    return tuple(map(sets.__getitem__, texts))
 
 
 def _lcr_rows(body: list[list[str]], n: int, m: int, k: int) -> LcrInstance:
-    """A body's instance, read row by row, or its first fault: edges, then file order."""
+    """A body's instance, read row by row, or its first fault: 'l' count, edges, file order."""
+    # every vertex needs its own 'l' line, so the body bounds n before any
+    # work is sized by it
+    list_lines = sum(row[0] == "l" for row in body)
+    if n > list_lines:
+        raise ParseError(f"header promises {n} vertices, found {list_lines} 'l' lines")
     edges = _check_edges(body, n, m)
     seen: dict[str, dict] = {"l": {}, "s": {}, "t": {}}
     for row in body:
@@ -251,38 +253,41 @@ def _lcr_rows(body: list[list[str]], n: int, m: int, k: int) -> LcrInstance:
     return LcrInstance(Graph(n, edges), *columns)
 
 
-def _lcr_body(
-    n: int, m: int, k: int, groups: dict[str, list[str]]
-) -> Optional[LcrInstance]:
-    """The instance a grouped body describes, or None on a fault or on a
-    vertex column out of vertex order."""
-    graph = _edge_graph(n, m, groups)
-    if graph is None:
+def _lcr_body(n: int, m: int, k: int, runs: dict[str, str]) -> Optional[LcrInstance]:
+    """The instance of a body in runs, or None on a fault or on a vertex
+    column other than 0..n-1 written plainly in order."""
+    lines = runs.pop("l").split("\nl ")[1:]
+    if len(lines) != n:
         return None
-    read = _color_lists(groups.pop("l", []), k)
-    lists = None if read is None else _by_vertex(n, *read)
-    ends = []
-    for tag in ("s", "t"):
-        pairs = _pairs(groups.pop(tag, []))
-        if pairs is None or not _in_range(pairs[1], k):
-            return None
-        ends.append(_by_vertex(n, *pairs))
-    if groups or lists is None or None in ends:
+    # the 'l' lines have bounded n, so the vertex column may be sized by it
+    column = list(map(str, range(n)))
+    lists = _color_lists(lines, k, column)
+    del lines  # free each run's text once converted, to keep the parse's memory peak down
+    edges = _pairs(runs.pop("e"))
+    if lists is None or edges is None or len(edges[0]) != m:
+        return None
+    try:
+        graph = Graph(n, zip(map(int, edges[0]), map(int, edges[1])))
+        del edges
+        ends = []
+        for tag in ("s", "t"):
+            pairs = _pairs(runs.pop(tag))
+            if pairs is None or pairs[0] != column:
+                return None
+            ends.append(tuple(map(int, pairs[1])))
+            if not _in_range(ends[-1], k):
+                return None
+    except ValueError:  # a token not an integer, or an edge out of range, a self-loop or a repeat
         return None
     return LcrInstance(graph, lists, *ends)
 
 
 def parse_lcr(text: str) -> LcrInstance:
-    head, groups = _grouped(text)
+    head, runs = _runs(text, ("e", "l", "s", "t"))
     n, m, k = _header(head, "lcr", 3)
     if min(n, m, k) < 0:
         raise ParseError("negative counts in header")
-    # every vertex needs its own 'l' line, so the body bounds n before any
-    # work is sized by it
-    list_lines = len(groups.get("l", ()))
-    if n > list_lines:
-        raise ParseError(f"header promises {n} vertices, found {list_lines} 'l' lines")
-    return _lcr_body(n, m, k, groups) or _lcr_rows(_rows(text)[1:], n, m, k)
+    return (runs and _lcr_body(n, m, k, runs)) or _lcr_rows(_rows(text)[1:], n, m, k)
 
 
 def format_lcr(inst: LcrInstance, comment: str | None = None) -> str:
@@ -352,27 +357,22 @@ def _spr_rows(body: list[list[str]], n: int, m: int):
     return graph, src, dst, p0, pr, names
 
 
-def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
-    """(graph, src, dst, p0, pr, names) of a grouped body, for
+def _spr_body(n: int, m: int, runs: dict[str, str]):
+    """(graph, src, dst, p0, pr, names) of a body in runs, for
     ``build_spr_instance``, or None on a fault or on an id past the count of
     ids named; the graph keeps the text's ids, so ``names`` is None."""
-    edges = _pairs(groups.pop("e", []))
-    if n < 0 or edges is None or len(edges[0]) != m:
+    edges = _pairs(runs["e"])
+    named = [runs[tag] for tag in ("src", "dst", "p0", "pr")]
+    if n < 0 or edges is None or len(edges[0]) != m or any(run.count("\n") != 1 for run in named):
         return None
-    if not _in_range(edges[0] + edges[1], n):
+    try:
+        us, vs, (src,), (dst,), p0, pr = (
+            list(map(int, column)) for column in (*edges, *(run.split()[1:] for run in named))
+        )
+    except ValueError:  # a token not an integer, or a 'src' or 'dst' line not of one id
         return None
-    named = []
-    for tag in ("src", "dst", "p0", "pr"):
-        lines = groups.pop(tag, [])
-        if len(lines) != 1:
-            return None
-        try:
-            named.append(list(map(int, lines[0].split()[1:])))
-        except ValueError:
-            return None
-    if groups or len(named[0]) != 1 or len(named[1]) != 1:
+    if not _in_range(us + vs, n):
         return None
-    (us, vs), (src,), (dst,), p0, pr = edges, *named
     # ids below the count of ids named let the body, not the header, size
     # the graph; the few vertices no line names are pruned as isolated
     ids = [*us, *vs, *(v for v in (src, dst, *p0, *pr) if 0 <= v < n)]
@@ -387,9 +387,9 @@ def _spr_body(n: int, m: int, groups: dict[str, list[str]]):
 
 
 def parse_spr(text: str) -> SprInstance:
-    head, groups = _grouped(text)
+    head, runs = _runs(text, ("e", "src", "dst", "p0", "pr"))
     n, m = _header(head, "spr", 2)
-    body = _spr_body(n, m, groups) or _spr_rows(_rows(text)[1:], n, m)
+    body = (runs and _spr_body(n, m, runs)) or _spr_rows(_rows(text)[1:], n, m)
     try:
         return build_spr_instance(*body)
     except ValueError as exc:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import random
 import re
 import time
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -424,7 +427,7 @@ def test_every_format_round_trips(kind):
             assert text.startswith(f"# {comment}\n")
 
 
-# -- the column readers against the row-by-row reference -----------------------------
+# -- the block readers against the row-by-row reference ------------------------------
 
 BIG = "9" * 5000  # past int()'s digit limit on current Pythons
 ODD_TOKENS = ("x", "1.5", "0x1", "-1", "-3", "1_0", "+1", BIG, "0", "1", "2", "7", "99")
@@ -656,7 +659,7 @@ def test_parsers_match_the_row_reference():
 
 
 def test_the_row_readers_alone_match_the_row_reference(monkeypatch):
-    """With both column readers declining every text, the row readers give
+    """With both block readers declining every text, the row readers give
     each text of the mutated corpus above the reference's value or its
     exact error: valid texts of any shape parse, not only faulty ones."""
     monkeypatch.setattr(lcr.fileio, "_lcr_body", lambda *args: None)
@@ -679,3 +682,131 @@ def test_the_row_readers_alone_match_the_row_reference(monkeypatch):
                 assert _outcome(parse, text) == want, (kind, text)
                 parsed += want[0] == "ok"
         assert parsed >= 100, (kind, parsed)
+
+
+# -- the block reader: the shapes it reads, the faults it declines, its header bound -
+
+def _header_and_runs(text: str) -> tuple[str, list[list[str]]]:
+    """The header line of a written text and its body lines, in runs by tag."""
+    head, *body = text.splitlines()
+    return head, [list(run) for _, run in itertools.groupby(body, lambda line: line.split()[0])]
+
+
+def _joined(head: str, runs: list[list[str]], end: str) -> str:
+    return end.join([head, *(line for run in runs for line in run)]) + end
+
+
+def _written_shapes(text: str, rng: random.Random) -> list[str]:
+    """``text`` with its runs as written and shuffled, each with and without
+    a comment line before the header, with ``\\n`` and ``\\r\\n`` line ends."""
+    head, runs = _header_and_runs(text)
+    shapes = []
+    for order in (runs, rng.sample(runs, len(runs))):
+        for end in ("\n", "\r\n"):
+            body = _joined(head, order, end)
+            shapes += [body, f"# a remark{end}" + body]
+    return shapes
+
+
+def test_the_block_reader_reads_every_written_shape(monkeypatch):
+    """No text in a shape the writers produce reaches the row readers, where
+    it would parse to the same value and show only as a slowdown."""
+
+    def refuse(*args):
+        raise AssertionError("a written text reached the row reader")
+
+    monkeypatch.setattr(lcr.fileio, "_lcr_rows", refuse)
+    monkeypatch.setattr(lcr.fileio, "_spr_rows", refuse)
+    rng = random.Random(2701)
+    instances = [
+        make_instance(Graph(0), [], [], []),  # n = 0 and m = 0
+        make_instance(Graph(3), [[0], [0, 1], [1, 2]], [0, 1, 2], [0, 0, 1]),  # m = 0
+        *(gen_caterpillar(seed % 5 + 1, colors=6, seed=seed) for seed in range(2701, 2711)),
+        *(gen_random_instance(8, edge_prob=0.4, colors=5, seed=seed) for seed in range(2701, 2711)),
+    ]
+    reroutings = [build_spr_instance(Graph(1), 0, 0, [0], [0]), *spr_samples(12, base_seed=2701)]
+    for parse, fmt, values in (
+        (parse_lcr, format_lcr, instances), (parse_spr, format_spr, reroutings)
+    ):
+        for value in values:
+            for text in _written_shapes(fmt(value), rng):
+                assert parse(text) == value, text
+
+
+FAULT_LINES = ("", "   ", "\t", "# a note", "  # a note")
+OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _block_fault(text: str, kind: int, rng: random.Random) -> str:
+    """``text`` with one fault of the block shape, of the given kind:
+    0 two tags on one line, 1 a line of one tag inside another tag's run,
+    2 a run split in two, 3 a blank or comment line inside a run,
+    4 a header with no body, 5 a line cut in two by a line break other
+    than ``\\n``."""
+    head, runs = _header_and_runs(text)
+    lines = [line for run in runs for line in run]
+    if kind == 0 and len(lines) > 1:
+        i = rng.randrange(len(lines) - 1)
+        j = rng.choice([i + 1, rng.randrange(i + 1, len(lines))])
+        lines[i] += " " + lines.pop(j)
+        runs = [lines]
+    elif kind == 1 and any(len(run) > 1 for run in runs) and len(runs) > 1:
+        into = rng.choice([run for run in runs if len(run) > 1])
+        source = rng.choice([run for run in runs if run is not into])
+        into.insert(rng.randrange(1, len(into)), source.pop(rng.randrange(len(source))))
+    elif kind == 2 and any(len(run) > 1 for run in runs):
+        run = rng.choice([run for run in runs if len(run) > 1])
+        cut = rng.randrange(1, len(run))
+        tail, run[cut:] = run[cut:], []
+        runs.insert(rng.randrange(runs.index(run) + 1, len(runs) + 1), tail)
+    elif kind == 3 and lines:
+        run = rng.choice(runs)
+        run.insert(rng.randrange(len(run) + 1), rng.choice(FAULT_LINES))
+    elif kind == 4:
+        runs = []
+    elif kind == 5 and lines:
+        run = rng.choice(runs)
+        i = rng.randrange(len(run))
+        j = rng.choice([j for j, char in enumerate(run[i]) if char == " "])
+        run[i] = run[i][:j] + rng.choice(OTHER_BREAKS) + run[i][j + 1:]
+    return _joined(head, runs, rng.choice(["\n", "\r\n"]))
+
+
+def test_block_faults_match_the_row_reference():
+    """Faults and shapes the block reader must decline give the reference's
+    value or its exact error: the row reader reads them in its place."""
+    rng = random.Random(2702)
+    bases = {
+        "lcr": [format_lcr(gen_caterpillar(s % 4 + 2, colors=4, seed=s)) for s in range(2702, 2708)]
+        + [format_lcr(gen_random_instance(5, edge_prob=0.5, colors=3, seed=s)) for s in (2702, 2703)]
+        + ["p lcr 0 0 0\n", "p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\n"],
+        "spr": [format_spr(inst) for inst in spr_samples(8, base_seed=2702)],
+    }
+    parsers = {"lcr": (parse_lcr, row_parse_lcr), "spr": (parse_spr, row_parse_spr)}
+    for kind, texts in bases.items():
+        parse, reference = parsers[kind]
+        outcomes: dict[int, collections.Counter] = collections.defaultdict(collections.Counter)
+        for sample in range(360):
+            fault, base = sample % 6, texts[sample // 6 % len(texts)]
+            text = _block_fault(base, fault, rng)
+            want = _outcome(reference, text)
+            assert _outcome(parse, text) == want, (kind, fault, text)
+            if text.replace("\r\n", "\n") != base:  # a body too short for the fault is kept
+                outcomes[fault][want[0] == "ok"] += 1
+        # two tags on one line and a missing body are faults; a moved line,
+        # a split run and a blank or comment line are not
+        assert outcomes[0][True] == outcomes[4][True] == 0, (kind, outcomes)
+        assert min(outcomes[fault][True] for fault in (1, 2, 3)) >= 20, (kind, outcomes)
+
+
+def test_an_untrusted_instance_header_fails_before_allocating():
+    text = "p lcr 100000000 0 2\nl 0 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_lcr(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "header promises 100000000 vertices, found 1 'l' lines"
+    assert peak < 2**20
