@@ -68,18 +68,16 @@ def _runs(text: str, tags: Sequence[str]) -> tuple[Optional[list[str]], Optional
     string; a tag with no line has the run ''.  The runs are read in file
     order and are None unless they are the whole body: a line of another
     shape (an unknown tag, leading blanks, a blank line) or a tag's lines in
-    two places declines.  Comment lines before the header are skipped; a
-    text with a comment after them, or with a line break other than ``\\n``
-    and ``\\r\\n``, is first cut into lines as the row reader cuts it.
+    two places declines.  A text with a comment, or with a line break other
+    than ``\\n`` and ``\\r\\n``, is first cut into lines as the row reader
+    cuts it.
     """
     # plain: ASCII, with no line break of str.splitlines but "\n" and "\r\n"
     plain = text.isascii() and not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e") and (
         "\r" not in text or text.count("\r") == text.count("\r\n"))
-    if plain:
+    if plain and "#" not in text:
         text = text.lstrip()
-        while text.startswith("#"):
-            text = text[text.find("\n") + 1 or len(text):].lstrip()
-    if not plain or "#" in text:
+    else:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines()).lstrip()
     if not text.endswith("\n"):
         text += "\n"  # so that every line, the last one too, ends in one
