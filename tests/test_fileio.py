@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -179,8 +180,17 @@ def test_lcr_round_trip_on_generated_instances():
     ],
 )
 def test_lcr_parse_errors(text):
-    with pytest.raises(ParseError):
-        parse_lcr(text)
+    # nothing is sized by the header's n before the body has bounded it; an
+    # allocation clamped to a limit would still end in the ParseError, so
+    # only its memory shows it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            parse_lcr(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- step sequences ---------------------------------------------------------------
