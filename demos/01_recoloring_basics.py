@@ -26,7 +26,7 @@ inst = make_instance(g, lists, f0=(1, 3, 2), fr=(2, 1, 3))
 print()
 print("reachable:", oracle_decide(inst))
 
-steps = reachable(rg, inst.f0, inst.fr)
+steps, _ = reachable(g, lists, inst.f0, inst.fr)
 f = list(inst.f0)
 print("start            ", tuple(f))
 for vertex, color in steps:

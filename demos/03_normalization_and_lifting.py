@@ -12,7 +12,6 @@ from lcr import (
     Graph,
     RichListRemoval,
     SingletonRemoval,
-    build,
     is_valid_sequence,
     lift_sequence,
     make_instance,
@@ -48,7 +47,7 @@ print("answer before trim:", oracle_decide(inst))
 print("answer after trim: ", oracle_decide(trimmed))
 
 # Solve the trimmed instance, then lift the witness back.
-steps = reachable(build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr)
+steps, _ = reachable(trimmed.graph, trimmed.lists, trimmed.f0, trimmed.fr)
 lifted = lift_sequence(trace, inst, steps)
 print()
 print(f"trimmed witness: {len(steps)} steps, lifted witness: {len(lifted)} steps")

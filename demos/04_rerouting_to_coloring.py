@@ -13,7 +13,6 @@ threshold-style instance.  Witnesses translate in both directions.
 from lcr import (
     Graph,
     brute_solve,
-    build,
     build_spr_instance,
     check_path_decomposition,
     compile_spr,
@@ -78,7 +77,7 @@ print("round-trips back to the rerouting sequence:",
 
 # And the other way: a witness found by the coloring oracle projects onto a
 # valid rerouting sequence.
-oracle_steps = reachable(build(lcr.graph, lcr.lists), lcr.f0, lcr.fr)
+oracle_steps, _ = reachable(lcr.graph, lcr.lists, lcr.f0, lcr.fr)
 print("oracle witness projects to:")
 for p in recoloring_to_spath_sequence(red, oracle_steps):
     print("   ", p)

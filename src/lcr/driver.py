@@ -6,9 +6,10 @@ runs; then split the trimmed graph into components and answer each in turn.
 Under ``auto`` a component whose lists lie within three colours goes to the
 heights (``lcr.heights``), which decide it in linear time unless neither
 end lifts; the others, and those, go to the caterpillar sweep or the
-exhaustive oracle; an oracle-bound component whose endpoints agree needs
-neither.  Witnesses come from the heights or the oracle and are lifted back
-through the normalization trace.
+exhaustive oracle, whose two-sided search builds no reconfiguration graph;
+an oracle-bound component whose endpoints agree needs neither.  Witnesses
+come from the heights or the oracle and are lifted back through the
+normalization trace.
 
 The run stops once its answer is known: a sweep at the step that loses the
 tar mark, which no later step brings back (a spine step passes it on only
@@ -45,7 +46,7 @@ class ComponentReport:
     vertices: tuple[int, ...]  # ids in the normalized instance
     algorithm: str  # "heights" | "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
     answer: bool
-    oracle_nodes: Optional[int] = None
+    oracle_nodes: Optional[int] = None  # colourings the oracle's search visited
     # a swept run's sweep steps, fewer than len(vertices) where it lost tar,
     # and its summary over the records of those steps (None for the oracle):
     # the largest pre-extraction count and the extremes of bound - pre-extraction
@@ -100,7 +101,7 @@ def solve_driver(
     ``Sweep``, size record); each swept component opens with ``init``, and a
     sweep's last step is the one that lost tar, if any.  The first NO
     component ends the run.  A component bound for the oracle whose
-    endpoints agree answers YES as ``"trivial"`` and builds nothing; the
+    endpoints agree answers YES as ``"trivial"`` and searches nothing; the
     run's algorithm is named by the other components that ran, if any.  A
     component whose oracle would pass ``state_cap`` is skipped, and its
     ``StateSpaceTooLarge`` raised at the end only if no component said NO.
@@ -180,14 +181,14 @@ def solve_driver(
             report = ComponentReport(tuple(comp), "trivial", True)
         else:
             try:
-                rg = oracle.build(sub.graph, sub.lists, state_cap)
+                steps, visited = oracle.reachable(
+                    sub.graph, sub.lists, sub.f0, sub.fr, state_cap
+                )
             except StateSpaceTooLarge as exc:
                 refusal = refusal or exc  # another component may answer NO
                 continue
-            steps = oracle.reachable(rg, sub.f0, sub.fr)
             report = ComponentReport(
-                tuple(comp), "bruteforce", steps is not None,
-                oracle_nodes=rg.num_nodes,
+                tuple(comp), "bruteforce", steps is not None, oracle_nodes=visited,
             )
         if steps is not None and witness_steps is not None:
             witness_steps.extend((comp[v], c) for v, c in steps)

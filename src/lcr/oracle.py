@@ -1,19 +1,42 @@
 """Exhaustive reconfiguration oracle for desk-size instances.
 
-Builds the full reconfiguration graph: one node per proper list coloring,
-one edge per single-vertex recoloring.  Everything downstream that needs
-ground truth (tests, the experiments runner, witness extraction) goes
-through this module.
+The state space is the reconfiguration graph: one node per proper list
+coloring, one edge per single-vertex recoloring.  ``reachable`` answers
+one question about it, for the solve driver and everything downstream that
+needs ground truth (tests, the experiments runner, witness extraction);
+``build`` enumerates all of it, for ``lcr oracle stats``, the demos and
+the tests' references.  Both refuse an instance whose product of list
+sizes passes the state cap before any other work.  Each coloring carries
+an integer code, one mixed-radix digit per vertex (the position of its
+color in its sorted list), vertex 0 most significant, so code order is
+lexicographic order; recoloring one vertex adds a multiple of its place
+value to the code.
 
-An instance whose product of list sizes passes the state cap is refused
-before any other work.  Otherwise an iterative backtracker enumerates the
-proper colorings, placing the vertices in breadth-first order, so each
-vertex after the first of its component meets a placed neighbour.  Each
-coloring carries an integer code, one mixed-radix digit per vertex, and
-sorting the codes numbers the nodes in lexicographic order.  Recoloring
-one vertex adds a multiple of its place value to the code, so one set
-intersection per vertex and shift finds every edge, once the hits whose
-addition carried into a higher digit are dropped.
+``build`` enumerates the proper colorings with an iterative backtracker
+that places the vertices in breadth-first order, so each vertex after the
+first of its component meets a placed neighbour, and sorting the codes
+numbers the nodes in lexicographic order.  One set intersection per vertex
+and shift finds every edge, once the hits whose addition carried into a
+higher digit are dropped.
+
+``reachable`` searches breadth first from both ends (Pohl, "Bi-directional
+search", Machine Intelligence 6, 1971), generating moves as it goes.  Each
+round grows the side with the smaller frontier by one whole level and
+records, for each new coloring, every coloring of the level before that
+reaches it (its discoverers).  Before a round the sides share no coloring,
+so a shortest path is longer than their depths together; the first round
+that meets fixes its length, and every coloring of the new level that the
+other side holds lies at that one distance.  Those meeting colorings and
+their discoverers, read back level by level, mark each coloring on f0's
+side that lies on a shortest path; on fr's side every discoverer does.
+The walk takes, from f0, the least marked successor at each level and,
+past the meeting level, the least discoverer: the least shortest sequence
+of colorings.  That is the path a breadth-first search of ``build``'s
+graph reads back from first discoverers.  Its rows are sorted and its
+nodes in lexicographic order, so by induction on the level it orders each
+level by the least path to each node, and each node's first discoverer is
+the one whose least path is least.  So the witness is the same, while the
+search sees only the colorings within its two depths of either end.
 """
 
 from __future__ import annotations
@@ -22,11 +45,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
-from operator import add
+from operator import add, contains
 from typing import Optional, Sequence
 
 from .errors import StateSpaceTooLarge, UnknownNode
-from .graph import Graph, components, reach, shortest_path
+from .graph import Graph, components, reach
 from .instance import Coloring, LcrInstance, Step
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -184,19 +207,105 @@ def _node_id(rg: ReconfigurationGraph, f: Sequence[int]) -> int:
     return i
 
 
+def _next_level(frontier, seen, moving):
+    """The level after ``frontier``: each coloring one move past it that
+    ``seen`` lacks, mapped to every frontier coloring that reaches it (its
+    discoverers), and its (code, coloring) pairs; ``seen`` gains the level."""
+    level: dict[int, list[int]] = {}
+    fresh = []
+    for code, col in frontier:
+        for v, nbrs, moves in moving:
+            for c, shift in moves[col[v]]:
+                for u in nbrs:
+                    if col[u] == c:
+                        break
+                else:
+                    y = code + shift
+                    discoverers = level.get(y)
+                    if discoverers is not None:
+                        discoverers.append(code)
+                    elif y not in seen:
+                        level[y] = [code]
+                        fresh.append((y, col[:v] + (c,) + col[v + 1:]))
+    seen.update(level)
+    return level, fresh
+
+
 def reachable(
-    rg: ReconfigurationGraph, f0: Sequence[int], fr: Sequence[int]
-) -> Optional[list[Step]]:
-    """Shortest recoloring sequence from f0 to fr, or None if unreachable."""
-    path = shortest_path(rg.adj, _node_id(rg, f0), _node_id(rg, fr))
-    if path is None:
-        return None
+    g: Graph,
+    lists: Sequence[frozenset[int]],
+    f0: Sequence[int],
+    fr: Sequence[int],
+    cap: int = DEFAULT_STATE_CAP,
+) -> tuple[Optional[list[Step]], int]:
+    """The least shortest recoloring sequence from f0 to fr, or None if fr is
+    out of reach, and the number of colorings the search visited.
+
+    Refuses as ``build`` does, with the same partial product, once the
+    product of the list sizes passes cap; then raises ``UnknownNode`` for
+    an end that is not a proper list coloring.  The module docstring has
+    the search and why its steps are those of a search of ``build``'s graph.
+    """
+    sorted_lists = _sorted_lists_within_cap(lists, cap)
+    for f in (f0, fr):
+        if (
+            len(f) != g.n
+            or not all(map(contains, lists, f))
+            or any(f[u] == f[v] for u, v in g.edges)
+        ):
+            raise UnknownNode(f"{tuple(f)} is not a proper list coloring here")
+    strides = _strides(sorted_lists)
+    moving = [
+        (v, g.adjacency[v], {
+            c: tuple((other, (q - p) * stride) for q, other in enumerate(lst) if q != p)
+            for p, c in enumerate(lst)
+        })
+        for v, (stride, lst) in enumerate(zip(strides, sorted_lists))
+        if len(lst) > 1
+    ]
+
+    def code(f):
+        return sum(lst.index(c) * s for c, lst, s in zip(f, sorted_lists, strides))
+
+    src, dst = code(f0), code(fr)
+    if src == dst:
+        return [], 1
+    # each side maps every coloring it has seen to its discoverers one level
+    # nearer its own end
+    ahead, back = {src: []}, {dst: []}
+    ahead_front, back_front = [(src, tuple(f0))], [(dst, tuple(fr))]
+    ahead_depth = back_depth = 0
+    while ahead_front and back_front:
+        if len(ahead_front) <= len(back_front):
+            level, ahead_front = _next_level(ahead_front, ahead, moving)
+            ahead_depth += 1
+            meet = [y for y in level if y in back]
+        else:
+            level, back_front = _next_level(back_front, back, moving)
+            back_depth += 1
+            meet = [y for y in level if y in ahead]
+        if meet:
+            break
+    else:
+        return None, len(ahead) + len(back)
+    # the colorings of each level ahead that lie on a shortest path, read back
+    # from the meeting ones; the last is {src}
+    marked = [meet]
+    for _ in range(ahead_depth):
+        marked.append({x for y in marked[-1] for x in ahead[y]})
+    path = [src]
+    for layer in reversed(marked[:-1]):
+        path.append(min(y for y in layer if path[-1] in ahead[y]))
+    for _ in range(back_depth):
+        path.append(min(back[path[-1]]))
+    colorings = [
+        tuple(lst[y // s % len(lst)] for lst, s in zip(sorted_lists, strides)) for y in path
+    ]
     steps = []
-    for a, b in zip(path, path[1:]):
-        fa, fb = rg.nodes[a], rg.nodes[b]
-        (v,) = [x for x in range(rg.graph.n) if fa[x] != fb[x]]
+    for fa, fb in zip(colorings, colorings[1:]):
+        (v,) = [x for x in range(g.n) if fa[x] != fb[x]]
         steps.append((v, fb[v]))
-    return steps
+    return steps, len(ahead) + len(back) - len(meet)
 
 
 def component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
@@ -205,6 +314,5 @@ def component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[int]:
 
 
 def oracle_decide(inst: LcrInstance, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Reachability answer straight from the full reconfiguration graph."""
-    rg = build(inst.graph, inst.lists, cap)
-    return reachable(rg, inst.f0, inst.fr) is not None
+    """Reachability answer straight from the two-sided search."""
+    return reachable(inst.graph, inst.lists, inst.f0, inst.fr, cap)[0] is not None

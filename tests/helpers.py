@@ -560,7 +560,8 @@ def deque_component_of(rg: ReconfigurationGraph, f: Sequence[int]) -> frozenset[
 def deque_reachable(
     rg: ReconfigurationGraph, f0: Sequence[int], fr: Sequence[int]
 ) -> Optional[list[Step]]:
-    """Queue reference for ``lcr.oracle.reachable``."""
+    """Queue reference for the steps of ``lcr.oracle.reachable``, searched
+    over the graph ``build`` enumerates."""
     src, dst = _node_id(rg, f0), _node_id(rg, fr)
     if src == dst:
         return []
@@ -1536,8 +1537,8 @@ def direct_oracle_reduction(spr: SprInstance, state_cap: int) -> Optional[bool]:
     red = compile_spr(spr)
     graph = red.lcr.graph
     try:
-        rg = oracle.build(graph, red.lcr.lists, state_cap)
-        answer = oracle.reachable(rg, red.lcr.f0, red.lcr.fr) is not None
+        steps, _ = oracle.reachable(graph, red.lcr.lists, red.lcr.f0, red.lcr.fr, state_cap)
+        answer = steps is not None
     except StateSpaceTooLarge:
         pass
     return answer

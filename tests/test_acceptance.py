@@ -140,8 +140,7 @@ def test_criterion_4_normalization_keeps_answers_and_witnesses():
         trimmed, trace = normalize(inst)
         agreements += before == oracle_decide(trimmed)
         if before and trimmed.graph.n:
-            rg = build(trimmed.graph, trimmed.lists)
-            steps = reachable(rg, trimmed.f0, trimmed.fr)
+            steps, _ = reachable(trimmed.graph, trimmed.lists, trimmed.f0, trimmed.fr)
             if is_valid_sequence(inst, lift_sequence(trace, inst, steps)):
                 lifted += 1
             else:
@@ -155,9 +154,7 @@ def test_criterion_5_reduction_agrees_and_translates(layered):
     agreements = yes = no = translated = 0
     for spr, red in layered:
         seq = brute_solve(spr)
-        oracle_steps = reachable(
-            build(red.lcr.graph, red.lcr.lists), red.lcr.f0, red.lcr.fr
-        )
+        oracle_steps, _ = reachable(red.lcr.graph, red.lcr.lists, red.lcr.f0, red.lcr.fr)
         agreements += (seq is not None) == (oracle_steps is not None)
         if seq is None:
             no += 1

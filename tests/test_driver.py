@@ -179,7 +179,7 @@ def count_engine_calls(monkeypatch):
     for module, name in ((lcr.driver, "induced_instance"),
                          (lcr.driver, "recognize_caterpillar"),
                          (lcr.caterpillar_dp, "encoding_history"),
-                         (lcr.oracle, "build")):
+                         (lcr.oracle, "reachable")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
@@ -199,8 +199,66 @@ def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness
     # one of each call, all for the NO path
     swept = algo == "auto" and not want_witness
     assert calls == ["induced_instance"] + (
-        ["recognize_caterpillar", "encoding_history"] if swept else ["build"]
+        ["recognize_caterpillar", "encoding_history"] if swept else ["reachable"]
     )
+
+
+def oracle_bound_corpus():
+    """Instances whose components reach the oracle under ``auto --witness``
+    and ``bruteforce``: a NO that no frozen set shows, a YES beside it, and
+    compiled layered instances within the cap."""
+    return [four_colour_no(), hidden_no_components(), hidden_no_components(True)] + [
+        red.lcr for _, red in layered_corpus(30, base_seed=7501, max_states=20_000)
+    ]
+
+
+def test_the_oracle_builds_no_reconfiguration_graph(monkeypatch):
+    corpus = oracle_bound_corpus()
+    runs = [(algo, witness) for algo in ("auto", "bruteforce") for witness in (False, True)]
+
+    def reports_of(inst):
+        return [solve_driver(inst, algo, want_witness=witness) for algo, witness in runs]
+
+    expected = [reports_of(inst) for inst in corpus]
+    assert any(c.oracle_nodes for reports in expected for r in reports for c in r.components)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle.build called on the solve path")
+
+    monkeypatch.setattr(lcr.oracle, "build", refuse)
+    assert [reports_of(inst) for inst in corpus] == expected
+
+
+@pytest.mark.parametrize("algo, want_witness", [("auto", True), ("bruteforce", False)])
+def test_the_oracle_answers_no_on_four_colours(monkeypatch, algo, want_witness):
+    inst = four_colour_no()
+    assert not has_frozen_no(inst) and outside_heights(inst)
+    calls = count_engine_calls(monkeypatch)
+    report = solve_driver(inst, algo, want_witness=want_witness)
+    assert (report.answer, report.algorithm, report.witness) == (False, "bruteforce", None)
+    (comp,) = report.components
+    assert (comp.vertices, comp.answer) == ((0, 1, 2, 3, 4), False)
+    assert calls == ["induced_instance", "reachable"]
+    # the instance is normalized and connected, so it is its one component;
+    # its 15 colourings fall in two components of the reconfiguration graph,
+    # and the search sees 10 of them before one side runs out
+    assert lcr.oracle.reachable(inst.graph, inst.lists, inst.f0, inst.fr) == (None, 10)
+    assert comp.oracle_nodes == 10
+    assert len(lcr.oracle.build(inst.graph, inst.lists).nodes) == 15
+
+
+@pytest.mark.parametrize("algo, want_witness", [("auto", True), ("bruteforce", False)])
+def test_a_refusal_is_the_one_build_raises(algo, want_witness):
+    # four_colour_no has 2 * 3 * 3 * 2 * 2 = 72 list colourings; a cap of 10
+    # is passed at the third vertex, at 18
+    inst = four_colour_no()
+    with pytest.raises(StateSpaceTooLarge) as refused:
+        solve_driver(inst, algo, want_witness=want_witness, state_cap=10)
+    with pytest.raises(StateSpaceTooLarge) as built:
+        lcr.oracle.build(inst.graph, inst.lists, 10)
+    assert str(refused.value) == str(built.value)
+    assert (refused.value.size, refused.value.cap) == (built.value.size, built.value.cap)
+    assert built.value.size == 18
 
 
 def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
@@ -214,10 +272,10 @@ def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
         # the engines the tests take as references still run on it
         swept = solve_driver(inst, "caterpillar")
         assert calls.count("encoding_history") == len(swept.components) >= 1
-        assert "build" not in calls
+        assert "reachable" not in calls
         calls.clear()
         brute = solve_driver(inst, "bruteforce")
-        assert calls.count("build") == len(brute.components) >= 1
+        assert calls.count("reachable") == len(brute.components) >= 1
         assert "encoding_history" not in calls
         assert not swept.answer and not brute.answer and swept.frozen is brute.frozen is None
         calls.clear()

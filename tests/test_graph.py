@@ -198,7 +198,7 @@ def test_breadth_first_helpers_match_the_per_module_searches():
         for f in (inst.f0, inst.fr, far):
             assert component_of(rg, f) == deque_component_of(rg, f)
         for f, h in ((inst.f0, inst.fr), (inst.f0, far), (far, far)):
-            steps = reachable(rg, f, h)
+            steps, _ = reachable(g, inst.lists, f, h)
             assert steps == deque_reachable(rg, f, h)
             answers.add(steps is None)
     assert answers == {True, False}

@@ -27,7 +27,7 @@ from lcr.fileio import parse_lcr
 from lcr.generators import gen_caterpillar
 from lcr.graph import recognize_caterpillar
 from lcr.instance import LcrInstance, induced_instance, normalize
-from lcr.oracle import DEFAULT_STATE_CAP, build, oracle_decide, reachable, state_space_size
+from lcr.oracle import DEFAULT_STATE_CAP, oracle_decide, reachable, state_space_size
 
 from .helpers import (
     _shuffled_coloring,
@@ -116,8 +116,7 @@ def directions(inst: LcrInstance, steps) -> list[int]:
 def check_against_the_oracle(inst: LcrInstance, tally: dict) -> None:
     """The driver's answers, witness and certificate on the input, and the
     heights' own on each trimmed component they take, against the oracle."""
-    rg = build(inst.graph, inst.lists)
-    shortest = reachable(rg, inst.f0, inst.fr)
+    shortest, _ = reachable(inst.graph, inst.lists, inst.f0, inst.fr)
     for want_witness in (False, True):
         report = solve_driver(inst, "auto", want_witness=want_witness)
         assert report.answer == (shortest is not None)
@@ -137,7 +136,7 @@ def check_against_the_oracle(inst: LcrInstance, tally: dict) -> None:
         if out is None:
             tally["left"] += 1
             continue
-        best = reachable(build(sub.graph, sub.lists), sub.f0, sub.fr)
+        best, _ = reachable(sub.graph, sub.lists, sub.f0, sub.fr)
         assert out.answer == (best is not None)
         if out.answer:
             # each vertex moves |h0 - T| / 2 times, which no sequence undercuts

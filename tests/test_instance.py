@@ -27,7 +27,7 @@ from lcr.instance import (
     induced_instance,
     is_proper_list_coloring,
 )
-from lcr.oracle import build, oracle_decide, reachable
+from lcr.oracle import oracle_decide, reachable
 
 from .helpers import (
     caterpillar_corpus,
@@ -433,7 +433,7 @@ def test_lift_under_an_empty_trace_copies_nothing(monkeypatch):
 
     inst = edge_instance({1, 2}, {2, 3}, (1, 2), (2, 3))
     _, trace = normalize(inst)
-    steps = reachable(build(inst.graph, inst.lists), inst.f0, inst.fr)
+    steps, _ = reachable(inst.graph, inst.lists, inst.f0, inst.fr)
     monkeypatch.setattr(Graph, "induced_subgraph", refuse)
     assert trace.trimmed is inst
     assert lift_sequence(trace, inst, steps) == steps == [(1, 3), (0, 2)]
@@ -459,9 +459,7 @@ def test_lift_with_removals_builds_no_graph(monkeypatch):
         inst = gen_random_instance(6, colors=4, seed=900 + seed)
         trimmed, trace = normalize(inst)
         if trace.removals and trimmed.graph.n:
-            steps = reachable(
-                build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr
-            )
+            steps, _ = reachable(trimmed.graph, trimmed.lists, trimmed.f0, trimmed.fr)
             if steps:
                 cases.append((inst, trace, steps))
     assert len(cases) >= 10
@@ -504,9 +502,7 @@ def test_lifted_witnesses_stay_valid():
         if trimmed.graph.n == 0:
             seq = []
         else:
-            steps = reachable(
-                build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr
-            )
+            steps, _ = reachable(trimmed.graph, trimmed.lists, trimmed.f0, trimmed.fr)
             if steps is None:
                 continue
             seq = steps
@@ -552,7 +548,7 @@ def test_lifted_witnesses_stay_valid_behind_a_forcing_chain():
         inst = chain_then_rich_path(rng)
         trimmed, trace = normalize(inst)
         kinds.update(type(rem) for rem in trace.removals)
-        seq = reachable(build(trimmed.graph, trimmed.lists), trimmed.f0, trimmed.fr)
+        seq, _ = reachable(trimmed.graph, trimmed.lists, trimmed.f0, trimmed.fr)
         if seq is None:
             continue
         lifted = lift_sequence(trace, inst, seq)

@@ -18,12 +18,19 @@ from lcr import (
     reachable,
 )
 from lcr.errors import StateSpaceTooLarge, UnknownNode
-from lcr.oracle import _node_id, _sorted_lists_within_cap, state_space_size
+from lcr.instance import induced_instance, normalize
+from lcr.oracle import (
+    DEFAULT_STATE_CAP,
+    _node_id,
+    _sorted_lists_within_cap,
+    state_space_size,
+)
 
 from .helpers import (
     all_colorings,
     caterpillar_corpus,
     cycle_graph,
+    deque_reachable,
     layered_corpus,
     one_color_path,
     path_graph,
@@ -253,44 +260,136 @@ def test_oracle_decide_needs_no_recursion_on_a_long_path():
 
 def test_equal_endpoints_reach_in_zero_steps():
     inst = mixed_edge()
-    rg = build(inst.graph, inst.lists)
-    assert _node_id(rg, (1, 2)) == 0
-    assert reachable(rg, (1, 2), (1, 2)) == []
+    assert _node_id(build(inst.graph, inst.lists), (1, 2)) == 0
+    assert reachable(inst.graph, inst.lists, (1, 2), (1, 2)) == ([], 1)
 
 
 def test_frozen_edge_is_unreachable():
     inst = frozen_edge()
-    rg = build(inst.graph, inst.lists)
-    assert reachable(rg, (1, 2), (2, 1)) is None
+    assert reachable(inst.graph, inst.lists, (1, 2), (2, 1)) == (None, 2)
 
 
 def test_mixed_edge_witness():
     inst = mixed_edge()
-    rg = build(inst.graph, inst.lists)
-    steps = reachable(rg, (1, 2), (2, 3))
-    assert steps == [(1, 3), (0, 2)]
+    steps, visited = reachable(inst.graph, inst.lists, (1, 2), (2, 3))
+    assert steps == [(1, 3), (0, 2)] and visited == 3
     assert is_valid_sequence(inst, steps)
 
 
 def test_unknown_endpoint_is_an_error():
     inst = mixed_edge()
     rg = build(inst.graph, inst.lists)
-    with pytest.raises(UnknownNode):
-        reachable(rg, (2, 2), (1, 2))
     # improper, outside every list (bisecting to either end of the node
     # order), or of the wrong length
     for f in ((2, 2), (0, 0), (3, 3), (1,), (1, 2, 3)):
         with pytest.raises(UnknownNode):
             _node_id(rg, f)
+        for ends in ((f, (1, 2)), ((1, 2), f)):
+            with pytest.raises(UnknownNode):
+                reachable(inst.graph, inst.lists, *ends)
+    # the cap is checked first, as build checks it before any node exists
+    with pytest.raises(StateSpaceTooLarge):
+        reachable(inst.graph, inst.lists, (2, 2), (1, 2), cap=2)
 
 
 def test_witnesses_validate_on_random_instances():
     for inst in caterpillar_corpus(40, base_seed=1401, max_n=9):
-        rg = build(inst.graph, inst.lists)
-        steps = reachable(rg, inst.f0, inst.fr)
+        steps, _ = reachable(inst.graph, inst.lists, inst.f0, inst.fr)
         if steps is not None:
             assert is_valid_sequence(inst, steps)
         assert (steps is not None) == oracle_decide(inst)
+        rg = build(inst.graph, inst.lists)
+        assert oracle_decide(inst) == (_node_id(rg, inst.fr) in component_of(rg, inst.f0))
+
+
+# -- the two-sided search against a queue search of the built graph ------------------
+
+
+def matches_the_queue_search(g, lists, f0, fr, cap=DEFAULT_STATE_CAP):
+    """The search's steps, after checking them against a queue search of
+    ``build``'s graph, and its visits against the graph's size."""
+    rg = build(g, lists, cap)
+    steps, visited = reachable(g, lists, f0, fr, cap)
+    assert steps == deque_reachable(rg, f0, fr)
+    assert 1 <= visited <= rg.num_nodes
+    return steps
+
+
+def grid(rows: int, cols: int) -> Graph:
+    along = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    across = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, along + across)
+
+
+def test_search_matches_the_queue_search_on_unnormalized_instances():
+    cap = 5000
+    rng = random.Random(9301)
+    seen: Counter[str] = Counter()
+    for g, lists in _random_lists_corpus(1200, seed=9302):
+        try:
+            nodes = build(g, lists, cap).nodes
+        except StateSpaceTooLarge as exc:
+            with pytest.raises(StateSpaceTooLarge) as info:
+                reachable(g, lists, (), (), cap)
+            assert (str(info.value), info.value.size) == (str(exc), exc.size)
+            seen["refused"] += 1
+            continue
+        if not nodes:
+            continue
+        for f0, fr in ((rng.choice(nodes), rng.choice(nodes)), (nodes[-1], nodes[-1])):
+            seen["NO"] += matches_the_queue_search(g, lists, f0, fr, cap) is None
+        seen["n = 0"] += g.n == 0
+        seen["disconnected"] += len(g.connected_components()) > 1
+        seen["one-colour list"] += any(len(lst) == 1 for lst in lists)
+    for kind in ("refused", "NO", "n = 0", "disconnected", "one-colour list"):
+        assert seen[kind] > 0, kind
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_search_matches_the_queue_search_on_four_colour_grids(cols):
+    g, lists = grid(3, cols), [frozenset(range(4))] * (3 * cols)
+    nodes = build(g, lists).nodes
+    rng = random.Random(9400 + cols)
+    lengths = set()
+    for _ in range(12):
+        steps = matches_the_queue_search(g, lists, rng.choice(nodes), rng.choice(nodes))
+        lengths.add(len(steps))
+    assert max(lengths) >= 3 * cols
+
+
+@pytest.mark.parametrize("colors", [4, 5])
+def test_search_matches_the_queue_search_on_caterpillars(colors):
+    rng = random.Random(9500 + colors)
+    answers = set()
+    for inst in caterpillar_corpus(60, base_seed=9500 + colors, max_n=9, colors=colors):
+        nodes = build(inst.graph, inst.lists).nodes
+        for f0, fr in ((inst.f0, inst.fr), (rng.choice(nodes), rng.choice(nodes))):
+            answers.add(matches_the_queue_search(inst.graph, inst.lists, f0, fr) is None)
+    assert answers == {True, False}
+
+
+def test_search_matches_the_queue_search_on_compiled_rerouting_components():
+    # every component that bruteforce hands the oracle
+    answers = Counter()
+    for _, red in layered_corpus(80, base_seed=9601, depth_range=(3, 6), max_width=4):
+        trimmed, _ = normalize(red.lcr)
+        for comp in trimmed.graph.connected_components():
+            sub = induced_instance(trimmed, comp)
+            if sub.f0 != sub.fr:
+                steps = matches_the_queue_search(sub.graph, sub.lists, sub.f0, sub.fr)
+                answers[steps is not None] += 1
+    assert answers[True] >= 25 and answers[False] >= 10
+
+
+def test_the_least_sequence_on_the_edgeless_hypercube():
+    # from all 0s to all 1s every order of the ten moves is shortest; the
+    # least sequence of colourings sets the last vertex first
+    g, lists = Graph(10), [frozenset({0, 1})] * 10
+    steps, visited = reachable(g, lists, (0,) * 10, (1,) * 10)
+    assert steps == [(v, 1) for v in range(9, -1, -1)]
+    # the sides meet only once both hold the 252 colourings at distance 5
+    # from either end, so the search sees the whole cube: its worst case
+    assert visited == 1024
 
 
 # -- components ---------------------------------------------------------------------
