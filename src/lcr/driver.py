@@ -2,14 +2,19 @@
 
 Order of business: check the endpoints, shortcut f0 = fr, normalize; under
 ``auto``, answer NO from a frozen set that fr recolours, before any engine
-runs; then split the trimmed graph into components and answer each in turn.
-Under ``auto`` a component whose lists lie within three colours goes to the
-heights (``lcr.heights``), which decide it in linear time unless neither
-end lifts; the others, and those, go to the caterpillar sweep or the
-exhaustive oracle, whose two-sided search builds no reconfiguration graph;
-an oracle-bound component whose endpoints agree needs neither.  Witnesses
-come from the heights or the oracle and are lifted back through the
-normalization trace.
+runs; then split the trimmed graph into components and answer each in turn
+with the first engine that takes it:
+
+1. the heights (``lcr.heights``), under ``auto`` only: a component whose
+   lists lie within three colours, in linear time, unless neither end lifts;
+2. the caterpillar sweep, on a run that sweeps (``caterpillar``, or ``auto``
+   with no witness asked) and a component that is a caterpillar, recognized
+   once; under ``caterpillar`` any other component is a ``NotCaterpillar``;
+3. ``trivial``, a YES with no steps and no search, where the ends agree;
+4. the oracle's two-sided search, which builds no reconfiguration graph.
+
+Witnesses come from the heights or the oracle and are lifted back through
+the normalization trace.
 
 The run stops once its answer is known: a sweep at the step that loses the
 tar mark, which no later step brings back (a spine step passes it on only
@@ -73,6 +78,45 @@ class SolveReport:
     winding: Optional[heights.Winding] = None
 
 
+def _first_engine(
+    sub: LcrInstance, comp: list[int], algo: str, sweep: bool, want_witness: bool,
+    state_cap: int, observer: Optional[Callable[[Sweep, SizeRecord], None]],
+) -> tuple[str, bool, Optional[list[Step]], Optional[heights.Winding], dict]:
+    """Answer the component ``sub`` (new id i is ``comp[i]``) with the first
+    engine of the module's order that takes it: (algorithm, answer, witness
+    steps in ``sub``'s ids or None, a heights NO's certificate or None, the
+    report's size fields).  The oracle's ``StateSpaceTooLarge`` passes up."""
+    if algo == "auto":
+        decided = heights.decide(sub, want_witness)
+        if decided is not None:
+            return "heights", decided.answer, decided.steps, decided.winding, {}
+    structure = recognize_caterpillar(sub.graph) if sweep else None
+    if structure is not None:
+        peak, lo, hi = 0, math.inf, -math.inf
+        for state, rec in caterpillar_dp.encoding_history(sub, structure):
+            pre = rec.pre_extraction
+            # rec.bound, read off the fields without a property call
+            slack = (2 if rec.step == 1 else rec.prev_size + rec.degree) - pre
+            if pre > peak:
+                peak = pre
+            if slack < lo:
+                lo = slack
+            if slack > hi:
+                hi = slack
+            if observer is not None:
+                observer(state, rec)
+            if state.tar is None:
+                break  # NO: no later step brings tar back
+        sizes = dict(steps=rec.step, enode_peak=peak, slack_min=lo, slack_max=hi)
+        return "caterpillar", state.tar is not None, None, None, sizes
+    if algo == "caterpillar":
+        raise NotCaterpillar(f"component {comp} of the trimmed graph is not a caterpillar")
+    if sub.f0 == sub.fr:
+        return "trivial", True, None, None, {}
+    steps, visited = oracle.reachable(sub.graph, sub.lists, sub.f0, sub.fr, state_cap)
+    return "bruteforce", steps is not None, steps, None, {"oracle_nodes": visited}
+
+
 def solve_driver(
     inst: LcrInstance,
     algo: str = "auto",
@@ -87,22 +131,14 @@ def solve_driver(
     asked or not: the report's algorithm is ``"frozen"``, and ``frozen``
     holds the set in input ids together with the vertices that
     normalization removed as one-colour ones, so it is frozen in the input
-    itself.  Otherwise ``auto`` tries the heights on each component of the
-    trimmed graph, witness asked or not; a heights NO leaves its
-    certificate in ``winding``.  A component they do not take goes to the
-    caterpillar sweep if it is a caterpillar and to the oracle if not; the
-    report's algorithm is ``"mixed"`` when the components went different
-    ways.  ``caterpillar`` and ``bruteforce`` always run their own engine.
-    Witnesses come from the heights and the oracle, so ``want_witness``
-    sends what the heights leave to the oracle unless the caller insisted
-    on the sweep, in which case a witness request is an error.  Each
-    component is recognized at most once; the sweep reuses that structure.
-    ``observer``, if given, sees each sweep step that runs as (live
-    ``Sweep``, size record); each swept component opens with ``init``, and a
-    sweep's last step is the one that lost tar, if any.  The first NO
-    component ends the run.  A component bound for the oracle whose
-    endpoints agree answers YES as ``"trivial"`` and searches nothing; the
-    run's algorithm is named by the other components that ran, if any.  A
+    itself.  Otherwise each component goes to the first engine of the
+    module's order that takes it, and a heights NO leaves its certificate
+    in ``winding``.  The sweep gives no witness, so asking ``caterpillar``
+    for one is an error.  ``observer``, if given, sees each sweep step that
+    runs as (live ``Sweep``, size record); each swept component opens with
+    ``init``, and a sweep's last step is the one that lost tar, if any.
+    The report's algorithm is ``"mixed"`` when the components went
+    different ways; trivial ones name it only when no other ran.  A
     component whose oracle would pass ``state_cap`` is skipped, and its
     ``StateSpaceTooLarge`` raised at the end only if no component said NO.
     """
@@ -139,61 +175,19 @@ def solve_driver(
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
         sub = induced_instance(trimmed, comp)  # new id i is comp[i]
-        # None unless the component is within three colours and an end lifts
-        decided = heights.decide(sub, want_witness) if algo == "auto" else None
-        # None unless the component is a caterpillar
-        structure = recognize_caterpillar(sub.graph) if sweep and decided is None else None
-        if structure is None and algo == "caterpillar":
-            raise NotCaterpillar(
-                f"component {comp} of the trimmed graph is not a caterpillar"
+        try:
+            name, yes, steps, cert, sizes = _first_engine(
+                sub, comp, algo, sweep, want_witness, state_cap, observer
             )
-        steps = None  # a YES's witness, in the component's ids
-        if decided is not None:
-            report = ComponentReport(tuple(comp), "heights", decided.answer)
-            steps = decided.steps
-            if decided.winding is not None:
-                kept = trace.kept
-                winding = decided.winding._replace(
-                    vertices=tuple(kept[comp[v]] for v in decided.winding.vertices)
-                )
-        elif structure is not None:
-            peak, lo, hi = 0, math.inf, -math.inf
-            for state, rec in caterpillar_dp.encoding_history(sub, structure):
-                pre = rec.pre_extraction
-                # rec.bound, read off the fields without a property call
-                slack = (2 if rec.step == 1 else rec.prev_size + rec.degree) - pre
-                if pre > peak:
-                    peak = pre
-                if slack < lo:
-                    lo = slack
-                if slack > hi:
-                    hi = slack
-                if observer is not None:
-                    observer(state, rec)
-                if state.tar is None:
-                    break  # NO: no later step brings tar back
-            report = ComponentReport(
-                tuple(comp), "caterpillar", state.tar is not None, steps=rec.step,
-                enode_peak=peak, slack_min=lo, slack_max=hi,
-            )
-        elif sub.f0 == sub.fr:
-            # YES with no steps: no state space to build, however large
-            report = ComponentReport(tuple(comp), "trivial", True)
-        else:
-            try:
-                steps, visited = oracle.reachable(
-                    sub.graph, sub.lists, sub.f0, sub.fr, state_cap
-                )
-            except StateSpaceTooLarge as exc:
-                refusal = refusal or exc  # another component may answer NO
-                continue
-            report = ComponentReport(
-                tuple(comp), "bruteforce", steps is not None, oracle_nodes=visited,
-            )
+        except StateSpaceTooLarge as exc:
+            refusal = refusal or exc  # another component may answer NO
+            continue
+        reports.append(ComponentReport(tuple(comp), name, yes, **sizes))
         if steps is not None and witness_steps is not None:
             witness_steps.extend((comp[v], c) for v, c in steps)
-        reports.append(report)
-        if not report.answer:
+        if cert is not None:
+            winding = cert._replace(vertices=tuple(trace.kept[comp[v]] for v in cert.vertices))
+        if not yes:
             answer = False
             break
     if refusal is not None and answer:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import lcr.caterpillar_dp
 import lcr.driver
+import lcr.heights
 import lcr.oracle
 from lcr import Graph, is_valid_sequence, make_instance
 from lcr.caterpillar_dp import encoding_history
@@ -16,6 +19,7 @@ from .helpers import (
     beside_a_huge_cycle,
     caterpillar_corpus,
     cycle_graph,
+    even_cycle_no,
     four_colour_no,
     frozen_cycle,
     gen_random_instance,
@@ -26,6 +30,7 @@ from .helpers import (
     proves_no,
     side_by_side,
     sweep_answer,
+    winding_path,
 )
 
 
@@ -177,6 +182,7 @@ def count_engine_calls(monkeypatch):
     """Record, by name, each call of the pieces a component run uses."""
     calls = []
     for module, name in ((lcr.driver, "induced_instance"),
+                         (lcr.heights, "decide"),
                          (lcr.driver, "recognize_caterpillar"),
                          (lcr.caterpillar_dp, "encoding_history"),
                          (lcr.oracle, "reachable")):
@@ -196,9 +202,10 @@ def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness
     report = solve_driver(hidden_no_components(), algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
     assert [c.vertices for c in report.components] == [(0, 1, 2, 3, 4)]
-    # one of each call, all for the NO path
+    # one of each call, all for the NO path: under auto the heights are
+    # asked first, and bruteforce never asks them
     swept = algo == "auto" and not want_witness
-    assert calls == ["induced_instance"] + (
+    assert calls == ["induced_instance"] + (["decide"] if algo == "auto" else []) + (
         ["recognize_caterpillar", "encoding_history"] if swept else ["reachable"]
     )
 
@@ -238,7 +245,7 @@ def test_the_oracle_answers_no_on_four_colours(monkeypatch, algo, want_witness):
     assert (report.answer, report.algorithm, report.witness) == (False, "bruteforce", None)
     (comp,) = report.components
     assert (comp.vertices, comp.answer) == ((0, 1, 2, 3, 4), False)
-    assert calls == ["induced_instance", "reachable"]
+    assert calls == ["induced_instance"] + (["decide"] if algo == "auto" else []) + ["reachable"]
     # the instance is normalized and connected, so it is its one component;
     # its 15 colourings fall in two components of the reconfiguration graph,
     # and the search sees 10 of them before one side runs out
@@ -473,7 +480,10 @@ def test_explicit_caterpillar_algo_rejects_cycles():
         (2, 1, 2, 1),
     )
     assert outside_heights(inst)
-    with pytest.raises(NotCaterpillar):
+    with pytest.raises(
+        NotCaterpillar,
+        match=r"^component \[0, 1, 2, 3\] of the trimmed graph is not a caterpillar$",
+    ):
         solve_driver(inst, algo="caterpillar")
     assert solve_driver(inst, algo="auto").algorithm == "bruteforce"
 
@@ -624,3 +634,63 @@ def test_a_spanning_component_is_swept_without_a_copy(monkeypatch):
                 copied.answer, copied.algorithm, copied.witness
             )
             assert report.components == copied.components
+
+
+def report_corpus():
+    """One instance for each way a run ends, then seeded ones: the frozen
+    NO; heights YES, NO by a pair and NO by a cycle; a sweep YES and a NO
+    that loses tar; trivial components only; a mixed run; an instance that
+    normalization empties; a refusal beside a NO and beside only YESes."""
+    triangle = make_instance(  # colour 4 keeps it from the heights
+        Graph(3, [(0, 1), (1, 2), (0, 2)]), [{1, 2, 3}] * 2 + [{2, 3, 4}], (1, 2, 3), (1, 2, 4),
+    )
+    still_triangle = make_instance(
+        Graph(4, [(0, 1), (1, 2), (0, 2)]), [{1, 2, 3}] * 3 + [{1, 2}], (1, 2, 3, 1), (1, 2, 3, 2),
+    )
+    yield two_component_instance()
+    yield mixed_edge()
+    yield winding_path()
+    yield even_cycle_no()
+    yield four_colour_edge()
+    yield hidden_no_components()
+    yield hidden_no_components(True)
+    yield frozen_head_path()
+    yield still_triangle
+    yield side_by_side(four_colour_edge(), mixed_edge(), triangle)
+    yield make_instance(Graph(1), [{1, 2}], (1,), (2,))
+    for cycle_first in (False, True):
+        yield beside_a_huge_cycle(four_colour_no(), cycle_first)
+        yield beside_a_huge_cycle(mixed_edge(), cycle_first)
+        yield beside_a_huge_cycle(four_colour_edge(), cycle_first, still=True)
+    yield from caterpillar_corpus(30, base_seed=9101, max_n=10)
+    yield from caterpillar_corpus(30, base_seed=9201, max_n=10, colors=3)
+    for seed in range(30):
+        yield gen_random_instance(8, edge_prob=0.3, colors=4, seed=9300 + seed)
+    for _, red in layered_corpus(15, base_seed=9401, max_states=20_000):
+        yield red.lcr
+
+
+def report_digest():
+    """SHA-256 over every field of every report, or of the refusal raised,
+    of each corpus instance under auto, auto with a witness, the sweep and
+    the oracle; a sweep asked of a graph that is not a caterpillar gives its
+    message."""
+    lines = []
+    for inst in report_corpus():
+        for algo, want_witness in (
+            ("auto", False), ("auto", True), ("caterpillar", False), ("bruteforce", False),
+        ):
+            try:
+                lines.append(repr(solve_driver(inst, algo, want_witness=want_witness)))
+            except StateSpaceTooLarge as exc:
+                lines.append(repr((str(exc), exc.size, exc.cap)))
+            except NotCaterpillar as exc:
+                lines.append(repr(str(exc)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_reports_are_pinned():
+    # the digest at commit 5526349: any change to a report changes it
+    assert report_digest() == (
+        "6d1ec4d6f6cf9de8d000c6024506af7b948b22579d6cb31134e7c0a3cde5269e"
+    )
