@@ -25,6 +25,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# the --trace notice of each kind of NO certificate, given its vertex count
+_CAPTIONS = {
+    "frozen": "# no sweep: a frozen set of {} vertices, on which fr differs from f0:",
+    "pair": "# heights: two-colour vertices whose bands fix different lifts of fr:",
+    "cycle": "# heights: a cycle of {} vertices, around which f0 and fr wind differently:",
+}
+
 
 def _read(path: str) -> str:
     try:
@@ -81,15 +88,9 @@ def _cmd_solve(args) -> int:
     swept = (i for i, r in enumerate(report.components) if r.algorithm == "caterpillar")
     for i, lines in zip(swept, trace):
         print(f"component {i}", *lines, sep="\n")
-    if args.trace and report.frozen is not None:
-        print(f"# no sweep: a frozen set of {len(report.frozen)} vertices, "
-              "on which fr differs from f0:", *report.frozen)
-    elif args.trace and report.winding is not None:
-        kind, vertices = report.winding
-        print("# heights: two-colour vertices whose bands fix different lifts of fr:"
-              if kind == "pair" else
-              f"# heights: a cycle of {len(vertices)} vertices, around which "
-              "f0 and fr wind differently:", *vertices)
+    if args.trace and report.certificate is not None:
+        kind, vertices = report.certificate
+        print(_CAPTIONS[kind].format(len(vertices)), *vertices)
     elif args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
     return EXIT_OK

@@ -33,6 +33,7 @@ from .caterpillar_dp import SizeRecord, Sweep
 from .errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from .graph import recognize_caterpillar
 from .instance import (
+    Certificate,
     LcrInstance,
     SingletonRemoval,
     Step,
@@ -64,24 +65,22 @@ class ComponentReport:
 @dataclass
 class SolveReport:
     """``components`` has one report per component that ran, in order; a NO
-    component is the last.  A ``"frozen"`` NO runs none."""
+    component is the last.  A ``"frozen"`` NO runs none.  ``certificate``
+    holds a NO's evidence, in input ids: a ``"frozen"`` set with the
+    one-colour vertices normalization removed, so that f0 freezes it in the
+    input itself, or the heights' ``"pair"`` or ``"cycle"``."""
 
     answer: bool
     algorithm: str  # "trivial" | "frozen" | "heights" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
-    # a "frozen" NO's vertex set, sorted input ids: f0 freezes it in the
-    # input instance, and fr differs from f0 on it
-    frozen: Optional[tuple[int, ...]] = None
-    # a "heights" NO's certificate, in input ids: its vertices lie in the
-    # trimmed instance, whose lists are the ones it speaks of
-    winding: Optional[heights.Winding] = None
+    certificate: Optional[Certificate] = None
 
 
 def _first_engine(
     sub: LcrInstance, comp: list[int], algo: str, sweep: bool, want_witness: bool,
     state_cap: int, observer: Optional[Callable[[Sweep, SizeRecord], None]],
-) -> tuple[str, bool, Optional[list[Step]], Optional[heights.Winding], dict]:
+) -> tuple[str, bool, Optional[list[Step]], Optional[Certificate], dict]:
     """Answer the component ``sub`` (new id i is ``comp[i]``) with the first
     engine of the module's order that takes it: (algorithm, answer, witness
     steps in ``sub``'s ids or None, a heights NO's certificate or None, the
@@ -89,7 +88,7 @@ def _first_engine(
     if algo == "auto":
         decided = heights.decide(sub, want_witness)
         if decided is not None:
-            return "heights", decided.answer, decided.steps, decided.winding, {}
+            return "heights", decided.answer, decided.steps, decided.certificate, {}
     structure = recognize_caterpillar(sub.graph) if sweep else None
     if structure is not None:
         peak, lo, hi = 0, math.inf, -math.inf
@@ -128,19 +127,17 @@ def solve_driver(
 
     Under ``auto``, a set of the trimmed instance that f0 freezes and fr
     recolours (``frozen_no``) answers NO before any component runs, witness
-    asked or not: the report's algorithm is ``"frozen"``, and ``frozen``
-    holds the set in input ids together with the vertices that
-    normalization removed as one-colour ones, so it is frozen in the input
-    itself.  Otherwise each component goes to the first engine of the
-    module's order that takes it, and a heights NO leaves its certificate
-    in ``winding``.  The sweep gives no witness, so asking ``caterpillar``
-    for one is an error.  ``observer``, if given, sees each sweep step that
-    runs as (live ``Sweep``, size record); each swept component opens with
-    ``init``, and a sweep's last step is the one that lost tar, if any.
-    The report's algorithm is ``"mixed"`` when the components went
-    different ways; trivial ones name it only when no other ran.  A
-    component whose oracle would pass ``state_cap`` is skipped, and its
-    ``StateSpaceTooLarge`` raised at the end only if no component said NO.
+    asked or not, with algorithm ``"frozen"``.  Otherwise each component
+    goes to the first engine of the module's order that takes it.  Either
+    NO leaves its ``certificate``.  The sweep gives no witness, so asking
+    ``caterpillar`` for one is an error.  ``observer``, if given, sees each
+    sweep step that runs as (live ``Sweep``, size record); each swept
+    component opens with ``init``, and a sweep's last step is the one that
+    lost tar, if any.  The report's algorithm is ``"mixed"`` when the
+    components went different ways; trivial ones name it only when no
+    other ran.  A component whose oracle would pass ``state_cap`` is
+    skipped, and its ``StateSpaceTooLarge`` raised at the end only if no
+    component said NO.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -163,14 +160,12 @@ def solve_driver(
         if frozen is not None:
             # a one-colour vertex's colour left its neighbours' lists, so the
             # removed ones hold the input's other colours of the set's lists
-            kept = trace.kept
-            frozen = [kept[v] for v in frozen] + [
-                r.vertex for r in trace.removals if isinstance(r, SingletonRemoval)
-            ]
-            return SolveReport(False, "frozen", None, [], tuple(sorted(frozen)))
+            removed = [r.vertex for r in trace.removals if isinstance(r, SingletonRemoval)]
+            frozen = tuple(sorted([trace.kept[v] for v in frozen] + removed))
+            return SolveReport(False, "frozen", None, [], Certificate("frozen", frozen))
     # a witness request sends auto past the sweep without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
-    answer, refusal, winding = True, None, None
+    answer, refusal, certificate = True, None, None
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
     for comp in trimmed.graph.connected_components():
@@ -186,7 +181,7 @@ def solve_driver(
         if steps is not None and witness_steps is not None:
             witness_steps.extend((comp[v], c) for v, c in steps)
         if cert is not None:
-            winding = cert._replace(vertices=tuple(trace.kept[comp[v]] for v in cert.vertices))
+            certificate = cert._replace(vertices=tuple(trace.kept[comp[v]] for v in cert.vertices))
         if not yes:
             answer = False
             break
@@ -204,4 +199,4 @@ def solve_driver(
     if want_witness and answer:
         witness = lift_sequence(trace, inst, witness_steps)
 
-    return SolveReport(answer, chosen, witness, reports, winding=winding)
+    return SolveReport(answer, chosen, witness, reports, certificate)

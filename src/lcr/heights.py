@@ -29,23 +29,13 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .graph import reach
-from .instance import LcrInstance, Step
-
-
-class Winding(NamedTuple):
-    """Why the heights answer NO.  ``"pair"``: two two-colour vertices
-    whose bands fix different lifts of fr, found when both ends lift.
-    ``"cycle"``: a cycle, in order, around which f0 and fr wind differently,
-    found when exactly one end lifts."""
-
-    kind: str
-    vertices: tuple[int, ...]
+from .instance import Certificate, LcrInstance, Step
 
 
 class Outcome(NamedTuple):
     answer: bool
     steps: Optional[list[Step]]  # a YES's flips, when a witness was asked for
-    winding: Optional[Winding]  # a NO's certificate
+    certificate: Optional[Certificate]  # a NO's "pair" or "cycle"
 
 
 def _lift(order: list[int], parent: list[int], f: list[int]) -> list[int]:
@@ -95,9 +85,11 @@ def _flips(h: list[int], target: list[int], rows, colours: Sequence[int]) -> lis
     ``blocking[v]`` counts the neighbours on the side v moves away from,
     which a local extreme has none of; a flip of v unblocks each neighbour
     once and blocks v on all sides.  A worklist holds the unblocked
-    vertices short of their goal, so each flip costs its degree.  A vertex
-    never passes its goal, so a target off h's parity ends the flips
-    rather than looping.
+    vertices short of their goal, so each flip costs its degree.  Entries
+    never go stale: a vertex is pushed only while unblocked and short of
+    its goal, and no neighbour of an unblocked vertex can flip, so nothing
+    changes before the pop.  A vertex never passes its goal, so a target
+    off h's parity ends the flips rather than looping.
     """
     h, steps = list(h), []
     for sign, goal in ((-1, list(map(min, h, target))), (1, target)):
@@ -105,8 +97,6 @@ def _flips(h: list[int], target: list[int], rows, colours: Sequence[int]) -> lis
         work = [v for v, b in enumerate(blocking) if not b and (goal[v] - h[v]) * sign > 0]
         while work:
             v = work.pop()
-            if blocking[v] or (goal[v] - h[v]) * sign <= 0:
-                continue
             h[v] += 2 * sign
             steps.append((v, colours[h[v] % 3]))
             blocking[v] = len(rows[v])
@@ -125,7 +115,7 @@ def decide(inst: LcrInstance, want_witness: bool = False) -> Optional[Outcome]:
 
     One breadth-first search lifts both ends, and one pass over the edges
     checks each.  A YES comes with the two-phase flip sequence when
-    ``want_witness`` is set; a NO with its ``Winding``.  Ids are the
+    ``want_witness`` is set; a NO with its ``Certificate``.  Ids are the
     instance's own.
     """
     palette: set[int] = set()
@@ -146,7 +136,7 @@ def decide(inst: LcrInstance, want_witness: bool = False) -> Optional[Outcome]:
     if bad0 is not None or badr is not None:
         if bad0 is not None and badr is not None:
             return None
-        return Outcome(False, None, Winding("cycle", _cycle(parent, *(bad0 or badr))))
+        return Outcome(False, None, Certificate("cycle", _cycle(parent, *(bad0 or badr))))
 
     k = first = None
     for v, lst in enumerate(inst.lists):
@@ -158,7 +148,7 @@ def decide(inst: LcrInstance, want_witness: bool = False) -> Optional[Outcome]:
             if first is None:
                 k, first = kv, v
             elif kv != k:
-                return Outcome(False, None, Winding("pair", (first, v)))
+                return Outcome(False, None, Certificate("pair", (first, v)))
     if not want_witness:
         return Outcome(True, None, None)
     if k is None:

@@ -345,6 +345,17 @@ def frozen_no(inst: LcrInstance) -> Optional[list[int]]:
     return None
 
 
+class Certificate(NamedTuple):
+    """A NO's evidence: its kind and vertices, in the instance's ids.
+    ``"frozen"``: a set that f0 freezes and on which fr differs.  The
+    heights' ``"pair"`` (two two-colour vertices whose bands fix different
+    lifts of fr) and ``"cycle"`` (in order, around which f0 and fr wind
+    differently) speak of the trimmed lists."""
+
+    kind: str
+    vertices: tuple[int, ...]
+
+
 def induced_instance(inst: LcrInstance, vertices: Iterable[int]) -> LcrInstance:
     """Sub-instance induced on the given vertices, numbered as
     ``Graph.induced_subgraph`` numbers them: new id i is the i-th smallest.

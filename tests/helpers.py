@@ -1370,6 +1370,16 @@ def proves_winding(inst: LcrInstance, kind: str, vertices: Sequence[int]) -> boo
     return ks[0] != ks[1]
 
 
+def proves(inst: LcrInstance, certificate: tuple[str, Sequence[int]]) -> bool:
+    """Independent checker of any NO certificate (kind, vertices) in the
+    instance's ids: a ``"frozen"`` set goes to ``proves_no``, a heights
+    ``"pair"`` or ``"cycle"`` to ``proves_winding``."""
+    kind, vertices = certificate
+    if kind == "frozen":
+        return proves_no(inst, vertices)
+    return proves_winding(inst, kind, vertices)
+
+
 def queue_shortest_path(g: Graph, src: int, dst: int) -> Optional[list[int]]:
     """A shortest src-dst path by its own breadth-first search, or None, so
     that ``proves_winding`` leans on no search of the package."""

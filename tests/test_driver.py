@@ -13,7 +13,7 @@ from lcr.caterpillar_dp import encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from lcr.graph import recognize_caterpillar
-from lcr.instance import induced_instance, normalize
+from lcr.instance import Certificate, induced_instance, normalize
 
 from .helpers import (
     beside_a_huge_cycle,
@@ -27,6 +27,7 @@ from .helpers import (
     huge_cycle,
     layered_corpus,
     outside_heights,
+    proves,
     proves_no,
     side_by_side,
     sweep_answer,
@@ -274,7 +275,8 @@ def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
         inst = two_component_instance(yes_first)
         for want_witness in (False, True):
             report = solve_driver(inst, "auto", want_witness=want_witness)
-            assert report == lcr.driver.SolveReport(False, "frozen", None, [], frozen)
+            certificate = Certificate("frozen", frozen)
+            assert report == lcr.driver.SolveReport(False, "frozen", None, [], certificate)
         assert calls == []
         # the engines the tests take as references still run on it
         swept = solve_driver(inst, "caterpillar")
@@ -284,7 +286,8 @@ def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
         brute = solve_driver(inst, "bruteforce")
         assert calls.count("reachable") == len(brute.components) >= 1
         assert "encoding_history" not in calls
-        assert not swept.answer and not brute.answer and swept.frozen is brute.frozen is None
+        assert not swept.answer and not brute.answer
+        assert swept.certificate is brute.certificate is None
         calls.clear()
 
 
@@ -294,7 +297,8 @@ def test_a_frozen_no_past_the_cap_answers_under_auto():
     inst = frozen_cycle()
     for want_witness in (False, True):
         report = solve_driver(inst, "auto", want_witness=want_witness)
-        assert (report.answer, report.algorithm, report.frozen) == (False, "frozen", tuple(range(30)))
+        assert (report.answer, report.algorithm) == (False, "frozen")
+        assert report.certificate == ("frozen", tuple(range(30)))
     with pytest.raises(StateSpaceTooLarge):
         solve_driver(inst, "bruteforce")
     with pytest.raises(NotCaterpillar):
@@ -322,15 +326,15 @@ def test_auto_takes_the_frozen_shortcut_exactly_when_the_reference_does():
             report = solve_driver(inst, "auto", want_witness=want_witness)
             assert (report.algorithm == "frozen") == expect
             if not expect:
-                assert report.frozen is None
+                assert report.certificate is None or report.certificate.kind != "frozen"
                 continue
             # the set is checked against the input, and the oracle agrees
             assert report.answer is brute is False
             assert report.witness is None and report.components == []
-            assert proves_no(inst, report.frozen)
+            assert proves(inst, report.certificate)
         if expect:
             frozen += 1
-            trimmed_only = set(normalize(inst)[1].kept) & set(report.frozen)
+            trimmed_only = set(normalize(inst)[1].kept) & set(report.certificate.vertices)
             needs_singletons += not proves_no(inst, sorted(trimmed_only))
     assert frozen >= 150 and needs_singletons >= 30
 
@@ -670,8 +674,18 @@ def report_corpus():
         yield red.lcr
 
 
+def report_view(report: lcr.driver.SolveReport) -> tuple:
+    """A report field by field: answer, algorithm, witness, components, and
+    the NO certificate as a plain (kind, vertices) tuple or None."""
+    cert = report.certificate
+    return (
+        report.answer, report.algorithm, report.witness, report.components,
+        None if cert is None else (cert.kind, cert.vertices),
+    )
+
+
 def report_digest():
-    """SHA-256 over every field of every report, or of the refusal raised,
+    """SHA-256 over the view of every report, or over the refusal raised,
     of each corpus instance under auto, auto with a witness, the sweep and
     the oracle; a sweep asked of a graph that is not a caterpillar gives its
     message."""
@@ -681,7 +695,8 @@ def report_digest():
             ("auto", False), ("auto", True), ("caterpillar", False), ("bruteforce", False),
         ):
             try:
-                lines.append(repr(solve_driver(inst, algo, want_witness=want_witness)))
+                report = solve_driver(inst, algo, want_witness=want_witness)
+                lines.append(repr(report_view(report)))
             except StateSpaceTooLarge as exc:
                 lines.append(repr((str(exc), exc.size, exc.cap)))
             except NotCaterpillar as exc:
@@ -690,7 +705,9 @@ def report_digest():
 
 
 def test_reports_are_pinned():
-    # the digest at commit 5526349: any change to a report changes it
+    # the digest at commit 45246d4, whose reports kept a frozen set and a
+    # heights certificate in two fields, each viewed as its (kind,
+    # vertices): any change to a report's content changes it
     assert report_digest() == (
-        "6d1ec4d6f6cf9de8d000c6024506af7b948b22579d6cb31134e7c0a3cde5269e"
+        "f6cd585360b1950492bd4df36e776f8d34d89aec43ff10f542db058ecd16e87a"
     )

@@ -6,8 +6,8 @@ non-caterpillars after normalization and on connected graphs with cycles,
 and the sweep on 3-colour caterpillars past the oracle's cap, the
 benchmark's ``path3`` texts among them.  A YES witness must replay on the
 input after lifting, and on its component it must be as short as the
-oracle's.  A NO certificate must pass ``helpers.proves_winding``, and
-mutants of it must not.
+oracle's.  A NO certificate must pass ``helpers.proves``, and mutants of
+it must not.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from lcr.driver import solve_driver
 from lcr.fileio import parse_lcr
 from lcr.generators import gen_caterpillar
 from lcr.graph import recognize_caterpillar
-from lcr.instance import LcrInstance, induced_instance, normalize
+from lcr.instance import Certificate, LcrInstance, induced_instance, normalize
 from lcr.oracle import DEFAULT_STATE_CAP, oracle_decide, reachable, state_space_size
 
 from .helpers import (
@@ -37,8 +37,9 @@ from .helpers import (
     gen_random_instance,
     has_frozen_no,
     outside_heights,
+    frozen_cycle,
     path_graph,
-    proves_winding,
+    proves,
     queue_shortest_path,
     side_by_side,
     tree_from_prufer,
@@ -125,10 +126,11 @@ def check_against_the_oracle(inst: LcrInstance, tally: dict) -> None:
         # lifting may add dodges, so the input's witness is only checked for length
         assert len(report.witness) >= len(shortest)
         tally["lifted_longer"] += len(report.witness) > len(shortest)
-    if report.winding is not None:
-        assert report.algorithm == "heights"
-        assert proves_winding(inst, *report.winding)
-        tally["certified_" + report.winding.kind] += 1
+    cert = report.certificate
+    if cert is not None:
+        assert report.algorithm == ("frozen" if cert.kind == "frozen" else "heights")
+        assert proves(inst, cert)
+        tally["certified_" + cert.kind] += 1
     trimmed, _ = normalize(inst)
     for comp in trimmed.graph.connected_components():
         sub = induced_instance(trimmed, comp)
@@ -146,13 +148,14 @@ def check_against_the_oracle(inst: LcrInstance, tally: dict) -> None:
             assert moves == sorted(moves)  # down first, then up
             tally["yes"] += 1
         else:
-            assert out.steps is None and proves_winding(sub, *out.winding)
+            assert out.steps is None and proves(sub, out.certificate)
             tally["no"] += 1
 
 
 def new_tally() -> dict:
     return dict.fromkeys(
-        ("yes", "no", "left", "lifted_longer", "certified_pair", "certified_cycle"), 0
+        ("yes", "no", "left", "lifted_longer", "certified_pair", "certified_cycle",
+         "certified_frozen"), 0
     )
 
 
@@ -209,8 +212,8 @@ def check_against_the_sweep(inst: LcrInstance) -> bool:
     swept = solve_driver(inst, "caterpillar")
     assert auto.answer == swept.answer
     assert auto.algorithm == ("frozen" if has_frozen_no(inst) else "heights")
-    if auto.winding is not None:
-        assert proves_winding(inst, *auto.winding)
+    if auto.certificate is not None:
+        assert proves(inst, auto.certificate)
     if auto.answer:
         witness = solve_driver(inst, "auto", want_witness=True).witness
         assert is_valid_sequence(inst, witness)
@@ -259,8 +262,8 @@ def test_a_heights_no_carries_its_certificate_in_input_ids():
     )
     report = solve_driver(inst)
     assert (report.answer, report.algorithm) == (False, "heights")
-    assert report.winding == heights.Winding("pair", (1, 3))
-    assert proves_winding(inst, *report.winding)
+    assert report.certificate == Certificate("pair", (1, 3))
+    assert proves(inst, report.certificate)
     assert [c.algorithm for c in report.components] == ["heights"]
 
 
@@ -269,14 +272,14 @@ def test_exactly_one_lifting_end_is_a_no_with_a_cycle():
     for want_witness in (False, True):
         report = solve_driver(inst, want_witness=want_witness)
         assert (report.answer, report.algorithm, report.witness) == (False, "heights", None)
-        kind, cycle = report.winding
+        kind, cycle = report.certificate
         assert kind == "cycle" and sorted(cycle) == list(range(6))
-        assert proves_winding(inst, kind, cycle)
+        assert proves(inst, report.certificate)
     # with the two ends swapped, f0 freezes the whole cycle, and the frozen
     # set answers before the heights run
     swapped = LcrInstance(inst.graph, inst.lists, inst.fr, inst.f0)
     assert solve_driver(swapped).algorithm == "frozen"
-    assert heights.decide(swapped).winding.kind == "cycle"
+    assert heights.decide(swapped).certificate.kind == "cycle"
 
 
 def test_the_heights_leave_four_colours_and_non_lifting_ends():
@@ -319,14 +322,14 @@ def test_the_heights_checker_fails_on_mutations():
     # the winding path proves NO by its two bands; swapping an end for the
     # middle vertex, which has no band, or for the other end proves nothing
     inst = winding_path()
-    assert proves_winding(inst, "pair", (0, 2)) and proves_winding(inst, "pair", (2, 0))
+    assert proves(inst, ("pair", (0, 2))) and proves(inst, ("pair", (2, 0)))
     for pair in ((1, 2), (0, 1), (0, 0), (2, 2)):
-        assert not proves_winding(inst, "pair", pair)
-    assert not proves_winding(inst, "pair", (0, 1, 2))
-    assert not proves_winding(inst, "cycle", (0, 2))
+        assert not proves(inst, ("pair", pair))
+    assert not proves(inst, ("pair", (0, 1, 2)))
+    assert not proves(inst, ("cycle", (0, 2)))
     # around a cycle where both ends lift, both wind by 0: no proof
     still = make_instance(cycle_graph(6), [{0, 1, 2}] * 6, (0, 1) * 3, (1, 0) * 3)
-    assert not proves_winding(still, "cycle", tuple(range(6)))
+    assert not proves(still, ("cycle", tuple(range(6))))
     # bands at 0, 2 and 4 of a 5-path: vertex 4's lift of fr disagrees with
     # both others, while 0 and 2 agree with each other
     path = make_instance(
@@ -334,18 +337,27 @@ def test_the_heights_checker_fails_on_mutations():
         (0, 1, 0, 1, 0), (0, 2, 1, 0, 2),
     )
     report = solve_driver(path)
-    assert report.winding.kind == "pair" and proves_winding(path, *report.winding)
-    assert proves_winding(path, "pair", (0, 4)) and proves_winding(path, "pair", (2, 4))
+    assert report.certificate.kind == "pair" and proves(path, report.certificate)
+    assert proves(path, ("pair", (0, 4))) and proves(path, ("pair", (2, 4)))
     for pair in ((0, 2), (1, 4), (0, 3), (4, 4)):
-        assert not proves_winding(path, "pair", pair)
+        assert not proves(path, ("pair", pair))
     # the cycle with a vertex swapped out is no closed walk, and shifted it
     # is the same cycle
     cycle = even_cycle_no()
-    kind, walk = solve_driver(cycle).winding
-    assert proves_winding(cycle, kind, walk[1:] + walk[:1])
+    kind, walk = solve_driver(cycle).certificate
+    assert proves(cycle, (kind, walk[1:] + walk[:1]))
     for i in range(len(walk)):
         for w in set(range(6)) - {walk[i]}:
-            assert not proves_winding(cycle, kind, walk[:i] + (w,) + walk[i + 1:])
+            assert not proves(cycle, (kind, walk[:i] + (w,) + walk[i + 1:]))
+    # each certificate the driver gives, read as another kind, proves
+    # nothing: a pair as a cycle or a frozen set, a cycle as a pair or a
+    # frozen set, a frozen set as a pair or a cycle
+    frozen_path = make_instance(path_graph(3), [{0, 1}, {0, 1, 2}, {1, 2}], (0, 1, 2), (1, 0, 2))
+    for inst in (winding_path(), path, cycle, frozen_path, frozen_cycle()):
+        report = solve_driver(inst)
+        assert proves(inst, report.certificate)
+        for other in {"pair", "cycle", "frozen"} - {report.certificate.kind}:
+            assert not proves(inst, report.certificate._replace(kind=other))
 
 
 def recoloured(inst: LcrInstance, walk):
@@ -374,13 +386,13 @@ def test_a_colour_changed_on_the_walk_is_a_move_or_a_clash():
             report = solve_driver(inst)
         except lcr.errors.InfeasibleList:
             continue
-        if report.winding is None:
+        if report.certificate is None or report.certificate.kind == "frozen":
             continue
         certificates += 1
-        kind, vertices = report.winding
+        kind, vertices = report.certificate
         walk = queue_shortest_path(inst.graph, *vertices) if kind == "pair" else vertices
         for mutant, proper in recoloured(inst, walk):
-            assert proves_winding(mutant, kind, vertices) == proper
+            assert proves(mutant, report.certificate) == proper
             if proper:
                 assert not oracle_decide(mutant)
             moved += proper

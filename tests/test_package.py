@@ -114,6 +114,14 @@ def test_every_re_export_is_imported_from_lcr_by_a_user():
     assert sorted(exported - imported) == []
 
 
+def test_the_readme_quick_start_prints_what_its_comments_promise(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "the README's quick start went missing"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n[(0, 2), (1, 1), (2, 3)] 4\nTrue\n"
+
+
 def test_the_round_trip_keeps_name_real_functions():
     from lcr import fileio
 
