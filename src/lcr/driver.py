@@ -7,11 +7,12 @@ with the first engine that takes it:
 
 1. the heights (``lcr.heights``), under ``auto`` only: a component whose
    lists lie within three colours, in linear time, unless neither end lifts;
-2. the caterpillar sweep, on a run that sweeps (``caterpillar``, or ``auto``
+2. under ``auto`` with no witness, ``lcr.instance.peel`` on a tree, whose pieces join the rest;
+3. the caterpillar sweep, on a run that sweeps (``caterpillar``, or ``auto``
    with no witness asked) and a component that is a caterpillar, recognized
    once; under ``caterpillar`` any other component is a ``NotCaterpillar``;
-3. ``trivial``, a YES with no steps and no search, where the ends agree;
-4. the oracle's two-sided search, which builds no reconfiguration graph.
+4. ``trivial``, a YES with no steps and no search, where the ends agree;
+5. the oracle's two-sided search, which builds no reconfiguration graph.
 
 Witnesses come from the heights or the oracle and are lifted back through
 the normalization trace.
@@ -42,6 +43,7 @@ from .instance import (
     is_proper_list_coloring,
     lift_sequence,
     normalize,
+    peel,
 )
 
 ALGORITHMS = ("auto", "caterpillar", "bruteforce")
@@ -64,11 +66,11 @@ class ComponentReport:
 
 @dataclass
 class SolveReport:
-    """``components`` has one report per component that ran, in order; a NO
-    component is the last.  A ``"frozen"`` NO runs none.  ``certificate``
-    holds a NO's evidence, in input ids: a ``"frozen"`` set with the
-    one-colour vertices normalization removed, so that f0 freezes it in the
-    input itself, or the heights' ``"pair"`` or ``"cycle"``."""
+    """``components`` has one report per component or peeled piece that ran,
+    in order (a NO is the last; a peeled vertex is in none); a ``"frozen"``
+    NO runs none.  ``certificate`` holds a NO's evidence, in input ids: a
+    ``"frozen"`` set with the one-colour vertices normalization removed, so
+    that f0 freezes it in the input itself, or the heights' ``"pair"`` or ``"cycle"``."""
 
     answer: bool
     algorithm: str  # "trivial" | "frozen" | "heights" | "caterpillar" | "bruteforce" | "mixed"
@@ -80,15 +82,20 @@ class SolveReport:
 def _first_engine(
     sub: LcrInstance, comp: list[int], algo: str, sweep: bool, want_witness: bool,
     state_cap: int, observer: Optional[Callable[[Sweep, SizeRecord], None]],
-) -> tuple[str, bool, Optional[list[Step]], Optional[Certificate], dict]:
+) -> tuple[str, bool, Optional[list[Step]], Optional[Certificate], dict] | list[list[int]]:
     """Answer the component ``sub`` (new id i is ``comp[i]``) with the first
     engine of the module's order that takes it: (algorithm, answer, witness
     steps in ``sub``'s ids or None, a heights NO's certificate or None, the
-    report's size fields).  The oracle's ``StateSpaceTooLarge`` passes up."""
+    report's size fields), or the pieces in ``comp``'s ids of a tree the
+    peel shrinks.  The oracle's ``StateSpaceTooLarge`` passes up."""
     if algo == "auto":
         decided = heights.decide(sub, want_witness)
         if decided is not None:
             return "heights", decided.answer, decided.steps, decided.certificate, {}
+        if sweep and sub.graph.m == sub.graph.n - 1:
+            pieces = peel(sub)
+            if sum(map(len, pieces)) < sub.graph.n:
+                return [[comp[v] for v in piece] for piece in pieces]
     structure = recognize_caterpillar(sub.graph) if sweep else None
     if structure is not None:
         peak, lo, hi = 0, math.inf, -math.inf
@@ -168,15 +175,18 @@ def solve_driver(
     answer, refusal, certificate = True, None, None
     reports = []
     witness_steps: Optional[list[Step]] = [] if want_witness else None
-    for comp in trimmed.graph.connected_components():
+    work = trimmed.graph.connected_components()
+    for comp in work:  # the list grows by the peel's pieces as it is read
         sub = induced_instance(trimmed, comp)  # new id i is comp[i]
         try:
-            name, yes, steps, cert, sizes = _first_engine(
-                sub, comp, algo, sweep, want_witness, state_cap, observer
-            )
+            found = _first_engine(sub, comp, algo, sweep, want_witness, state_cap, observer)
         except StateSpaceTooLarge as exc:
             refusal = refusal or exc  # another component may answer NO
             continue
+        if isinstance(found, list):
+            work.extend(found)
+            continue
+        name, yes, steps, cert, sizes = found
         reports.append(ComponentReport(tuple(comp), name, yes, **sizes))
         if steps is not None and witness_steps is not None:
             witness_steps.extend((comp[v], c) for v, c in steps)

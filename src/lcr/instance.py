@@ -15,7 +15,7 @@ from operator import contains, ne
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InfeasibleList, InvalidSequence, PartialColoring
-from .graph import Graph
+from .graph import Graph, reach
 
 Coloring = tuple[int, ...]
 Step = tuple[int, int]
@@ -190,6 +190,36 @@ def normalize(inst: LcrInstance) -> tuple[LcrInstance, NormalizationTrace]:
         tuple(inst.fr[v] for v in kept),
     )
     return trimmed, NormalizationTrace(tuple(removals), kept, trimmed)
+
+
+def peel(inst: LcrInstance) -> list[list[int]]:
+    """The components, each sorted, left once every vertex whose list holds
+    a colour no live neighbour lists, or exceeds its live degree plus one,
+    is removed, to a fixpoint (``held[v][c]`` counts v's live neighbours
+    listing c).  Such a vertex moves first to that colour, or dodges as a
+    rich one does, and last to fr: the answer stays, with no record to lift by."""
+    rows = inst.graph.adjacency
+    degree, held = list(map(len, rows)), [dict.fromkeys(lst, 0) for lst in inst.lists]
+    for u, v in inst.graph.edges:
+        hu, hv = held[u], held[v]
+        for c in hv:
+            if c in hu:
+                hu[c] += 1
+                hv[c] += 1
+    live, stack = [-1] * inst.graph.n, list(range(inst.graph.n))  # -1 while live, for ``reach``
+    while stack:
+        v = stack.pop()
+        if live[v] < 0 and (len(held[v]) > degree[v] + 1 or 0 in held[v].values()):
+            live[v], count = v, held[v]
+            for u in rows[v]:
+                if live[u] < 0:
+                    degree[u] -= 1
+                    hu = held[u]
+                    for c in count:
+                        if c in hu:
+                            hu[c] -= 1
+                    stack.append(u)
+    return [sorted(reach(rows, v, live)) for v in range(len(live)) if live[v] < 0]
 
 
 def lift_sequence(

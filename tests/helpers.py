@@ -196,6 +196,27 @@ def quadratic_normalize(
     return trimmed, NormalizationTrace(tuple(removals), kept, trimmed)
 
 
+def rescanning_peel(inst: LcrInstance) -> list[list[int]]:
+    """Rescanning reference for ``lcr.instance.peel``: remove any live
+    vertex with a colour no live neighbour lists, or with more colours than
+    its live degree plus one, until none is left.  Removal only helps
+    further removals, so the order does not matter.  The survivors'
+    components come back from ``deque_connected_components``."""
+    alive = set(range(inst.graph.n))
+    while True:
+        for v in sorted(alive):
+            live = [u for u in inst.graph.neighbors(v) if u in alive]
+            shared = set().union(*(inst.lists[u] for u in live))
+            if len(inst.lists[v]) > len(live) + 1 or not inst.lists[v] <= shared:
+                alive.remove(v)
+                break
+        else:
+            break
+    kept = sorted(alive)
+    pieces = deque_connected_components(inst.graph.induced_subgraph(kept))
+    return [[kept[i] for i in piece] for piece in pieces]
+
+
 def recursive_colorings(
     g: Graph,
     lists: Sequence[frozenset[int]],
@@ -1184,8 +1205,10 @@ def four_colour_no() -> LcrInstance:
 
     The lists are {1,2}, {0,1,2}, {0,1,2}, {1,2} and {1,3}, and f0 =
     (1, 2, 0, 2, 3) must become fr = (2, 1, 0, 2, 3).  Colour 3 keeps it
-    from the heights, so ``auto`` needs the sweep or the oracle for it.  It
-    is normalized.
+    from the heights, so ``auto`` with a witness needs the oracle for it.
+    With none, the peel removes the leaf, whose colour 3 its neighbour does
+    not list, and the heights answer the rest (``shared_colours_no`` is a
+    four-colour NO that ``auto`` sweeps).  It is normalized.
     """
     return LcrInstance(
         path_graph(5),
@@ -1193,6 +1216,28 @@ def four_colour_no() -> LcrInstance:
         (1, 2, 0, 2, 3),
         (2, 1, 0, 2, 3),
     )
+
+
+def shared_colours_no() -> LcrInstance:
+    """A 5-vertex path that answers NO with four colours in its lists, each
+    of which a neighbour lists too, so the peel keeps it whole
+    (``gen_caterpillar(4, leaf_prob=0.3, colors=4, seed=110)``).
+
+    The lists are {0,2}, {0,2,3}, {0,3}, {0,1,2} and {1,2}, and f0 =
+    (2, 3, 0, 2, 1) must become fr = (2, 0, 3, 1, 2).  No frozen set shows
+    the NO and the heights do not take it, so ``auto`` with no witness
+    sweeps it, and the sweep loses tar at step 3 of 5.  It is normalized.
+    """
+    return gen_caterpillar(4, leaf_prob=0.3, colors=4, seed=110)
+
+
+def shared_colours_yes() -> LcrInstance:
+    """A 4-vertex path that answers YES with four colours in its lists, each
+    of which a neighbour lists too (``gen_caterpillar(4, leaf_prob=0.3,
+    colors=4, seed=68)``): the lists are {1,3}, {1,2,3}, {0,2,3} and {0,3},
+    and f0 = (3, 1, 0, 3) must become fr = (1, 2, 0, 3).  ``auto`` with no
+    witness sweeps it whole.  It is normalized."""
+    return gen_caterpillar(4, leaf_prob=0.3, colors=4, seed=68)
 
 
 def even_cycle_no() -> LcrInstance:

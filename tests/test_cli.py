@@ -34,6 +34,9 @@ from .helpers import (
     huge_cycle,
     one_color_path,
     outside_heights,
+    shared_colours_no,
+    shared_colours_yes,
+    side_by_side,
     winding_path,
 )
 
@@ -154,13 +157,27 @@ def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
     ) + SECOND_COMPONENT_TRACE
 
 
+def heights_then_sweep():
+    """The first component of ``two_swept_components`` (a 3-colour edge once
+    rich vertex 2 is removed), then a 5-vertex NO whose four colours a
+    neighbour lists too, so that under auto the peel keeps it whole for the
+    sweep, which loses tar at step 3."""
+    first = make_instance(
+        Graph(3, [(0, 1), (0, 2)]), [{1, 2}, {2, 3}, {1, 2, 3, 4}], (1, 2, 3), (2, 3, 4),
+    )
+    return side_by_side(first, shared_colours_no())
+
+
 def test_solve_trace_of_a_mixed_heights_and_sweep_run(tmp_path, capsys):
     # the heights answer component 0 and print nothing; the swept component
-    # keeps its index, and the notice follows, as after any other engine
-    path = write_lcr(tmp_path, two_swept_components())
+    # keeps its index and the trace the sweep alone gives it, and the notice
+    # follows, as after any other engine
+    path = write_lcr(tmp_path, heights_then_sweep())
+    assert main(["solve", path, "--trace", "--algo", "caterpillar"]) == EXIT_OK
+    swept = capsys.readouterr().out
     assert main(["solve", path, "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
-        "NO\n" + SECOND_COMPONENT_TRACE
+        "NO\n" + swept[swept.index("component 1\n"):]
         + "# trace available only for the caterpillar algorithm\n"
     )
 
@@ -176,7 +193,7 @@ def test_solve_trace_sweeps_each_component_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lcr.caterpillar_dp, "encoding_history", counting)
     # and any name the CLI might import the entry under
     monkeypatch.setattr(lcr.cli, "encoding_history", counting, raising=False)
-    path = write_lcr(tmp_path, two_swept_components())
+    path = write_lcr(tmp_path, heights_then_sweep())
     assert main(["solve", path, "--trace", "--algo", "caterpillar"]) == EXIT_OK
     assert capsys.readouterr().out.count("component ") == 2
     assert calls == [2, 5]
@@ -231,28 +248,26 @@ def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
 
 def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):
     # the triangle (vertex 2 moves) goes to the oracle as component 0, the
-    # edge is swept as component 1: its trace is headed by that index; each
-    # holds four colours, which keeps it from the heights
-    inst = make_instance(
-        Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
-        [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2}, {3, 4}],
-        (1, 2, 3, 1, 3),
-        (1, 2, 4, 2, 4),
+    # path is swept as component 1: its trace, the one the path alone
+    # gives, is headed by that index; each holds four colours, which keeps
+    # it from the heights, and a neighbour lists each colour of the path,
+    # so the peel keeps it whole
+    triangle = make_instance(
+        Graph(3, [(0, 1), (1, 2), (0, 2)]),
+        [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}],
+        (1, 2, 3),
+        (1, 2, 4),
     )
+    path = shared_colours_yes()
+    assert main(["solve", write_lcr(tmp_path, path), "--trace"]) == EXIT_OK
+    alone = capsys.readouterr().out
+    assert alone.startswith("YES\ncomponent 0\nstep 1 vertex 0 init\n")
+    inst = side_by_side(triangle, path)
     assert outside_heights(inst)
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
     assert capsys.readouterr().out == (
-        "YES\n"
-        "component 1\n"
-        "step 1 vertex 0 init\n"
-        "enode 0 col 1 ini 1 tar 0\n"
-        "enode 1 col 2 ini 0 tar 1\n"
-        "eedge 0 1\n"
-        "step 2 vertex 1 spine\n"
-        "enode 0 col 3 ini 1 tar 0\n"
-        "enode 1 col 4 ini 0 tar 1\n"
-        "eedge 0 1\n"
-        "# trace available only for the caterpillar algorithm\n"
+        alone.replace("component 0\n", "component 1\n")
+        + "# trace available only for the caterpillar algorithm\n"
     )
 
 
@@ -281,8 +296,9 @@ def test_solve_state_cap_exits_3(tmp_path, capsys):
 
 
 def test_solve_answers_a_no_beside_a_refused_component(tmp_path, capsys):
-    # the NO has no frozen set and four colours: it comes from the sweep or
-    # oracle; the odd cycle lifts at neither end, so only the oracle could
+    # the NO has no frozen set and four colours: it comes from the oracle,
+    # or with no witness from the heights once the peel removes its colour-3
+    # leaf; the odd cycle lifts at neither end, so only the oracle could
     # answer it
     assert outside_heights(four_colour_no()) and outside_heights(huge_cycle())
     for cycle_first in (False, True):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -12,10 +13,12 @@ from lcr import Graph, is_valid_sequence, make_instance
 from lcr.caterpillar_dp import encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
+from lcr.generators import gen_caterpillar
 from lcr.graph import recognize_caterpillar
-from lcr.instance import Certificate, induced_instance, normalize
+from lcr.instance import Certificate, induced_instance, normalize, peel
 
 from .helpers import (
+    _shuffled_coloring,
     beside_a_huge_cycle,
     caterpillar_corpus,
     cycle_graph,
@@ -29,8 +32,12 @@ from .helpers import (
     outside_heights,
     proves,
     proves_no,
+    rescanning_peel,
+    shared_colours_no,
+    shared_colours_yes,
     side_by_side,
     sweep_answer,
+    tree_from_prufer,
     winding_path,
 )
 
@@ -53,8 +60,10 @@ def four_colour_edge():
 def hidden_no_components(yes_first=False):
     """The four-colour NO on {0..4} next to a four-colour edge on {5,6}, or
     with ``yes_first`` the edge on {0,1} and the NO on {2..6}: a NO that no
-    frozen set shows and the heights do not take, so ``auto`` has to run
-    the sweep or the oracle to find it."""
+    frozen set shows and the heights do not take whole, so ``auto`` with a
+    witness has to run the oracle to find it.  With none, the peel takes
+    the NO's vertex of colour 3 and the whole edge, and the heights answer
+    what is left."""
     if yes_first:
         inst = side_by_side(four_colour_edge(), four_colour_no())
     else:
@@ -109,10 +118,12 @@ def test_auto_recognizes_each_component_once(monkeypatch):
             return original(g)
 
         monkeypatch.setattr(module, "recognize_caterpillar", counting)
-    # the path answers NO, so an edge after it is never reached
-    for yes_first, sizes in ((True, [2, 5]), (False, [5])):
+    # the NO path comes last or first, so a YES after it is never reached;
+    # a neighbour lists each colour of both, so the peel keeps them whole
+    for yes_first, sizes in ((True, [4, 5]), (False, [5])):
         calls.clear()
-        report = solve_driver(hidden_no_components(yes_first), "auto")
+        yes, no = shared_colours_yes(), shared_colours_no()
+        report = solve_driver(side_by_side(yes, no) if yes_first else side_by_side(no, yes))
         assert report.algorithm == "caterpillar"
         assert [c.answer for c in report.components] == [True, False][-len(sizes):]
         assert calls == sizes
@@ -121,10 +132,11 @@ def test_auto_recognizes_each_component_once(monkeypatch):
 def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
     # an 8-vertex path (2916 colorings) is past the cap of 100 and must be
     # swept; the triangle (27 colorings), whose last vertex moves, goes to
-    # the oracle; colour 4 in each keeps them from the heights
+    # the oracle; colour 4 in each keeps them from the heights, and a
+    # neighbour lists each colour of the path, so the peel keeps it whole
     inst = make_instance(
         Graph(11, [(i, i + 1) for i in range(7)] + [(8, 9), (9, 10), (8, 10)]),
-        [{1, 2}] + [{1, 2, 3}] * 6 + [{2, 4}] + [{1, 2, 3}] * 2 + [{2, 3, 4}],
+        [{1, 2}] + [{1, 2, 3}] * 5 + [{1, 2, 4}, {2, 4}] + [{1, 2, 3}] * 2 + [{2, 3, 4}],
         (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3),
         (1, 3, 1, 3, 1, 3, 1, 2, 1, 2, 4),
     )
@@ -184,6 +196,7 @@ def count_engine_calls(monkeypatch):
     calls = []
     for module, name in ((lcr.driver, "induced_instance"),
                          (lcr.heights, "decide"),
+                         (lcr.driver, "peel"),
                          (lcr.driver, "recognize_caterpillar"),
                          (lcr.caterpillar_dp, "encoding_history"),
                          (lcr.oracle, "reachable")):
@@ -200,14 +213,16 @@ def count_engine_calls(monkeypatch):
 ])
 def test_the_run_stops_at_the_first_no_component(monkeypatch, algo, want_witness):
     calls = count_engine_calls(monkeypatch)
-    report = solve_driver(hidden_no_components(), algo, want_witness=want_witness)
+    inst = side_by_side(shared_colours_no(), shared_colours_yes())
+    report = solve_driver(inst, algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
     assert [c.vertices for c in report.components] == [(0, 1, 2, 3, 4)]
     # one of each call, all for the NO path: under auto the heights are
-    # asked first, and bruteforce never asks them
+    # asked first, and bruteforce never asks them; a sweeping run peels the
+    # tree first, which keeps it whole
     swept = algo == "auto" and not want_witness
     assert calls == ["induced_instance"] + (["decide"] if algo == "auto" else []) + (
-        ["recognize_caterpillar", "encoding_history"] if swept else ["reachable"]
+        ["peel", "recognize_caterpillar", "encoding_history"] if swept else ["reachable"]
     )
 
 
@@ -393,8 +408,29 @@ def test_a_whole_sweep_never_gets_tar_back():
     assert lost >= 10
 
 
+def peeled_routes(inst):
+    """(vertices, algorithm) of each component or piece that ``auto`` with
+    no witness runs, in order, on a forest whose components the heights do
+    not take whole: a component that the reference peel keeps whole is
+    swept, and the pieces of those that it shrinks follow the components,
+    each to the heights if its lists hold three colours, else to the
+    sweep."""
+    trimmed, _ = normalize(inst)
+    routes, pieces = [], []
+    for comp in trimmed.graph.connected_components():
+        cut = rescanning_peel(induced_instance(trimmed, comp))
+        if cut == [list(range(len(comp)))]:
+            routes.append((tuple(comp), "caterpillar"))
+        else:
+            pieces += [tuple(comp[v] for v in piece) for piece in cut]
+    for piece in pieces:
+        colours = set().union(*(trimmed.lists[v] for v in piece))
+        routes.append((piece, "heights" if len(colours) <= 3 else "caterpillar"))
+    return routes
+
+
 def test_caterpillar_and_oracle_agree_through_the_driver():
-    heights_no = 0
+    heights_no = swept_whole = peeled = 0
     corpus = caterpillar_corpus(40, base_seed=7101, max_n=10)
     # three colours give NOs that no frozen set shows, which the heights take
     corpus += caterpillar_corpus(40, base_seed=7101, max_n=10, colors=3)
@@ -404,16 +440,22 @@ def test_caterpillar_and_oracle_agree_through_the_driver():
         brute = solve_driver(inst, algo="bruteforce")
         assert auto.answer == swept.answer == brute.answer
         if inst.f0 != inst.fr:
-            # auto sweeps every instance that neither a frozen set settles
-            # nor the heights take
+            # auto peels, then sweeps, every instance that neither a frozen
+            # set settles nor the heights take; the run ends at a NO
             if has_frozen_no(inst):
                 assert auto.algorithm == "frozen"
             elif outside_heights(inst):
-                assert auto.algorithm == "caterpillar"
+                routes = peeled_routes(inst)
+                ran = [(c.vertices, c.algorithm) for c in auto.components]
+                assert ran == routes[: len(ran)]
+                assert len(ran) == len(routes) or not auto.answer
+                whole = routes == [(tuple(range(inst.graph.n)), "caterpillar")]
+                swept_whole += whole
+                peeled += not whole
             else:
                 assert auto.algorithm in ("heights", "mixed")
                 heights_no += not auto.answer
-    assert heights_no >= 1
+    assert heights_no >= 1 and swept_whole >= 1 and peeled >= 1
 
 
 def test_equal_endpoints_shortcut():
@@ -475,14 +517,20 @@ def test_improper_endpoints_are_rejected():
         solve_driver(bad_fr)
 
 
-def test_explicit_caterpillar_algo_rejects_cycles():
-    # colour 4 keeps the cycle from the heights, so auto takes the oracle
-    inst = make_instance(
+def four_colour_cycle():
+    """A 4-cycle whose colour 4 keeps it from the heights; no neighbour of
+    vertex 3 lists 4."""
+    return make_instance(
         cycle_graph(4),
         [{1, 2, 3}] * 3 + [{1, 2, 4}],
         (1, 2, 1, 2),
         (2, 1, 2, 1),
     )
+
+
+def test_explicit_caterpillar_algo_rejects_cycles():
+    # colour 4 keeps the cycle from the heights, so auto takes the oracle
+    inst = four_colour_cycle()
     assert outside_heights(inst)
     with pytest.raises(
         NotCaterpillar,
@@ -503,9 +551,10 @@ def test_tiny_state_cap_trips_the_guard():
     ("auto", False), ("auto", True), ("bruteforce", False), ("bruteforce", True),
 ])
 def test_a_refused_component_does_not_hide_a_no(cycle_first, algo, want_witness):
-    # the NO has no frozen set and four colours, so auto too needs its
-    # oracle or sweep; the odd cycle lifts at neither end
-    inst = beside_a_huge_cycle(four_colour_no(), cycle_first)
+    # the NO has no frozen set and four colours, each listed by a
+    # neighbour, so auto too needs its oracle or sweep; the odd cycle lifts
+    # at neither end
+    inst = beside_a_huge_cycle(shared_colours_no(), cycle_first)
     assert not has_frozen_no(inst) and outside_heights(inst)
     report = solve_driver(inst, algo=algo, want_witness=want_witness)
     assert report.answer is False and report.witness is None
@@ -705,9 +754,137 @@ def report_digest():
 
 
 def test_reports_are_pinned():
-    # the digest at commit 45246d4, whose reports kept a frozen set and a
-    # heights certificate in two fields, each viewed as its (kind,
-    # vertices): any change to a report's content changes it
+    # any change to a report's content changes the digest.  It is that of
+    # the commit after 75c3aba, whose driver peels tree components under
+    # auto with no witness: 27 of the 122 reports of such runs changed
+    # their components, algorithm or certificate, and every answer and
+    # refusal, and every other report, stayed as at 75c3aba, whose digest
+    # was f6cd5853 (commit 45246d4 viewed a NO's frozen set and heights
+    # certificate, then two fields, each as its (kind, vertices))
     assert report_digest() == (
-        "f6cd585360b1950492bd4df36e776f8d34d89aec43ff10f542db058ecd16e87a"
+        "047c393face34d348735043849dfbc33d07db5b5486aacda56a0efdd6dc744fa"
     )
+
+
+# -- the peel ------------------------------------------------------------------------
+
+
+def random_tree(seed: int):
+    """A random labelled tree on 3 to 12 vertices whose lists of two or
+    three colours come from 3 to 5 colours; None when they admit no two
+    proper colourings."""
+    rng = random.Random(seed)
+    n, colours = rng.randint(3, 12), rng.randint(3, 5)
+    g = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
+    lists = [frozenset(rng.sample(range(colours), rng.randint(2, 3))) for _ in range(n)]
+    f0, fr = _shuffled_coloring(g, lists, rng), _shuffled_coloring(g, lists, rng)
+    if f0 is None or fr is None:
+        return None
+    return make_instance(g, lists, f0, fr)
+
+
+def peel_corpus():
+    for seed in range(1500):
+        inst = random_tree(10_000 + seed)
+        if inst is not None:
+            yield inst
+    rng = random.Random(8900)
+    for seed in range(300):
+        inst = gen_caterpillar(
+            rng.randint(1, 6), leaf_prob=0.5, colors=rng.randint(3, 5), seed=8900 + seed,
+        )
+        if inst.graph.n <= 12:
+            yield inst
+
+
+def test_peeled_trees_answer_as_the_oracle_does(monkeypatch):
+    shrunk = []
+    original = lcr.driver.peel
+
+    def recording(sub):
+        pieces = original(sub)
+        shrunk.append(sum(map(len, pieces)) < sub.graph.n)
+        return pieces
+
+    monkeypatch.setattr(lcr.driver, "peel", recording)
+    kinds = {}
+    for inst in peel_corpus():
+        report = solve_driver(inst)
+        assert report.answer == solve_driver(inst, "bruteforce").answer
+        if report.certificate is not None:
+            # a piece's certificate holds in the input: in a tree the only
+            # path between its two vertices stays inside the piece
+            assert proves(inst, report.certificate)
+            kinds[report.certificate.kind] = kinds.get(report.certificate.kind, 0) + 1
+    assert shrunk.count(True) >= 500 and shrunk.count(False) >= 5
+    assert kinds.get("pair", 0) >= 40 and kinds.get("frozen", 0) >= 100
+
+
+def test_a_private_colour_leaf_leaves_a_path_to_the_heights(monkeypatch):
+    # a 500-vertex 3-colour YES path with one leaf at its end that lists a
+    # fourth colour, which it holds at both ends: the heights decline the
+    # whole, which the sweep took, quadratic in the path; the peel takes the
+    # leaf and gives the heights the path back
+    path = gen_caterpillar(500, leaf_prob=0, colors=3, list_range=(3, 3), seed=6)
+    inst = make_instance(
+        Graph(501, path.graph.edges + ((499, 500),)),
+        path.lists + (frozenset({0, 3}),),
+        path.f0 + (3,),
+        path.fr + (3,),
+    )
+    assert solve_driver(path).algorithm == "heights"
+    assert lcr.heights.decide(inst) is None
+    calls = count_engine_calls(monkeypatch)
+    report = solve_driver(inst)
+    assert (report.answer, report.algorithm) == (True, "heights")
+    assert [c.vertices for c in report.components] == [tuple(range(500))]
+    assert calls == ["induced_instance", "decide", "peel", "induced_instance", "decide"]
+
+
+@pytest.mark.parametrize("algo, want_witness", [
+    ("auto", True), ("caterpillar", False), ("bruteforce", False),
+])
+def test_only_auto_with_no_witness_peels(monkeypatch, algo, want_witness):
+    calls = count_engine_calls(monkeypatch)
+    # the NO's vertex of colour 3 and the whole four-colour edge are
+    # private-colour vertices, which only a sweeping auto run takes
+    report = solve_driver(hidden_no_components(True), algo, want_witness=want_witness)
+    assert report.answer is False and "peel" not in calls
+    assert [c.vertices for c in report.components] == [(0, 1), (2, 3, 4, 5, 6)]
+    calls.clear()
+    report = solve_driver(hidden_no_components(True))
+    assert report.answer is False and calls.count("peel") == 2
+    assert [(c.vertices, c.algorithm) for c in report.components] == [((2, 3, 4, 5), "heights")]
+
+
+def test_a_component_with_a_cycle_is_not_peeled(monkeypatch):
+    # vertex 3 of the 4-cycle holds a colour that no neighbour lists, and so
+    # does a vertex of the 4-cycle in this random draw: peeled, it would
+    # leave the heights a piece whose pair certificate proves nothing on
+    # the input, since the checker's path between the pair runs through
+    # the peeled vertex
+    inst = make_instance(
+        Graph(6, [(0, 4), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+        [{0, 1}, {1, 2, 3}, {0, 2, 3}, {0, 1, 2}, {0, 1, 2}, {1, 2}],
+        (1, 3, 0, 1, 2, 2),
+        (1, 1, 3, 2, 0, 1),
+    )
+    trimmed, trace = normalize(inst)
+    (piece,) = peel(trimmed)
+    kind, ends = lcr.heights.decide(induced_instance(trimmed, piece)).certificate
+    assert kind == "pair" and not proves(inst, (kind, [trace.kept[piece[v]] for v in ends]))
+    calls = count_engine_calls(monkeypatch)
+    for cyclic in (four_colour_cycle(), inst):
+        calls.clear()
+        report = solve_driver(cyclic)
+        assert report.algorithm == "bruteforce" and "peel" not in calls
+    assert report.answer is False and report.certificate is None
+
+
+def test_a_tree_that_the_peel_empties_is_a_yes_with_no_component():
+    # each end of the edge lists a colour the other does not, so the peel
+    # takes both; a run with no component left names the engine it asked
+    # for, which for auto with no witness is the sweep
+    report = solve_driver(four_colour_edge())
+    assert (report.answer, report.algorithm, report.components) == (True, "caterpillar", [])
+    assert report.certificate is None

@@ -41,6 +41,7 @@ from .helpers import (
     path_graph,
     proves,
     queue_shortest_path,
+    shared_colours_no,
     side_by_side,
     tree_from_prufer,
     winding_path,
@@ -401,12 +402,12 @@ def test_a_colour_changed_on_the_walk_is_a_move_or_a_clash():
 
 
 def test_auto_names_the_heights_and_mixed_runs():
-    # a 3-colour edge beside the four-colour NO: the heights answer the
-    # edge, the sweep the NO
+    # a 3-colour edge beside a four-colour NO that the peel keeps whole:
+    # the heights answer the edge, the sweep the NO
     yes_path = make_instance(path_graph(2), [{0, 1}, {1, 2}], (0, 1), (1, 2))
     report = solve_driver(yes_path)
     assert (report.answer, report.algorithm) == (True, "heights")
-    both = solve_driver(side_by_side(yes_path, four_colour_no()))
+    both = solve_driver(side_by_side(yes_path, shared_colours_no()))
     assert both.answer is False and both.algorithm == "mixed"
     assert [c.algorithm for c in both.components] == ["heights", "caterpillar"]
     # the references never run the heights

@@ -26,6 +26,7 @@ from lcr.instance import (
     frozen_no,
     induced_instance,
     is_proper_list_coloring,
+    peel,
 )
 from lcr.oracle import oracle_decide, reachable
 
@@ -39,6 +40,7 @@ from .helpers import (
     path_graph,
     proves_no,
     quadratic_normalize,
+    rescanning_peel,
     star_graph,
     trimmed_instance,
 )
@@ -333,6 +335,27 @@ def test_normalize_preserves_the_answer():
         inst = gen_random_instance(6, colors=3, seed=500 + seed)
         trimmed, _ = normalize(inst)
         assert oracle_decide(inst) == oracle_decide(trimmed)
+
+
+# -- the peel ------------------------------------------------------------------
+
+
+def test_peel_matches_the_rescanning_reference():
+    assert peel(make_instance(Graph(0), [], [], [])) == []
+    for inst in frozen_corpus():
+        assert peel(inst) == rescanning_peel(inst)
+
+
+def test_peel_preserves_the_answer():
+    # the instance answers YES exactly when every piece does, cycles or
+    # not, and YES when no piece is left
+    shrunk = 0
+    for seed in range(150):
+        inst = gen_random_instance(6, colors=4, list_range=(2, 4), seed=700 + seed)
+        pieces = peel(inst)
+        shrunk += sum(map(len, pieces)) < inst.graph.n
+        assert oracle_decide(inst) == all(oracle_decide(induced_instance(inst, p)) for p in pieces)
+    assert shrunk >= 100
 
 
 # -- frozen sets -----------------------------------------------------------------
