@@ -2,13 +2,12 @@
 How far the sweep scales
 ========================
 
-The caterpillar solver touches each vertex once.  A spine step costs time
-linear in the encoding size; a leaf step costs O(1) unless the leaf's two
-colors join some pair of e-nodes.  On these leaf-heavy caterpillars the
-encoding stays at a handful of e-nodes, so the sweep grows about linearly:
-at n = 100,000 it took about 1.5 s on a 2-core Xeon VM, with another 1.8 s
-to generate the instance.  This script times the sweep on a doubling ladder
-of sizes and reports the largest encoding seen at each.
+The caterpillar solver touches each vertex once.  A spine step and a leaf
+step each cost time linear in the encoding size.  On these leaf-heavy
+caterpillars the encoding stays at a handful of e-nodes, so the sweep grows
+about linearly: at n = 100,000 it took about 1.5 s on a 2-core Xeon VM, with
+another 1.8 s to generate the instance.  This script times the sweep on a
+doubling ladder of sizes and reports the largest encoding seen at each.
 """
 
 import resource

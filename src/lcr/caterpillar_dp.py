@@ -6,12 +6,12 @@ the start restriction, contracted over colorings that agree on the active
 spine vertex and interconvert without recoloring it.  ``Sweep`` holds that
 graph as one working state that its leaf and spine steps change in place;
 the instance is reconfigurable exactly when the final state keeps the tar
-label.  A leaf whose two colors join no pair of e-nodes costs O(1).  A spine
-step runs in two phases: one breadth-first search per new e-node that only
-lists it as an owner of each old e-node it reaches, then one pass over those
-owner lists that links the new e-nodes sharing an old one.  Both phases are
-linear in the encoding size, so the sweep is quadratic on 3-colour paths,
-where the encoding gains one e-node per step.
+label.  A leaf step scans the e-nodes of its lower color for edges to cut.
+A spine step runs in two phases: one breadth-first search per new e-node
+that only lists it as an owner of each old e-node it reaches, then one pass
+over those owner lists that links the new e-nodes sharing an old one.  Both
+steps are linear in the encoding size, so the sweep is quadratic on
+3-colour paths, where the encoding gains one e-node per step.
 
 Per-step growth obeys
     |V(E'_1)| <= 2   and   |V(E'_i)| <= |V(E_{i-1})| + d(v_i)
@@ -22,7 +22,6 @@ counted before component extraction, so the final graph has at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IniLost, NotCaterpillar, NotNormalized
@@ -76,19 +75,16 @@ class Sweep:
     """The sweep's working state: one encoding graph, changed in place.
 
     ``cols`` and ``adj`` hold each e-node's col and neighbour set, the rest
-    is as in ``EncodingGraph``.  ``pairs`` covers the sorted col pair of
-    every edge (a stale pair costs one scan that cuts nothing), so a leaf
-    whose two colors form none of them costs O(1).  The state does not
-    count its steps; ``encoding_history`` numbers them in its size records.
+    is as in ``EncodingGraph``.  The state does not count its steps;
+    ``encoding_history`` numbers them in its size records.
     """
 
     def __init__(self, cols, edges, ini, tar):
         self.cols, self.ini, self.tar = list(cols), ini, tar
-        self.adj, self.pairs = [set() for _ in self.cols], set()
+        self.adj = [set() for _ in self.cols]
         for x, y in edges:
             self.adj[x].add(y)
             self.adj[y].add(x)
-            self.pairs.add(tuple(sorted((self.cols[x], self.cols[y]))))
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -116,22 +112,22 @@ class Sweep:
 
         Keeping the prefix reconfigurable just forbids the spine vertex from
         crossing between the leaf's two colors, so exactly the e-node edges
-        whose cols are that pair disappear; labels carry over.  Returns the
-        e-node count before component extraction.
+        whose cols are that pair disappear; labels carry over.  Only a cut
+        edge can split the state, so only a cut calls for extraction.
+        Returns the e-node count before component extraction.
         """
         colors = sorted(set(leaf_list))
         if len(colors) != 2:
             raise NotNormalized(f"leaf list {colors} must hold exactly 2 colors")
-        pre, (a, b) = len(self.cols), colors
-        if (a, b) in self.pairs:
-            self.pairs.discard((a, b))
-            cols, adj = self.cols, self.adj
-            for x in [x for x, col in enumerate(cols) if col == a]:
-                for y in [y for y in adj[x] if cols[y] == b]:
-                    adj[x].discard(y)
-                    adj[y].discard(x)
+        (a, b), cols, adj, cut = colors, self.cols, self.adj, False
+        for x in [x for x, col in enumerate(cols) if col == a]:
+            for y in [y for y in adj[x] if cols[y] == b]:
+                adj[x].discard(y)
+                adj[y].discard(x)
+                cut = True
+        if cut:
             self._extract()
-        return pre
+        return len(cols)
 
     def spine(self, spine_list: Sequence[int], f0_color: int, fr_color: int) -> int:
         """Extend the prefix by the next spine vertex.
@@ -180,17 +176,6 @@ class Sweep:
                     mine = new_adj[p]
                     mine.update(own)
                     mine.discard(p)
-        # an old e-node of col d has an owner of every color of C but d, so a
-        # pair {a, b} of C carries an edge exactly when some old col is neither;
-        # three old cols or more leave one outside every pair
-        present = set(cols)
-        if len(present) > 2:
-            pairs = set(combinations(colors, 2))
-        else:
-            pairs = {(a, b) for a, b in combinations(colors, 2) if present - {a, b}}
-        # both ends of an old edge share the new e-node of a third color, so
-        # the state stays connected unless C is the col pair of an old edge
-        cut = len(colors) == 2 and tuple(colors) in self.pairs
         # an old e-node has at most one owner of each color
         ini = tar = None
         for p in owners[self.ini]:
@@ -200,9 +185,10 @@ class Sweep:
             for p in owners[self.tar]:
                 if new_cols[p] == fr_color:
                     tar = p
-        self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
-        self.ini, self.tar = ini, tar
-        if cut or ini is None:
+        self.cols, self.adj, self.ini, self.tar = new_cols, new_adj, ini, tar
+        # with three colors or more, both ends of an old edge share the new
+        # e-node of a third color, so only a two-color C can split the state
+        if len(colors) == 2 or ini is None:
             self._extract()
         return len(new_cols)
 

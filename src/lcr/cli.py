@@ -3,12 +3,14 @@
 Decision output protocol: the first stdout line is YES or NO; witness steps
 follow as ``r <vertex> <color>`` lines.  Exit code 0 covers any successful
 decision (including FAIL verdicts from ``verify``), 2 flags usage or parse
-problems, and 3 flags a state-space cap overflow that leaves the answer open.
+problems or a failed write (a closed stdout among them), and 3 flags a
+state-space cap overflow that leaves the answer open.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -93,6 +95,8 @@ def _cmd_solve(args) -> int:
         print(_CAPTIONS[kind].format(len(vertices)), *vertices)
     elif args.trace and report.algorithm != "caterpillar":
         print("# trace available only for the caterpillar algorithm")
+    elif args.trace and not trace:
+        print("# no sweep: no component was left to sweep")
     return EXIT_OK
 
 
@@ -283,7 +287,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        # shutdown flushes stdout once more: let that flush reach devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StateSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -460,9 +460,9 @@ class OwnerListSweep(Sweep):
     """The working state with the earlier two-pass spine step.
 
     Its spine step lists each old e-node's new owners by one ``reach`` per
-    component (``owner_lists``), builds the edges and their col pairs from
-    those lists in a second pass, and always extracts.  ``Sweep.spine``
-    must give the same states and the same ``pairs``.
+    component (``owner_lists``), builds the edges from those lists in a
+    second pass, and always extracts.  ``Sweep.spine`` must give the same
+    states.
     """
 
     def spine(self, spine_list: Sequence[int], f0_color: int, fr_color: int) -> int:
@@ -470,19 +470,17 @@ class OwnerListSweep(Sweep):
         if f0_color not in colors or fr_color not in colors:
             raise ValueError("endpoint colors must come from the spine list")
         new_cols, owners = owner_lists(self.cols, self.adj, colors)
-        new_adj, pairs = [set() for _ in new_cols], set()
+        new_adj = [set() for _ in new_cols]
         for own in owners:
             for i, p in enumerate(own):
                 for q in own[i + 1:]:
                     new_adj[p].add(q)
                     new_adj[q].add(p)
-                    pairs.add((new_cols[p], new_cols[q]))  # p < q, so sorted
         ini = {new_cols[p]: p for p in owners[self.ini]}.get(f0_color)
         tar = None
         if self.tar is not None:
             tar = {new_cols[p]: p for p in owners[self.tar]}.get(fr_color)
-        self.cols, self.adj, self.pairs = new_cols, new_adj, pairs
-        self.ini, self.tar = ini, tar
+        self.cols, self.adj, self.ini, self.tar = new_cols, new_adj, ini, tar
         self._extract()
         return len(new_cols)
 

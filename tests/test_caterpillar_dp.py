@@ -277,35 +277,24 @@ def test_engine_matches_the_rebuilding_reference():
     }
 
 
-def test_pairs_match_the_owner_lists_and_skipped_extractions_stay_connected(
+def test_sweep_matches_the_owner_lists_and_skipped_extractions_stay_connected(
     monkeypatch,
 ):
     seen = set()
     for inst in engine_corpus():
         with monkeypatch.context() as m:
             m.setattr(lcr.caterpillar_dp, "Sweep", helpers.OwnerListSweep)
-            ref = [
-                (s.snapshot(), rec, set(s.pairs)) for s, rec in encoding_history(inst)
-            ]
-        prev_pairs = None
-        for (sweep, rec), (ref_eg, ref_rec, ref_pairs) in zip(
-            encoding_history(inst), ref, strict=True
-        ):
-            eg = sweep.snapshot()
-            assert (eg, rec) == (ref_eg, ref_rec)
-            # the leaf step's O(1) shortcut reads pairs as a cover of the edges
-            edge_pairs = {tuple(sorted((eg.cols[x], eg.cols[y]))) for x, y in eg.edges}
-            assert edge_pairs <= sweep.pairs
+            ref = [(s.snapshot(), rec) for s, rec in encoding_history(inst)]
+        for (sweep, rec), ref_step in zip(encoding_history(inst), ref, strict=True):
+            assert (sweep.snapshot(), rec) == ref_step
             if rec.kind == "spine":
-                assert sweep.pairs == ref_pairs
-                colors = tuple(sorted(set(inst.lists[rec.vertex])))
-                if colors in prev_pairs:
+                # a spine step of three colors or more skips its extraction
+                if len(set(inst.lists[rec.vertex])) == 2:
                     seen.add("extracted")
                 else:
                     seen.add("extraction skipped")
                     reached = reach(sweep.adj, sweep.ini, [-1] * len(sweep))
                     assert len(reached) == len(sweep)
-            prev_pairs = set(sweep.pairs)
     assert seen == {"extracted", "extraction skipped"}
 
 
@@ -322,7 +311,7 @@ def test_link_phase_joins_the_owners_of_each_old_enode():
             ref = helpers.OwnerListSweep(prev.cols, prev.edges, prev.ini, prev.tar)
             sweep.spine(*step)
             ref.spine(*step)
-            assert (sweep.snapshot(), sweep.pairs) == (ref.snapshot(), ref.pairs)
+            assert sweep.snapshot() == ref.snapshot()
             # before extraction the new edges are exactly the owners' cliques
             whole = load_sweep(prev)
             new_cols, owners = helpers.owner_lists(

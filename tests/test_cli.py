@@ -246,6 +246,23 @@ def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
         )
 
 
+def test_solve_trace_says_when_no_component_was_left_to_sweep(tmp_path, capsys):
+    # the peel takes both vertices of the edge, each with a private colour,
+    # and normalization removes the lone rich vertex
+    texts = (
+        ("p lcr 2 1 5\ne 0 1\nl 0 1 2\nl 1 3 4\ns 0 1\ns 1 3\nt 0 2\nt 1 4\n", ["auto"]),
+        ("p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\n", ["auto", "caterpillar"]),
+    )
+    path = tmp_path / "empty.lcr"
+    for text, algos in texts:
+        path.write_text(text)
+        for algo in algos:
+            assert main(["solve", str(path), "--trace", "--algo", algo]) == EXIT_OK
+            assert capsys.readouterr().out == (
+                "YES\n# no sweep: no component was left to sweep\n"
+            )
+
+
 def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):
     # the triangle (vertex 2 moves) goes to the oracle as component 0, the
     # path is swept as component 1: its trace, the one the path alone
@@ -681,6 +698,28 @@ def test_a_failed_write_exits_2_without_a_traceback(tmp_path, capsys):
     assert result.returncode == EXIT_USAGE
     assert "error: cannot write" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # one line fails at the final flush, a long trace while it is printed
+    small = write_lcr(tmp_path, mixed_edge(), "small.lcr")
+    big = write_lcr(tmp_path, gen_caterpillar(60, colors=5, list_range=(3, 4), seed=4))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["solve", small], ["solve", "--algo", "caterpillar", "--trace", big]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "lcr.cli", *argv], env=env, stdout=write,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: cannot write stdout: ")
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
 
 
 def test_gen_rejects_probabilities_outside_0_1(tmp_path, capsys):
