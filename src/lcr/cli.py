@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
     if args.trace and report.certificate is not None:
         kind, vertices = report.certificate
         print(_CAPTIONS[kind].format(len(vertices)), *vertices)
-    elif args.trace and report.algorithm != "caterpillar":
+    elif args.trace and any(r.algorithm != "caterpillar" for r in report.components):
         print("# trace available only for the caterpillar algorithm")
     elif args.trace and not trace:
         print("# no sweep: no component was left to sweep")

@@ -67,13 +67,14 @@ class ComponentReport:
 @dataclass
 class SolveReport:
     """``components`` has one report per component or peeled piece that ran,
-    in order (a NO is the last; a peeled vertex is in none); a ``"frozen"``
-    NO runs none.  ``certificate`` holds a NO's evidence, in input ids: a
-    ``"frozen"`` set with the one-colour vertices normalization removed, so
-    that f0 freezes it in the input itself, or the heights' ``"pair"`` or ``"cycle"``."""
+    in order (a NO is the last; a peeled vertex is in none): the engines
+    that ran are ``[c.algorithm for c in components]``.  A frozen NO, f0 = fr
+    and a run that normalization or the peel empties run none.  ``certificate``
+    holds a NO's evidence, in input ids: a ``"frozen"`` set with the
+    one-colour vertices normalization removed, so that f0 freezes it in the
+    input itself, or the heights' ``"pair"`` or ``"cycle"``."""
 
     answer: bool
-    algorithm: str  # "trivial" | "frozen" | "heights" | "caterpillar" | "bruteforce" | "mixed"
     witness: Optional[list[Step]]
     components: list[ComponentReport]
     certificate: Optional[Certificate] = None
@@ -101,8 +102,7 @@ def _first_engine(
         peak, lo, hi = 0, math.inf, -math.inf
         for state, rec in caterpillar_dp.encoding_history(sub, structure):
             pre = rec.pre_extraction
-            # rec.bound, read off the fields without a property call
-            slack = (2 if rec.step == 1 else rec.prev_size + rec.degree) - pre
+            slack = rec.bound - pre
             if pre > peak:
                 peak = pre
             if slack < lo:
@@ -134,17 +134,14 @@ def solve_driver(
 
     Under ``auto``, a set of the trimmed instance that f0 freezes and fr
     recolours (``frozen_no``) answers NO before any component runs, witness
-    asked or not, with algorithm ``"frozen"``.  Otherwise each component
-    goes to the first engine of the module's order that takes it.  Either
-    NO leaves its ``certificate``.  The sweep gives no witness, so asking
-    ``caterpillar`` for one is an error.  ``observer``, if given, sees each
-    sweep step that runs as (live ``Sweep``, size record); each swept
-    component opens with ``init``, and a sweep's last step is the one that
-    lost tar, if any.  The report's algorithm is ``"mixed"`` when the
-    components went different ways; trivial ones name it only when no
-    other ran.  A component whose oracle would pass ``state_cap`` is
-    skipped, and its ``StateSpaceTooLarge`` raised at the end only if no
-    component said NO.
+    asked or not.  Otherwise each component goes to the first engine of the
+    module's order that takes it.  Either NO leaves its ``certificate``.
+    The sweep gives no witness, so asking ``caterpillar`` for one is an
+    error.  ``observer``, if given, sees each sweep step that runs as (live
+    ``Sweep``, size record); each swept component opens with ``init``, and
+    a sweep's last step is the one that lost tar, if any.  A component
+    whose oracle would pass ``state_cap`` is skipped, and its
+    ``StateSpaceTooLarge`` raised at the end only if no component said NO.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -159,7 +156,7 @@ def solve_driver(
         raise ImproperEndpoints("fr is not a proper list coloring")
 
     if inst.f0 == inst.fr:
-        return SolveReport(True, "trivial", [] if want_witness else None, [])
+        return SolveReport(True, [] if want_witness else None, [])
 
     trimmed, trace = normalize(inst)
     if algo == "auto":
@@ -169,7 +166,7 @@ def solve_driver(
             # removed ones hold the input's other colours of the set's lists
             removed = [r.vertex for r in trace.removals if isinstance(r, SingletonRemoval)]
             frozen = tuple(sorted([trace.kept[v] for v in frozen] + removed))
-            return SolveReport(False, "frozen", None, [], Certificate("frozen", frozen))
+            return SolveReport(False, None, [], Certificate("frozen", frozen))
     # a witness request sends auto past the sweep without recognizing anything
     sweep = algo == "caterpillar" or (algo == "auto" and not want_witness)
     answer, refusal, certificate = True, None, None
@@ -197,16 +194,9 @@ def solve_driver(
             break
     if refusal is not None and answer:
         raise refusal
-    # trivial components name the algorithm only when no other is left; with
-    # no component at all, it names the one that was asked for
-    used = {r.algorithm for r in reports}
-    if len(used) > 1:
-        used.discard("trivial")
-    used = used or {"caterpillar" if sweep else "bruteforce"}
-    chosen = used.pop() if len(used) == 1 else "mixed"
 
     witness: Optional[list[Step]] = None
     if want_witness and answer:
         witness = lift_sequence(trace, inst, witness_steps)
 
-    return SolveReport(answer, chosen, witness, reports, certificate)
+    return SolveReport(answer, witness, reports, certificate)

@@ -230,16 +230,16 @@ def test_solve_trace_of_seeded_caterpillars_is_pinned(tmp_path, capsys):
 
 
 def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
-    # a run that swept nothing prints only the notice: the oracle asked for,
-    # f0 = fr, and a trivial triangle left once rich vertex 3 is removed
-    same = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (1, 2))
+    # a run whose components went to other engines prints only the notice:
+    # the oracle asked for, and a trivial triangle left once rich vertex 3
+    # is removed
     trivial = make_instance(
         Graph(4, [(0, 1), (1, 2), (0, 2)]),
         [{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2}],
         (1, 2, 3, 1),
         (1, 2, 3, 2),
     )
-    for inst, extra in ((mixed_edge(), ["--algo", "bruteforce"]), (same, []), (trivial, [])):
+    for inst, extra in ((mixed_edge(), ["--algo", "bruteforce"]), (trivial, [])):
         assert main(["solve", write_lcr(tmp_path, inst), "--trace", *extra]) == EXIT_OK
         assert capsys.readouterr().out == (
             "YES\n# trace available only for the caterpillar algorithm\n"
@@ -247,20 +247,27 @@ def test_solve_trace_is_caterpillar_only(tmp_path, capsys):
 
 
 def test_solve_trace_says_when_no_component_was_left_to_sweep(tmp_path, capsys):
-    # the peel takes both vertices of the edge, each with a private colour,
-    # and normalization removes the lone rich vertex
-    texts = (
-        ("p lcr 2 1 5\ne 0 1\nl 0 1 2\nl 1 3 4\ns 0 1\ns 1 3\nt 0 2\nt 1 4\n", ["auto"]),
-        ("p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\n", ["auto", "caterpillar"]),
+    # the peel takes both vertices of the edge, each with a private colour;
+    # normalization removes the lone rich vertex, so no engine runs on it
+    # whichever was asked for, witness or not; f0 = fr runs no engine either
+    edge = tmp_path / "edge.lcr"
+    edge.write_text("p lcr 2 1 5\ne 0 1\nl 0 1 2\nl 1 3 4\ns 0 1\ns 1 3\nt 0 2\nt 1 4\n")
+    lone = tmp_path / "lone.lcr"
+    lone.write_text("p lcr 1 0 2\nl 0 0 1\ns 0 0\nt 0 1\n")
+    same = make_instance(Graph(2, [(0, 1)]), [{1, 2}, {2, 3}], (1, 2), (1, 2))
+    runs = (
+        (edge, ["--algo", "auto"], ""),
+        (lone, ["--algo", "auto"], ""),
+        (lone, ["--algo", "caterpillar"], ""),
+        (lone, ["--algo", "bruteforce"], ""),
+        (lone, ["--witness"], "r 0 1\n"),
+        (write_lcr(tmp_path, same), [], ""),
     )
-    path = tmp_path / "empty.lcr"
-    for text, algos in texts:
-        path.write_text(text)
-        for algo in algos:
-            assert main(["solve", str(path), "--trace", "--algo", algo]) == EXIT_OK
-            assert capsys.readouterr().out == (
-                "YES\n# no sweep: no component was left to sweep\n"
-            )
+    for path, extra, steps in runs:
+        assert main(["solve", str(path), "--trace", *extra]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"YES\n{steps}# no sweep: no component was left to sweep\n"
+        )
 
 
 def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):

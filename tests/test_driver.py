@@ -124,7 +124,7 @@ def test_auto_recognizes_each_component_once(monkeypatch):
         calls.clear()
         yes, no = shared_colours_yes(), shared_colours_no()
         report = solve_driver(side_by_side(yes, no) if yes_first else side_by_side(no, yes))
-        assert report.algorithm == "caterpillar"
+        assert [c.algorithm for c in report.components] == ["caterpillar"] * len(sizes)
         assert [c.answer for c in report.components] == [True, False][-len(sizes):]
         assert calls == sizes
 
@@ -143,7 +143,6 @@ def test_auto_sweeps_a_large_caterpillar_beside_a_triangle():
     assert outside_heights(inst)
     report = solve_driver(inst, "auto", state_cap=100)
     assert report.answer == solve_driver(inst, "bruteforce").answer
-    assert report.algorithm == "mixed"
     assert [c.algorithm for c in report.components] == ["caterpillar", "bruteforce"]
 
 
@@ -258,9 +257,9 @@ def test_the_oracle_answers_no_on_four_colours(monkeypatch, algo, want_witness):
     assert not has_frozen_no(inst) and outside_heights(inst)
     calls = count_engine_calls(monkeypatch)
     report = solve_driver(inst, algo, want_witness=want_witness)
-    assert (report.answer, report.algorithm, report.witness) == (False, "bruteforce", None)
+    assert (report.answer, report.witness) == (False, None)
     (comp,) = report.components
-    assert (comp.vertices, comp.answer) == ((0, 1, 2, 3, 4), False)
+    assert (comp.vertices, comp.algorithm, comp.answer) == ((0, 1, 2, 3, 4), "bruteforce", False)
     assert calls == ["induced_instance"] + (["decide"] if algo == "auto" else []) + ["reachable"]
     # the instance is normalized and connected, so it is its one component;
     # its 15 colourings fall in two components of the reconfiguration graph,
@@ -291,7 +290,7 @@ def test_a_frozen_no_runs_no_engine_under_auto(monkeypatch):
         for want_witness in (False, True):
             report = solve_driver(inst, "auto", want_witness=want_witness)
             certificate = Certificate("frozen", frozen)
-            assert report == lcr.driver.SolveReport(False, "frozen", None, [], certificate)
+            assert report == lcr.driver.SolveReport(False, None, [], certificate)
         assert calls == []
         # the engines the tests take as references still run on it
         swept = solve_driver(inst, "caterpillar")
@@ -312,7 +311,7 @@ def test_a_frozen_no_past_the_cap_answers_under_auto():
     inst = frozen_cycle()
     for want_witness in (False, True):
         report = solve_driver(inst, "auto", want_witness=want_witness)
-        assert (report.answer, report.algorithm) == (False, "frozen")
+        assert (report.answer, report.components) == (False, [])
         assert report.certificate == ("frozen", tuple(range(30)))
     with pytest.raises(StateSpaceTooLarge):
         solve_driver(inst, "bruteforce")
@@ -339,9 +338,8 @@ def test_auto_takes_the_frozen_shortcut_exactly_when_the_reference_does():
         brute = solve_driver(inst, "bruteforce").answer
         for want_witness in (False, True):
             report = solve_driver(inst, "auto", want_witness=want_witness)
-            assert (report.algorithm == "frozen") == expect
+            assert (getattr(report.certificate, "kind", None) == "frozen") == expect
             if not expect:
-                assert report.certificate is None or report.certificate.kind != "frozen"
                 continue
             # the set is checked against the input, and the oracle agrees
             assert report.answer is brute is False
@@ -391,7 +389,7 @@ def test_stopped_answers_match_whole_sweeps_and_the_oracle():
         assert report.answer == solve_driver(inst, "bruteforce").answer
         no += not report.answer
         # a frozen NO runs no component; the stop is counted on the others
-        if inst.f0 != inst.fr and report.algorithm != "frozen":
+        if inst.f0 != inst.fr and getattr(report.certificate, "kind", None) != "frozen":
             ran = len(report.components)
             skipped += len(normalize(inst)[0].graph.connected_components()) - ran
     assert no >= 10 and skipped >= 10
@@ -443,7 +441,7 @@ def test_caterpillar_and_oracle_agree_through_the_driver():
             # auto peels, then sweeps, every instance that neither a frozen
             # set settles nor the heights take; the run ends at a NO
             if has_frozen_no(inst):
-                assert auto.algorithm == "frozen"
+                assert (auto.components, auto.certificate.kind) == ([], "frozen")
             elif outside_heights(inst):
                 routes = peeled_routes(inst)
                 ran = [(c.vertices, c.algorithm) for c in auto.components]
@@ -453,7 +451,7 @@ def test_caterpillar_and_oracle_agree_through_the_driver():
                 swept_whole += whole
                 peeled += not whole
             else:
-                assert auto.algorithm in ("heights", "mixed")
+                assert "heights" in [c.algorithm for c in auto.components]
                 heights_no += not auto.answer
     assert heights_no >= 1 and swept_whole >= 1 and peeled >= 1
 
@@ -462,7 +460,6 @@ def test_equal_endpoints_shortcut():
     inst = make_instance(Graph(1), [{1, 2}], (1,), (1,))
     report = solve_driver(inst, want_witness=True)
     assert report.answer is True
-    assert report.algorithm == "trivial"
     assert report.witness == []
     assert report.components == []
 
@@ -492,7 +489,7 @@ def test_witness_requests_fall_back_to_the_oracle():
         if i.f0 != i.fr and not has_frozen_no(i)
     )
     report = solve_driver(inst, algo="auto", want_witness=True)
-    assert report.algorithm == "bruteforce"
+    assert [c.algorithm for c in report.components] == ["bruteforce"]
 
 
 def test_witness_with_explicit_caterpillar_algo_is_an_error():
@@ -537,7 +534,7 @@ def test_explicit_caterpillar_algo_rejects_cycles():
         match=r"^component \[0, 1, 2, 3\] of the trimmed graph is not a caterpillar$",
     ):
         solve_driver(inst, algo="caterpillar")
-    assert solve_driver(inst, algo="auto").algorithm == "bruteforce"
+    assert [c.algorithm for c in solve_driver(inst, algo="auto").components] == ["bruteforce"]
 
 
 def test_tiny_state_cap_trips_the_guard():
@@ -588,9 +585,7 @@ def test_a_component_whose_endpoints_agree_needs_no_oracle(
     cycle, pair = report.components[::1 if cycle_first else -1]
     assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (31, "trivial", True)
     assert cycle.oracle_nodes is None and cycle.steps is None
-    # the run is named by the edge alone, as it would be without the cycle
-    assert pair.algorithm == report.algorithm
-    assert report.algorithm == ("heights" if algo == "auto" else "bruteforce")
+    assert pair.algorithm == ("heights" if algo == "auto" else "bruteforce")
     if want_witness:
         assert report.witness == [(32 if cycle_first else 1, 2)]
         assert is_valid_sequence(inst, report.witness)
@@ -606,7 +601,7 @@ def test_a_run_of_only_trivial_components_is_named_trivial():
     )
     for algo, want_witness in (("auto", False), ("auto", True), ("bruteforce", False)):
         report = solve_driver(inst, algo=algo, want_witness=want_witness)
-        assert (report.answer, report.algorithm) == (True, "trivial")
+        assert report.answer is True
         assert [c.algorithm for c in report.components] == ["trivial"]
         assert report.witness == ([(3, 2)] if want_witness else None)
 
@@ -683,9 +678,7 @@ def test_a_spanning_component_is_swept_without_a_copy(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(lcr.driver, "induced_instance", copying_induced_instance)
                 copied = solve_driver(inst, want_witness=want_witness)
-            assert (report.answer, report.algorithm, report.witness) == (
-                copied.answer, copied.algorithm, copied.witness
-            )
+            assert (report.answer, report.witness) == (copied.answer, copied.witness)
             assert report.components == copied.components
 
 
@@ -724,11 +717,11 @@ def report_corpus():
 
 
 def report_view(report: lcr.driver.SolveReport) -> tuple:
-    """A report field by field: answer, algorithm, witness, components, and
-    the NO certificate as a plain (kind, vertices) tuple or None."""
+    """A report field by field: answer, witness, components, and the NO
+    certificate as a plain (kind, vertices) tuple or None."""
     cert = report.certificate
     return (
-        report.answer, report.algorithm, report.witness, report.components,
+        report.answer, report.witness, report.components,
         None if cert is None else (cert.kind, cert.vertices),
     )
 
@@ -754,15 +747,18 @@ def report_digest():
 
 
 def test_reports_are_pinned():
-    # any change to a report's content changes the digest.  It is that of
-    # the commit after 75c3aba, whose driver peels tree components under
-    # auto with no witness: 27 of the 122 reports of such runs changed
-    # their components, algorithm or certificate, and every answer and
-    # refusal, and every other report, stayed as at 75c3aba, whose digest
-    # was f6cd5853 (commit 45246d4 viewed a NO's frozen set and heights
-    # certificate, then two fields, each as its (kind, vertices))
+    # any change to a report's content changes the digest.  The view lost
+    # the report's algorithm, a summary of the components' algorithms, with
+    # the field; 2248d68, the commit before, gives this digest too for the
+    # view without it, and 047c393f with it, as 17cdb6e did.  17cdb6e peeled
+    # tree components under auto with no witness: 27 of the 122 reports of
+    # such runs changed their components, algorithm or certificate, and
+    # every answer and refusal, and every other report, stayed as at
+    # 75c3aba, whose digest was f6cd5853 (commit 45246d4 viewed a NO's
+    # frozen set and heights certificate, then two fields, each as its
+    # (kind, vertices))
     assert report_digest() == (
-        "047c393face34d348735043849dfbc33d07db5b5486aacda56a0efdd6dc744fa"
+        "b4ba3997518c5810dbc458ee0011534de2ccc646fccc9390b1751b71923a1b5b"
     )
 
 
@@ -832,12 +828,14 @@ def test_a_private_colour_leaf_leaves_a_path_to_the_heights(monkeypatch):
         path.f0 + (3,),
         path.fr + (3,),
     )
-    assert solve_driver(path).algorithm == "heights"
+    assert [c.algorithm for c in solve_driver(path).components] == ["heights"]
     assert lcr.heights.decide(inst) is None
     calls = count_engine_calls(monkeypatch)
     report = solve_driver(inst)
-    assert (report.answer, report.algorithm) == (True, "heights")
-    assert [c.vertices for c in report.components] == [tuple(range(500))]
+    assert report.answer is True
+    assert [(c.vertices, c.algorithm) for c in report.components] == [
+        (tuple(range(500)), "heights")
+    ]
     assert calls == ["induced_instance", "decide", "peel", "induced_instance", "decide"]
 
 
@@ -877,14 +875,13 @@ def test_a_component_with_a_cycle_is_not_peeled(monkeypatch):
     for cyclic in (four_colour_cycle(), inst):
         calls.clear()
         report = solve_driver(cyclic)
-        assert report.algorithm == "bruteforce" and "peel" not in calls
+        assert [c.algorithm for c in report.components] == ["bruteforce"] and "peel" not in calls
     assert report.answer is False and report.certificate is None
 
 
 def test_a_tree_that_the_peel_empties_is_a_yes_with_no_component():
     # each end of the edge lists a colour the other does not, so the peel
-    # takes both; a run with no component left names the engine it asked
-    # for, which for auto with no witness is the sweep
+    # takes both
     report = solve_driver(four_colour_edge())
-    assert (report.answer, report.algorithm, report.components) == (True, "caterpillar", [])
+    assert (report.answer, report.components) == (True, [])
     assert report.certificate is None
