@@ -5,8 +5,8 @@ How far the sweep scales
 The caterpillar solver touches each vertex once.  A spine step and a leaf
 step each cost time linear in the encoding size.  On these leaf-heavy
 caterpillars the encoding stays at a handful of e-nodes, so the sweep grows
-about linearly: at n = 100,000 it took about 1.5 s on a 2-core Xeon VM, with
-another 1.8 s to generate the instance.  This script times the sweep on a
+about linearly: at n = 100,000 it took about 0.6 s on a 2-vCPU Xeon VM, with
+another 0.9 s to generate the instance.  This script times the sweep on a
 doubling ladder of sizes and reports the largest encoding seen at each.
 """
 

@@ -68,18 +68,17 @@ def _parse_instance_or_graph(text: str):
 
 def _cmd_solve(args) -> int:
     inst = fileio.parse_lcr(_read(args.file))
-    trace: list[list[str]] = []  # the lines of each swept component
+    trace: list[list[list[str]]] = []  # each swept component's encoding lines, step by step
 
     def trace_step(sweep, rec) -> None:
         if rec.kind == "init":
             trace.append([])
         eg = sweep.snapshot()
-        trace[-1].append(f"step {rec.step} vertex {rec.vertex} {rec.kind}")
-        trace[-1].extend(
-            f"enode {i} col {col} ini {int(eg.ini == i)} tar {int(eg.tar == i)}"
-            for i, col in enumerate(eg.cols)
-        )
-        trace[-1].extend(f"eedge {x} {y}" for x, y in eg.edges)
+        trace[-1].append([
+            *(f"enode {i} col {col} ini {int(eg.ini == i)} tar {int(eg.tar == i)}"
+              for i, col in enumerate(eg.cols)),
+            *(f"eedge {x} {y}" for x, y in eg.edges),
+        ])
 
     report = solve_driver(
         inst, algo=args.algo, want_witness=args.witness, state_cap=args.state_cap,
@@ -87,9 +86,11 @@ def _cmd_solve(args) -> int:
     )
     print("YES" if report.answer else "NO")
     sys.stdout.write(fileio.format_sequence(report.witness or ()))
-    swept = (i for i, r in enumerate(report.components) if r.algorithm == "caterpillar")
-    for i, lines in zip(swept, trace):
-        print(f"component {i}", *lines, sep="\n")
+    swept = ((i, c) for i, c in enumerate(report.components) if c.records is not None)
+    for (i, comp), steps in zip(swept, trace):
+        print(f"component {i}")
+        for rec, lines in zip(comp.records, steps):
+            print(f"step {rec.step} vertex {comp.vertices[rec.vertex]} {rec.kind}", *lines, sep="\n")
     if args.trace and report.certificate is not None:
         kind, vertices = report.certificate
         print(_CAPTIONS[kind].format(len(vertices)), *vertices)

@@ -20,12 +20,12 @@ the normalization trace.
 The run stops once its answer is known: a sweep at the step that loses the
 tar mark, which no later step brings back (a spine step passes it on only
 from the old tar), and the run at the first NO component, after which no
-component is induced or solved.  ``ComponentReport.steps`` counts the steps.
+component is induced or solved.  ``ComponentReport.records`` holds the size
+records of the steps that ran.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,17 +51,13 @@ ALGORITHMS = ("auto", "caterpillar", "bruteforce")
 
 @dataclass
 class ComponentReport:
-    vertices: tuple[int, ...]  # ids in the normalized instance
+    vertices: tuple[int, ...]  # input ids; a sweep record's vertex is a position here
     algorithm: str  # "heights" | "caterpillar" | "bruteforce" | "trivial" (f0 = fr there)
     answer: bool
     oracle_nodes: Optional[int] = None  # colourings the oracle's search visited
-    # a swept run's sweep steps, fewer than len(vertices) where it lost tar,
-    # and its summary over the records of those steps (None for the oracle):
-    # the largest pre-extraction count and the extremes of bound - pre-extraction
-    steps: Optional[int] = None
-    enode_peak: Optional[int] = None
-    slack_min: Optional[int] = None
-    slack_max: Optional[int] = None
+    # a sweep's size record of each step that ran, fewer than len(vertices)
+    # where it lost tar (None for the other engines)
+    records: Optional[tuple[SizeRecord, ...]] = None
 
 
 @dataclass
@@ -99,22 +95,14 @@ def _first_engine(
                 return [[comp[v] for v in piece] for piece in pieces]
     structure = recognize_caterpillar(sub.graph) if sweep else None
     if structure is not None:
-        peak, lo, hi = 0, math.inf, -math.inf
+        records = []
         for state, rec in caterpillar_dp.encoding_history(sub, structure):
-            pre = rec.pre_extraction
-            slack = rec.bound - pre
-            if pre > peak:
-                peak = pre
-            if slack < lo:
-                lo = slack
-            if slack > hi:
-                hi = slack
+            records.append(rec)
             if observer is not None:
                 observer(state, rec)
             if state.tar is None:
                 break  # NO: no later step brings tar back
-        sizes = dict(steps=rec.step, enode_peak=peak, slack_min=lo, slack_max=hi)
-        return "caterpillar", state.tar is not None, None, None, sizes
+        return "caterpillar", state.tar is not None, None, None, {"records": tuple(records)}
     if algo == "caterpillar":
         raise NotCaterpillar(f"component {comp} of the trimmed graph is not a caterpillar")
     if sub.f0 == sub.fr:
@@ -184,11 +172,12 @@ def solve_driver(
             work.extend(found)
             continue
         name, yes, steps, cert, sizes = found
-        reports.append(ComponentReport(tuple(comp), name, yes, **sizes))
+        vertices = tuple(trace.kept[v] for v in comp)
+        reports.append(ComponentReport(vertices, name, yes, **sizes))
         if steps is not None and witness_steps is not None:
             witness_steps.extend((comp[v], c) for v, c in steps)
         if cert is not None:
-            certificate = cert._replace(vertices=tuple(trace.kept[comp[v]] for v in cert.vertices))
+            certificate = cert._replace(vertices=tuple(vertices[v] for v in cert.vertices))
         if not yes:
             answer = False
             break

@@ -112,13 +112,14 @@ def _run(instance, algo: str, cap: int) -> dict:
         report = solve_driver(instance, algo=algo, state_cap=cap)
     except StateSpaceTooLarge:
         return row
-    swept = [c for c in report.components if c.enode_peak is not None]
+    records = [rec for c in report.components for rec in c.records or ()]
+    slacks = [rec.bound - rec.pre_extraction for rec in records]
     return {
         **row, "answer": "YES" if report.answer else "NO",
         "oracle_nodes": sum(c.oracle_nodes or 0 for c in report.components) or "",
-        "enode_peak": max((c.enode_peak for c in swept), default=""),
-        "slack_min": min((c.slack_min for c in swept), default=""),
-        "slack_max": max((c.slack_max for c in swept), default=""),
+        "enode_peak": max((rec.pre_extraction for rec in records), default=""),
+        "slack_min": min(slacks, default=""),
+        "slack_max": max(slacks, default=""),
     }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -116,24 +117,24 @@ def two_swept_components():
 
 SECOND_COMPONENT_TRACE = (
     "component 1\n"
-        "step 1 vertex 0 init\n"
+        "step 1 vertex 2 init\n"
         "enode 0 col 1 ini 1 tar 1\n"
         "enode 1 col 4 ini 0 tar 0\n"
         "eedge 0 1\n"
-        "step 2 vertex 1 spine\n"
+        "step 2 vertex 3 spine\n"
         "enode 0 col 2 ini 0 tar 0\n"
         "enode 1 col 3 ini 0 tar 1\n"
         "enode 2 col 4 ini 1 tar 0\n"
         "eedge 0 1\n"
         "eedge 0 2\n"
         "eedge 1 2\n"
-        "step 3 vertex 4 leaf\n"
+        "step 3 vertex 8 leaf\n"
         "enode 0 col 2 ini 0 tar 0\n"
         "enode 1 col 3 ini 0 tar 1\n"
         "enode 2 col 4 ini 1 tar 0\n"
         "eedge 0 2\n"
         "eedge 1 2\n"
-        "step 4 vertex 2 spine\n"
+        "step 4 vertex 6 spine\n"
         "enode 0 col 3 ini 1 tar 0\n"
         "enode 1 col 4 ini 0 tar 0\n"
         "eedge 0 1\n"
@@ -155,6 +156,26 @@ def test_solve_trace_follows_the_driver_components(tmp_path, capsys):
         "enode 1 col 3 ini 0 tar 1\n"
         "eedge 0 1\n"
     ) + SECOND_COMPONENT_TRACE
+
+
+def test_solve_trace_names_input_vertices(tmp_path, capsys):
+    # the edge {0, 1} is component 0, so the path 2-3-4 is component 1,
+    # which numbers its own vertices 0, 1, 2; the sweep's steps name them
+    # by their input ids, as the heights' pair under auto does
+    path = tmp_path / "split.lcr"
+    path.write_text(
+        "p lcr 5 3 3\ne 0 1\ne 2 3\ne 3 4\n"
+        "l 0 0 1\nl 1 0 1\nl 2 0 1\nl 3 0 1 2\nl 4 0 2\n"
+        "s 0 0\ns 1 1\ns 2 0\ns 3 1\ns 4 2\nt 0 0\nt 1 1\nt 2 1\nt 3 0\nt 4 2\n"
+    )
+    assert main(["solve", str(path), "--trace"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("lifts of fr: 2 4\n")
+    assert main(["solve", str(path), "--algo", "caterpillar", "--trace"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("component", "step"))] == [
+        "component 0", "step 1 vertex 0 init", "step 2 vertex 1 spine",
+        "component 1", "step 1 vertex 2 init", "step 2 vertex 3 spine", "step 3 vertex 4 spine",
+    ]
 
 
 def heights_then_sweep():
@@ -273,7 +294,8 @@ def test_solve_trace_says_when_no_component_was_left_to_sweep(tmp_path, capsys):
 def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, capsys):
     # the triangle (vertex 2 moves) goes to the oracle as component 0, the
     # path is swept as component 1: its trace, the one the path alone
-    # gives, is headed by that index; each holds four colours, which keeps
+    # gives, is headed by that index and names the path's vertices by their
+    # ids after the triangle's three; each holds four colours, which keeps
     # it from the heights, and a neighbour lists each colour of the path,
     # so the peel keeps it whole
     triangle = make_instance(
@@ -289,8 +311,9 @@ def test_solve_trace_of_a_mixed_run_prints_its_sweeps_then_the_notice(tmp_path, 
     inst = side_by_side(triangle, path)
     assert outside_heights(inst)
     assert main(["solve", write_lcr(tmp_path, inst), "--trace"]) == EXIT_OK
+    shifted = re.sub(r"(?m)^(step \d+ vertex )(\d+)", lambda m: f"{m[1]}{int(m[2]) + 3}", alone)
     assert capsys.readouterr().out == (
-        alone.replace("component 0\n", "component 1\n")
+        shifted.replace("component 0\n", "component 1\n")
         + "# trace available only for the caterpillar algorithm\n"
     )
 

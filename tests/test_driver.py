@@ -10,7 +10,7 @@ import lcr.driver
 import lcr.heights
 import lcr.oracle
 from lcr import Graph, is_valid_sequence, make_instance
-from lcr.caterpillar_dp import encoding_history
+from lcr.caterpillar_dp import check_size_bound, encoding_history
 from lcr.driver import solve_driver
 from lcr.errors import ImproperEndpoints, NotCaterpillar, StateSpaceTooLarge
 from lcr.generators import gen_caterpillar
@@ -183,11 +183,19 @@ def test_a_sweep_stops_at_the_step_that_loses_tar():
     )
     assert seen == list(range(1, k + 1))
     (comp,) = report.components
-    assert (comp.answer, comp.steps) == (False, k)
-    # the summary covers the steps that ran
-    ran = [rec for rec, _ in history[:k]]
-    assert comp.enode_peak == max(rec.pre_extraction for rec in ran)
-    assert comp.slack_min == min(rec.bound - rec.pre_extraction for rec in ran)
+    # the report keeps the records of the steps that ran
+    assert (comp.answer, len(comp.records)) == (False, k)
+    assert comp.records == tuple(rec for rec, _ in history[:k])
+
+
+def test_component_reports_name_input_vertices():
+    # normalization removes the lone rich vertex 0, so the path is trimmed
+    # vertices 0..4 and input vertices 1..5
+    inst = side_by_side(make_instance(Graph(1), [{1, 2}], (1,), (2,)), frozen_head_path())
+    assert normalize(inst)[1].kept == (1, 2, 3, 4, 5)
+    for algo in ("caterpillar", "bruteforce"):
+        (comp,) = solve_driver(inst, algo).components
+        assert (comp.vertices, comp.answer) == ((1, 2, 3, 4, 5), False)
 
 
 def count_engine_calls(monkeypatch):
@@ -407,24 +415,24 @@ def test_a_whole_sweep_never_gets_tar_back():
 
 
 def peeled_routes(inst):
-    """(vertices, algorithm) of each component or piece that ``auto`` with
-    no witness runs, in order, on a forest whose components the heights do
-    not take whole: a component that the reference peel keeps whole is
-    swept, and the pieces of those that it shrinks follow the components,
-    each to the heights if its lists hold three colours, else to the
-    sweep."""
-    trimmed, _ = normalize(inst)
+    """(vertices in input ids, algorithm) of each component or piece that
+    ``auto`` with no witness runs, in order, on a forest whose components
+    the heights do not take whole: a component that the reference peel
+    keeps whole is swept, and the pieces of those that it shrinks follow
+    the components, each to the heights if its lists hold three colours,
+    else to the sweep."""
+    trimmed, trace = normalize(inst)
     routes, pieces = [], []
     for comp in trimmed.graph.connected_components():
         cut = rescanning_peel(induced_instance(trimmed, comp))
         if cut == [list(range(len(comp)))]:
-            routes.append((tuple(comp), "caterpillar"))
+            routes.append((comp, "caterpillar"))
         else:
-            pieces += [tuple(comp[v] for v in piece) for piece in cut]
+            pieces += [[comp[v] for v in piece] for piece in cut]
     for piece in pieces:
         colours = set().union(*(trimmed.lists[v] for v in piece))
         routes.append((piece, "heights" if len(colours) <= 3 else "caterpillar"))
-    return routes
+    return [(tuple(trace.kept[v] for v in vertices), algo) for vertices, algo in routes]
 
 
 def test_caterpillar_and_oracle_agree_through_the_driver():
@@ -584,7 +592,7 @@ def test_a_component_whose_endpoints_agree_needs_no_oracle(
     assert report.answer is True
     cycle, pair = report.components[::1 if cycle_first else -1]
     assert (len(cycle.vertices), cycle.algorithm, cycle.answer) == (31, "trivial", True)
-    assert cycle.oracle_nodes is None and cycle.steps is None
+    assert cycle.oracle_nodes is None and cycle.records is None
     assert pair.algorithm == ("heights" if algo == "auto" else "bruteforce")
     if want_witness:
         assert report.witness == [(32 if cycle_first else 1, 2)]
@@ -619,21 +627,18 @@ def test_component_reports_track_their_algorithms():
     report = solve_driver(inst, algo="bruteforce")
     assert all(c.algorithm == "bruteforce" for c in report.components)
     assert all(c.oracle_nodes is not None for c in report.components)
-    assert all(
-        (c.steps, c.enode_peak, c.slack_min, c.slack_max) == (None,) * 4
-        for c in report.components
-    )
+    assert all(c.records is None for c in report.components)
 
     cat = solve_driver(inst, algo="caterpillar")
     assert cat.answer is False
     assert all(c.algorithm == "caterpillar" for c in cat.components)
-    assert all(c.enode_peak is not None for c in cat.components)
+    assert all(c.records for c in cat.components)
     assert all(c.oracle_nodes is None for c in cat.components)
 
 
 def test_dp_size_history_reaches_the_report():
-    # each swept component reports its step count and the peak and slack
-    # range of the records of those steps
+    # each swept component reports the size records of the steps that ran,
+    # which the size monitor can audit
     corpus = caterpillar_corpus(10, base_seed=7301, max_n=10)
     corpus = [inst for inst in corpus if inst.f0 != inst.fr]
     assert corpus
@@ -643,10 +648,8 @@ def test_dp_size_history_reaches_the_report():
         assert len(report.components) == len(histories)
         for comp, records in zip(report.components, histories):
             assert records[0].step == 1
-            assert comp.steps == len(records)
-            slacks = [rec.bound - rec.pre_extraction for rec in records]
-            assert comp.enode_peak == max(rec.pre_extraction for rec in records)
-            assert (comp.slack_min, comp.slack_max) == (min(slacks), max(slacks))
+            assert comp.records == tuple(records)
+            assert check_size_bound(comp.records) is None
 
 
 def copying_induced_instance(inst, vertices):
@@ -747,18 +750,14 @@ def report_digest():
 
 
 def test_reports_are_pinned():
-    # any change to a report's content changes the digest.  The view lost
-    # the report's algorithm, a summary of the components' algorithms, with
-    # the field; 2248d68, the commit before, gives this digest too for the
-    # view without it, and 047c393f with it, as 17cdb6e did.  17cdb6e peeled
-    # tree components under auto with no witness: 27 of the 122 reports of
-    # such runs changed their components, algorithm or certificate, and
-    # every answer and refusal, and every other report, stayed as at
-    # 75c3aba, whose digest was f6cd5853 (commit 45246d4 viewed a NO's
-    # frozen set and heights certificate, then two fields, each as its
-    # (kind, vertices))
+    # any change to a report's content changes the digest.  Components name
+    # input ids and keep their sweep's size records in place of a step count,
+    # peak and slack extremes; every report of 6d8f1eb, whose digest was
+    # b4ba3997, maps field by field onto this one (the count, peak and
+    # extremes read off the records, the ids through the normalization's
+    # kept vertices).  CHANGES.md keeps the digests before that
     assert report_digest() == (
-        "b4ba3997518c5810dbc458ee0011534de2ccc646fccc9390b1751b71923a1b5b"
+        "30e1f4920d8cc3a0ed6d82e60fef494090c6d08121a6680e421ee1faf2c46e30"
     )
 
 

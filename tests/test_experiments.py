@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import random
 
@@ -99,6 +100,19 @@ def test_caterpillar_runs_compare_both_algorithms():
             assert r["enode_peak"] == ""
     assert any(r["enode_peak"] for r in rows if r["algo"] == "caterpillar")
     assert any(r["oracle_nodes"] for r in rows if r["algo"] == "bruteforce")
+
+
+def test_caterpillar_size_columns_are_pinned():
+    # SHA-256 of the CSV without its wall_s column, taken at commit 6d8f1eb,
+    # whose driver kept the peak and slack extremes as report fields; the
+    # runner now reads them off each swept component's size records
+    text = run_experiments(
+        "kind=caterpillar\ncount=150\nseed=11\nspine_max=12\ncolors=5\nlist_max=4\n"
+    )
+    rows = rows_of(text)
+    assert any(r["enode_peak"] for r in rows) and any(r["slack_max"] for r in rows)
+    digest = hashlib.sha256("\n".join(strip_timing(text)).encode()).hexdigest()
+    assert digest == "0119e2fa1eae625e135d9c335fbdd1a719665226bdbe35138c4944f722ca39cf"
 
 
 def test_layered_runs_compare_rerouting_against_the_reduction():

@@ -28,6 +28,7 @@ from lcr.instance import (
     is_proper_list_coloring,
     peel,
 )
+from lcr.generators import gen_caterpillar
 from lcr.oracle import oracle_decide, reachable
 
 from .helpers import (
@@ -356,6 +357,22 @@ def test_peel_preserves_the_answer():
         shrunk += sum(map(len, pieces)) < inst.graph.n
         assert oracle_decide(inst) == all(oracle_decide(induced_instance(inst, p)) for p in pieces)
     assert shrunk >= 100
+
+
+def test_every_piece_is_a_fixpoint_of_the_peel():
+    # a piece's vertices each keep every colour on a live neighbour and a
+    # list within their live degree plus one, and all their live neighbours
+    # are in the piece, so peeling it again removes nothing
+    leafy = [
+        gen_caterpillar(spine, colors=6, list_range=(2, 3), leaves_per_spine=1, seed=seed)
+        for seed, spine in enumerate(range(20, 420, 5))
+    ]
+    pieces = 0
+    for inst in [*frozen_corpus(), *leafy]:
+        for piece in peel(inst):
+            assert peel(induced_instance(inst, piece)) == [list(range(len(piece)))]
+            pieces += 1
+    assert pieces >= 1500
 
 
 # -- frozen sets -----------------------------------------------------------------
